@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coordinates import CoordinateState
-from .functionals import EvalContext, hermitian_mode_weight, in_index_set
+from .functionals import EvalContext, hermitian_mode_weight, icc_vector_norm_sq
 from .spectral import (
     ChannelGrid,
     ModeField,
@@ -311,31 +311,6 @@ def damping_diagnostic(
 # elliptic functionals
 
 
-def _j_norm_sq_phi_e(
-    decomp: PhiDecomposition,
-    coord: CoordinateState,
-    ctx: EvalContext,
-    m: int,
-    n: int,
-    level: int,
-) -> float:
-    """sum over a+b+c = level of ||J^{(a,b,c)}_{m,n} phi_E||^2."""
-    from .functionals import eval_icc
-
-    total = 0.0
-    for a in range(level + 1):
-        for b in range(level - a + 1):
-            c = level - a - b
-            if not in_index_set(a, b, c, n):
-                continue
-            fld, ok = eval_icc(
-                decomp.phi_e, a, b, c, m, n, "J", coord, ctx, t=decomp.t
-            )
-            if ok:
-                total += ctx.wsq(fld.values, np.ones_like(ctx.grid.nodes))
-    return total
-
-
 def eval_elliptic_functionals(
     decomps: dict[int, PhiDecomposition],
     coord: CoordinateState,
@@ -394,8 +369,8 @@ def eval_elliptic_functionals(
                 n = total_mn - m
                 a2 = float(tab.a(m, n, t)) ** 2
                 for ell in (1, 2, 3):
-                    out[f"J_ell_{ell}"] += wk * a2 * _j_norm_sq_phi_e(
-                        dec, coord, ctx, m, n, ell
+                    out[f"J_ell_{ell}"] += wk * a2 * icc_vector_norm_sq(
+                        dec.phi_e, ell, m, n, "J", coord, ctx, t=dec.t
                     )
         # F_ell on the supplied exterior stream parts
         target = None

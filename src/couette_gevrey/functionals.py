@@ -2,6 +2,10 @@
 
 Every functional is a truncated double sum over (m, n) with m + n <= M of
 nonnegative weighted L^2 norms of stack entries |k|^m q^n Gamma_k^n omega_k.
+Only the level n and the shell m + n enter a norm, so each stack is reduced
+once to a table of weighted norms (rows: level and y-derivative order,
+columns: shell weight) and every family is a contraction of that table
+with coefficient arrays.
 Sign conventions: the decaying factors phi and lambda enter the CK families
 through |phi'|/phi and |lambda'|/lambda so that every CK value is >= 0, and
 the W family uses sqrt(-d_t W) which is real since W decays in time.
@@ -68,6 +72,15 @@ class EvalContext:
             self._cache[key] = self.cascade.chi(min(n, self.cascade.n_max), self.grid.nodes)
         return self._cache[key]
 
+    def norm_columns(self, t: float, M: int) -> np.ndarray:
+        """(ny+1, 2(M+1)) quadrature weights rho_j = e^{2W} chi_j^2, then (-d_t W) rho_j."""
+        key = ("cols", round(t, 12), M)
+        if key not in self._cache:
+            chi2 = np.array([self.chi(j) for j in range(M + 1)]) ** 2
+            rho = self.grid.quad_weights * self.exp_w(t) ** 2 * chi2
+            self._cache[key] = np.concatenate([rho, self.sqrt_neg_wt(t) ** 2 * rho]).T
+        return self._cache[key]
+
     def floored(self, values: np.ndarray, tail: float = 0.0) -> np.ndarray:
         """Zero the sub-resolution part of a field before weighting.
 
@@ -93,89 +106,99 @@ class EvalContext:
         return float(np.real(integ))
 
 
-def _core_sq(ctx: EvalContext, stack: GammaStack, m: int, n: int, family: str, weight: np.ndarray) -> float:
-    """The norm content of one (m,n) energy term before coefficients."""
-    if family == "gamma":
-        return ctx.wsq(stack.entry(m, n), weight, stack.noise(n))
-    if family == "alpha":
-        return ctx.nu * ctx.wsq(stack.dy_entry(m, n), weight, stack.noise_dy(n))
-    if family == "mu":
-        return ctx.nu * stack.k**2 * ctx.wsq(stack.entry(m, n), weight, stack.noise(n))
-    raise ValueError(f"unknown family {family!r}")
+def _dy_columns(grid: ChannelGrid, cols: np.ndarray) -> np.ndarray:
+    """d_y of every column of a complex (ny+1, j) array in one real product."""
+    return (grid.d1 @ np.ascontiguousarray(cols).view(float)).view(complex)
+
+
+def norm_table(stack: GammaStack, ctx: EvalContext) -> np.ndarray:
+    """Weighted norms of one stack, indexed [order, weight, n, j].
+
+    With F_n = q^n Gamma^n omega, entry [d, 0, n, j] is the quadrature of
+    |d_y^d F_n|^2 e^{2W} chi_j^2 and entry [d, 1, n, j] carries the extra
+    factor -d_t W.  Each row d_y^d F_n is floored once against its own
+    peak, so the |k|^m of a stack entry factors out of every norm as
+    |k|^{2m}.
+    """
+    M = stack.M
+    f0 = (stack.q_pows * np.asarray(stack.gamma_pows, dtype=complex)).T
+    f1 = _dy_columns(ctx.grid, f0)
+    f2 = _dy_columns(ctx.grid, f1)
+    rows = [np.abs(ctx.floored(f0[:, n], stack.noise(n))) ** 2 for n in range(M + 1)]
+    for fd in (f1, f2):
+        rows += [np.abs(ctx.floored(fd[:, n], stack.noise_dy(n))) ** 2 for n in range(M + 1)]
+    table = np.array(rows) @ ctx.norm_columns(stack.t, M)
+    return table.reshape(3, M + 1, 2, M + 1).transpose(0, 2, 1, 3)
+
+
+def _family_norms(table: np.ndarray, nu: float, k2: float) -> dict:
+    """Per family: (energy, energy under -d_t W, dissipation) norms [n, j]."""
+    (e0, w0), (e1, w1), (e2, _) = table
+    return {
+        "gamma": (e0, w0, nu * (e1 + k2 * e0)),
+        "alpha": (nu * e1, nu * w1, nu**2 * (e2 + k2 * e1)),
+        "mu": (nu * k2 * e0, nu * k2 * w0, nu**2 * k2 * (e1 + k2 * e0)),
+    }
+
+
+def _shell_coefficients(stack: GammaStack, tab: GevreyCoeffTable) -> np.ndarray:
+    """a_{m,n}(t)^2 |k|^{2m} on the (n, j = m + n) grid, zero where n > j."""
+    n, j = np.indices((stack.M + 1, stack.M + 1))
+    m = np.maximum(j - n, 0)
+    k_pow = float(abs(stack.k)) ** (2 * m)  # 0.0 ** 0 == 1: k = 0 keeps m = 0 only
+    return np.where(n <= j, tab.a(m, n, stack.t) ** 2 * k_pow, 0.0)
+
+
+def stack_values(stack: GammaStack, ctx: EvalContext) -> dict:
+    """Energy shells, dissipation and CK values of every family, one stack."""
+    t, tab = stack.t, ctx.table
+    n, j = np.indices((stack.M + 1, stack.M + 1))
+    coef = tab.theta(n) ** 2 * _shell_coefficients(stack, tab)
+    phi_rate = abs(tab.phi_dot(t)) / tab.phi(t)
+    lam_rate = abs(tab.lam_dot(t)) / tab.lam(t)
+    out = {}
+    norms = _family_norms(norm_table(stack, ctx), ctx.nu, float(stack.k**2))
+    for fam, (e, e_w, d) in norms.items():
+        terms = coef * e
+        out[f"shells_E_{fam}"] = terms.sum(axis=0)
+        out[f"shells_D_{fam}"] = (coef * d).sum(axis=0)
+        out[f"CK_{fam}_phi"] = phi_rate * float(((1 + n) * terms).sum())
+        out[f"CK_{fam}_lam"] = lam_rate * float((j * terms).sum())
+        out[f"CK_{fam}_W"] = float((coef * e_w).sum())
+    return out
+
+
+def _shell_sum(stack: GammaStack, key: str, family: str, ctx: EvalContext, shell_breakdown: bool):
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    shells = stack_values(stack, ctx)[f"shells_{key}_{family}"]
+    total = float(shells.sum())
+    if shell_breakdown:
+        return total, shells
+    return total
 
 
 def eval_energy(stack: GammaStack, family: str, ctx: EvalContext, shell_breakdown: bool = False):
     """E^{(family)} truncated at the stack's M, single mode."""
-    t = stack.t
-    ew = ctx.exp_w(t)
-    shells = np.zeros(stack.M + 1)
-    for m, n in stack.pairs():
-        coef = ctx.table.theta(n) ** 2 * float(ctx.table.a(m, n, t)) ** 2
-        shells[m + n] += coef * _core_sq(ctx, stack, m, n, family, ew * ctx.chi(m + n))
-    total = float(shells.sum())
-    if shell_breakdown:
-        return total, shells
-    return total
+    return _shell_sum(stack, "E", family, ctx, shell_breakdown)
 
 
 def eval_dissipation(stack: GammaStack, family: str, ctx: EvalContext, shell_breakdown: bool = False):
     """D^{(family)}: same sums with sqrt(nu) grad_k applied once more."""
-    t = stack.t
-    ew = ctx.exp_w(t)
-    nu, k2 = ctx.nu, float(stack.k**2)
-    shells = np.zeros(stack.M + 1)
-    for m, n in stack.pairs():
-        w = ew * ctx.chi(m + n)
-        coef = ctx.table.theta(n) ** 2 * float(ctx.table.a(m, n, t)) ** 2
-        tn, tdn = stack.noise(n), stack.noise_dy(n)
-        if family == "gamma":
-            val = nu * (ctx.wsq(stack.dy_entry(m, n), w, tdn) + k2 * ctx.wsq(stack.entry(m, n), w, tn))
-        elif family == "alpha":
-            dyy = ctx.grid.d1 @ stack.dy_entry(m, n)
-            val = nu**2 * (ctx.wsq(dyy, w, tdn) + k2 * ctx.wsq(stack.dy_entry(m, n), w, tdn))
-        elif family == "mu":
-            val = nu**2 * k2 * (ctx.wsq(stack.dy_entry(m, n), w, tdn) + k2 * ctx.wsq(stack.entry(m, n), w, tn))
-        else:
-            raise ValueError(f"unknown family {family!r}")
-        shells[m + n] += coef * val
-    total = float(shells.sum())
-    if shell_breakdown:
-        return total, shells
-    return total
+    return _shell_sum(stack, "D", family, ctx, shell_breakdown)
 
 
 def eval_ck(stack: GammaStack, family: str, kind: str, ctx: EvalContext) -> float:
     """CK^{(family; kind)} with the nonnegative-orientation convention."""
-    t = stack.t
-    tab = ctx.table
-    ew = ctx.exp_w(t)
-    if kind == "phi":
-        rate = abs(tab.phi_dot(t)) / tab.phi(t)
-    elif kind == "lam":
-        rate = abs(tab.lam_dot(t)) / tab.lam(t)
-    elif kind == "W":
-        swt = ctx.sqrt_neg_wt(t)
-    else:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if kind not in CK_KINDS:
         raise ValueError(f"unknown CK kind {kind!r}")
-    total = 0.0
-    for m, n in stack.pairs():
-        coef = tab.theta(n) ** 2 * float(tab.a(m, n, t)) ** 2
-        if kind == "phi":
-            total += coef * (1.0 + n) * rate * _core_sq(ctx, stack, m, n, family, ew * ctx.chi(m + n))
-        elif kind == "lam":
-            total += coef * (m + n) * rate * _core_sq(ctx, stack, m, n, family, ew * ctx.chi(m + n))
-        else:
-            total += coef * _core_sq(ctx, stack, m, n, family, swt * ew * ctx.chi(m + n))
-    return float(total)
+    return stack_values(stack, ctx)[f"CK_{family}_{kind}"]
 
 
 def hermitian_mode_weight(k: int) -> float:
     return 1.0 if k == 0 else 2.0
-
-
-def aggregate(stacks: dict[int, GammaStack], fn) -> float:
-    """Sum a per-stack evaluator over modes with Hermitian doubling."""
-    return float(sum(hermitian_mode_weight(k) * fn(stack) for k, stack in stacks.items()))
 
 
 def truncation_tail(shells: np.ndarray) -> float:
@@ -420,38 +443,21 @@ def eval_hypocoercivity(stack: GammaStack, ctx: EvalContext, c_alpha: float = 0.
     """Per-(m,n) energy/dissipation/CK triples of the mixed functional."""
     if not (1.0 / 16.0 <= c_alpha <= 0.5):
         raise ValueError("c_alpha outside its universal range [1/16, 1/2]")
-    t = stack.t
-    tab = ctx.table
-    ew = ctx.exp_w(t)
-    swt = ctx.sqrt_neg_wt(t)
-    nu, k2 = ctx.nu, float(stack.k**2)
+    t, tab = stack.t, ctx.table
     phi_rate = abs(tab.phi_dot(t)) / tab.phi(t)
+    coef = _shell_coefficients(stack, tab)
+    norms = _family_norms(norm_table(stack, ctx), ctx.nu, float(stack.k**2))
+    mix = {"gamma": 1.0, "alpha": c_alpha, "mu": 1.0}
+    e, e_w, d = (sum(mix[fam] * coef * norms[fam][i] for fam in FAMILIES) for i in range(3))
     out = {}
     for m, n in stack.pairs():
-        a2 = float(tab.a(m, n, t)) ** 2
-        w = ew * ctx.chi(m + n)
-        tn, tdn = stack.noise(n), stack.noise_dy(n)
-        e_alpha = a2 * nu * ctx.wsq(stack.dy_entry(m, n), w, tdn)
-        e_mu = a2 * nu * k2 * ctx.wsq(stack.entry(m, n), w, tn)
-        e_gamma = a2 * ctx.wsq(stack.entry(m, n), w, tn)
-        dyy = ctx.grid.d1 @ stack.dy_entry(m, n)
-        d_alpha = a2 * nu**2 * (ctx.wsq(dyy, w, tdn) + k2 * ctx.wsq(stack.dy_entry(m, n), w, tdn))
-        d_mu = a2 * nu**2 * k2 * (ctx.wsq(stack.dy_entry(m, n), w, tdn) + k2 * ctx.wsq(stack.entry(m, n), w, tn))
-        d_gamma = a2 * nu * (ctx.wsq(stack.dy_entry(m, n), w, tdn) + k2 * ctx.wsq(stack.entry(m, n), w, tn))
-        ck_phi = (1.0 + n) * phi_rate * (c_alpha * e_alpha + e_mu + e_gamma)
-        ck_w = (
-            c_alpha * a2 * nu * ctx.wsq(stack.dy_entry(m, n), swt * w, tdn)
-            + a2 * nu * k2 * ctx.wsq(stack.entry(m, n), swt * w, tn)
-            + a2 * ctx.wsq(stack.entry(m, n), swt * w, tn)
-        )
+        j = m + n
         out[(m, n)] = {
-            "E": c_alpha * e_alpha + e_mu + e_gamma,
-            "E_gamma": e_gamma,
-            "E_alpha": e_alpha,
-            "E_mu": e_mu,
-            "D": c_alpha * d_alpha + d_mu + d_gamma,
-            "CK_phi": ck_phi,
-            "CK_W": ck_w,
+            "E": float(e[n, j]),
+            **{f"E_{fam}": float(coef[n, j] * norms[fam][0][n, j]) for fam in FAMILIES},
+            "D": float(d[n, j]),
+            "CK_phi": (1.0 + n) * phi_rate * float(e[n, j]),
+            "CK_W": float(e_w[n, j]),
         }
     return out
 
@@ -488,22 +494,20 @@ def full_report(
     report["untrusted_levels"] = sorted(
         {n for st in stacks.values() for n in range(st.M + 1) if not st.trusted(n)}
     )
+    values = [(hermitian_mode_weight(k), stack_values(st, ctx)) for k, st in stacks.items()]
+
+    def total(key):
+        return sum(wk * v[key] for wk, v in values)
+
     for fam in FAMILIES:
-        e_total, e_shells = 0.0, None
-        for k, st in stacks.items():
-            wk = hermitian_mode_weight(k)
-            e, shells = eval_energy(st, fam, ctx, shell_breakdown=True)
-            e_total += wk * e
-            e_shells = wk * shells if e_shells is None else e_shells + wk * shells
-        report[f"E_{fam}"] = e_total
-        report[f"tail_E_{fam}"] = truncation_tail(e_shells if e_shells is not None else np.zeros(1))
-        if fam == "gamma" and e_shells is not None:
+        e_shells = np.atleast_1d(total(f"shells_E_{fam}"))
+        report[f"E_{fam}"] = float(e_shells.sum())
+        report[f"tail_E_{fam}"] = truncation_tail(e_shells)
+        if fam == "gamma" and values:
             report["shells_E_gamma"] = [float(v) for v in e_shells]
-        report[f"D_{fam}"] = aggregate(stacks, lambda s, f=fam: eval_dissipation(s, f, ctx))
+        report[f"D_{fam}"] = float(np.sum(total(f"shells_D_{fam}")))
         for kind in CK_KINDS:
-            report[f"CK_{fam}_{kind}"] = aggregate(
-                stacks, lambda s, f=fam, kk=kind: eval_ck(s, f, kk, ctx)
-            )
+            report[f"CK_{fam}_{kind}"] = float(total(f"CK_{fam}_{kind}"))
     if coord is not None:
         for fam in ("gamma", "alpha"):
             vals = eval_coord_functionals(coord, ctx, fam, M=coord_M)

@@ -89,8 +89,8 @@ class ExperimentConfig:
         if not self.nu:
             raise ConfigError("config.nu: empty viscosity list")
         for v in self.nu:
-            if v < 0.0:
-                raise ConfigError("config.nu: entries must be >= 0")
+            if not v > 0.0:
+                raise ConfigError("config.nu: entries must be > 0")
         if self.t_final_policy not in ("nu_cube_root", "absolute"):
             raise ConfigError("config.t_final_policy: unknown policy")
         if self.t_final_policy == "absolute" and not self.t_final_value:
@@ -208,7 +208,10 @@ def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = No
     while state.t < t_final - 1e-12:
         step = min(dt, t_final - state.t)
         state = step_scalar(state, step, profile)
-        if config.shear != "zero" or nu > 0:
+        if config.shear == "zero":
+            # the zero profile keeps w = 0 exactly: no solve is needed
+            coord = couette_state(grid, state.t)
+        else:
             coord = step_coordinates(coord, step, nu, profile, grid)
         if state.t >= next_sample - 1e-12 or state.t >= t_final - 1e-12:
             series.append(evaluate(state, coord))
@@ -462,18 +465,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> ExperimentConfig:
     overrides = {}
-    for key in ("output_dir", "seed"):
+    for key in ("output_dir", "seed", "ny", "kmax"):
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
     if getattr(args, "serial", False):
         overrides["serial"] = True
-    if getattr(args, "ny", None):
-        overrides["ny"] = args.ny
-    if getattr(args, "kmax", None):
-        overrides["kmax"] = args.kmax
     nu = getattr(args, "nu", None)
-    if nu:
+    if nu is not None:
         overrides["nu"] = tuple(nu) if isinstance(nu, list) else (nu,)
     if args.config:
         return ExperimentConfig.from_yaml(args.config, overrides)

@@ -25,31 +25,56 @@ def quad(grid, values):
     return float(np.real(sum(w * v for w, v in zip(grid.quad_weights, values))))
 
 
-def naive_energy(stack, family, params, cascade, nu):
+def floor_entry(values, tail, floor):
+    """Zero |values| below max(floor_rel, multiplier * tail) times its peak.
+
+    floor is None (no flooring) or (floor_rel, tail_multiplier).
+    """
+    if floor is None:
+        return values
+    thresh = max(floor[0], floor[1] * tail)
+    peak = max(abs(v) for v in values)
+    if thresh <= 0.0 or peak == 0.0:
+        return values
+    return np.array([0.0 if abs(v) < thresh * peak else v for v in values], dtype=values.dtype)
+
+
+def level_tails(stack):
+    """Tail of level n, and of its y-derivative (the worse of n and n + 1)."""
+    tails = [float(x) for x in stack.tails]
+    dy_tails = [max(tails[n], tails[min(n + 1, stack.M)]) for n in range(stack.M + 1)]
+    return tails, dy_tails
+
+
+def naive_energy(stack, family, params, cascade, nu, floor=None):
     grid = stack.grid
     t = stack.t
     ew = np.exp(eval_W(t, grid.nodes, nu, params))
+    tails, dy_tails = level_tails(stack)
     total = 0.0
     for m in range(stack.M + 1):
         for n in range(stack.M + 1 - m):
             chi = cascade.chi(min(m + n, cascade.n_max), grid.nodes)
             coef = direct_theta(params, n) ** 2 * direct_a(params, m, n, t) ** 2
             entry = abs(stack.k) ** m * eval_q(grid.nodes) ** n * stack.gamma_pows[n]
+            dy = floor_entry(grid.d1 @ entry, dy_tails[n], floor)
+            entry = floor_entry(entry, tails[n], floor)
             if family == "gamma":
                 core = quad(grid, np.abs(entry * ew * chi) ** 2)
             elif family == "alpha":
-                core = nu * quad(grid, np.abs((grid.d1 @ entry) * ew * chi) ** 2)
+                core = nu * quad(grid, np.abs(dy * ew * chi) ** 2)
             else:
                 core = nu * stack.k**2 * quad(grid, np.abs(entry * ew * chi) ** 2)
             total += coef * core
     return total
 
 
-def naive_dissipation(stack, family, params, cascade, nu):
+def naive_dissipation(stack, family, params, cascade, nu, floor=None):
     grid = stack.grid
     t = stack.t
     ew = np.exp(eval_W(t, grid.nodes, nu, params))
     k2 = stack.k**2
+    tails, dy_tails = level_tails(stack)
     total = 0.0
     for m in range(stack.M + 1):
         for n in range(stack.M + 1 - m):
@@ -57,10 +82,12 @@ def naive_dissipation(stack, family, params, cascade, nu):
             coef = direct_theta(params, n) ** 2 * direct_a(params, m, n, t) ** 2
             entry = abs(stack.k) ** m * eval_q(grid.nodes) ** n * stack.gamma_pows[n]
             dy = grid.d1 @ entry
+            dyy = floor_entry(grid.d1 @ dy, dy_tails[n], floor)
+            dy = floor_entry(dy, dy_tails[n], floor)
+            entry = floor_entry(entry, tails[n], floor)
             if family == "gamma":
                 core = nu * (quad(grid, np.abs(dy * ew * chi) ** 2) + k2 * quad(grid, np.abs(entry * ew * chi) ** 2))
             elif family == "alpha":
-                dyy = grid.d1 @ dy
                 core = nu**2 * (quad(grid, np.abs(dyy * ew * chi) ** 2) + k2 * quad(grid, np.abs(dy * ew * chi) ** 2))
             else:
                 core = nu**2 * k2 * (quad(grid, np.abs(dy * ew * chi) ** 2) + k2 * quad(grid, np.abs(entry * ew * chi) ** 2))
@@ -68,7 +95,7 @@ def naive_dissipation(stack, family, params, cascade, nu):
     return total
 
 
-def naive_ck(stack, family, kind, params, cascade, nu):
+def naive_ck(stack, family, kind, params, cascade, nu, floor=None):
     grid = stack.grid
     t = stack.t
     ew = np.exp(eval_W(t, grid.nodes, nu, params))
@@ -78,6 +105,7 @@ def naive_ck(stack, family, kind, params, cascade, nu):
     phi_dot = -t * (1.0 + t * t) ** (-1.5)
     wt, _, _ = eval_W_derivatives(t, grid.nodes, nu, params)
     swt = np.sqrt(np.maximum(-wt, 0.0))
+    tails, dy_tails = level_tails(stack)
     total = 0.0
     for m in range(stack.M + 1):
         for n in range(stack.M + 1 - m):
@@ -85,13 +113,13 @@ def naive_ck(stack, family, kind, params, cascade, nu):
             coef = direct_theta(params, n) ** 2 * direct_a(params, m, n, t) ** 2
             entry = abs(stack.k) ** m * eval_q(grid.nodes) ** n * stack.gamma_pows[n]
             if family == "gamma":
-                base = entry
+                base = floor_entry(entry, tails[n], floor)
                 fac = 1.0
             elif family == "alpha":
-                base = grid.d1 @ entry
+                base = floor_entry(grid.d1 @ entry, dy_tails[n], floor)
                 fac = nu
             else:
-                base = entry
+                base = floor_entry(entry, tails[n], floor)
                 fac = nu * stack.k**2
             if kind == "phi":
                 total += coef * (1 + n) * abs(phi_dot) / phi * fac * quad(grid, np.abs(base * ew * chi) ** 2)

@@ -62,6 +62,17 @@ def test_stationary_exact(grid64):
     assert np.max(np.abs(final.w - prof.u0(final.t, grid64.nodes))) < 1e-10
 
 
+def test_zero_profile_stays_couette(grid64):
+    # the harness uses couette_state in place of zero-shear coordinate steps
+    prof = zero_profile()
+    state = init_coordinates(prof, grid64, nu=1e-4)
+    for _ in range(300):
+        state = step_coordinates(state, 0.01, 1e-4, prof, grid64)
+    ref = couette_state(grid64, state.t)
+    for name in ("t", "w", "v", "v_y", "G", "H", "Hbar"):
+        assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+
+
 def test_hbar_two_formulas(grid64):
     # Hbar = d_y G must agree with (d_y U0 - H)/t for t >= 1
     prof = sin_quartic_profile(1.0 / 256.0)

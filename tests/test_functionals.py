@@ -11,6 +11,8 @@ from couette_gevrey.coordinates import (
     quartic_profile,
 )
 from couette_gevrey.functionals import (
+    CK_KINDS,
+    FAMILIES,
     EvalContext,
     d_switch_sides,
     eval_ck,
@@ -21,10 +23,11 @@ from couette_gevrey.functionals import (
     eval_icc,
     eval_sources,
     full_report,
+    hermitian_mode_weight,
     in_index_set,
     truncation_tail,
 )
-from couette_gevrey.scalar import spline_initial_bump
+from couette_gevrey.scalar import default_dt, default_initial_data, initial_state, spline_initial_bump, step_scalar
 from couette_gevrey.spectral import ModeField
 from couette_gevrey.weights import eval_q, eval_W
 
@@ -272,6 +275,37 @@ def test_truncation_tail_and_report(grid64, params, cascade):
     assert len(rep["shells_E_gamma"]) == 5
     assert "coord_E_H_gamma" in rep
     assert truncation_tail(np.array([1.0, 0.5, 0.01])) == pytest.approx(0.01 / 1.51)
+
+
+def test_full_report_floored_oracle(grid96, params, cascade):
+    # the floors real runs use: relative 1e-8 and ten times each level's tail
+    nu, floor = 1e-4, (1e-8, 10.0)
+    state = initial_state(grid96, nu, default_initial_data(grid96, 4))
+    for _ in range(200):
+        state = step_scalar(state, default_dt(4))
+    coord = couette_state(grid96, state.t)
+    stacks = {k: build_gamma_stack(state.omega[k], coord, 6, grid96, t=state.t) for k in state.modes()}
+    ctx = EvalContext(grid96, params, cascade, nu=nu, floor_rel=floor[0], tail_multiplier=floor[1])
+    rep = full_report(stacks, ctx)
+    unfloored = full_report(stacks, make_ctx(grid96, params, cascade, nu))
+
+    def total(naive, *args):
+        return sum(
+            hermitian_mode_weight(k) * naive(st, *args, params, cascade, nu, floor=floor)
+            for k, st in stacks.items()
+        )
+
+    floors_bite = False
+    for fam in FAMILIES:
+        e_fam = total(naive_energy, fam)
+        refs = {f"E_{fam}": e_fam, f"D_{fam}": total(naive_dissipation, fam)}
+        for kind in CK_KINDS:
+            refs[f"CK_{fam}_{kind}"] = total(naive_ck, fam, kind)
+        for key, ref in refs.items():
+            tol = 1e-12 * abs(ref) + 1e-12 * e_fam
+            assert abs(rep[key] - ref) <= tol, key
+            floors_bite |= abs(unfloored[key] - ref) > tol
+    assert floors_bite
 
 
 def test_d_switch_measured_constant(grid96, params, cascade):

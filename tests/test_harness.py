@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 import yaml
 
+from couette_gevrey import harness
 from couette_gevrey.harness import (
     ConfigError,
     ExperimentConfig,
+    _build_parser,
+    _load_config,
     damping_suite,
     decompose_suite,
     identity_suite,
@@ -42,6 +45,8 @@ def test_config_validation():
         ExperimentConfig(shear="bogus")
     with pytest.raises(ConfigError):
         ExperimentConfig(truncation_m=13)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(nu=(1e-3, 0.0))
     cfg = ExperimentConfig(weights={"s": 1.5, "lambda0": 0.25})
     assert cfg.weight_params().s == 1.5
     with pytest.raises(ConfigError):
@@ -142,6 +147,32 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 0
     parsed = [json.loads(line) for line in out if line.startswith("{")]
     assert all("pass" in p for p in parsed)
+
+
+def test_cli_zero_overrides_reach_config():
+    args = _build_parser().parse_args(["run", "--kmax", "0", "--nu", "1e-3"])
+    cfg = _load_config(args)
+    assert cfg.kmax == 0 and cfg.nu == (1e-3,)
+
+
+def test_cli_zero_viscosity_is_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(yaml.safe_dump({
+        "ny": 48, "kmax": 1, "nu": [0.0], "truncation_m": 2,
+        "t_final_policy": "absolute", "t_final_value": 0.4,
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert main(["--config", str(cfgfile), "run"]) == 2
+    assert "config.nu" in capsys.readouterr().err
+
+
+def test_zero_shear_runs_no_coordinate_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("zero shear needs no coordinate solve")
+
+    monkeypatch.setattr(harness, "step_coordinates", no_solve)
+    res = run_single_nu(small_config(t_final_policy="absolute", t_final_value=0.2), 1e-2)
+    assert len(res["series"]) == 5
 
 
 def test_cli_run_and_report(tmp_path, capsys):
