@@ -276,7 +276,7 @@ def build_gamma_stack(
         gamma_pows.append(cur.values)
     q = eval_q(grid.nodes)
     q_pows = np.array([q**n for n in range(M + 1)])
-    tails = np.array([grid.spectral_tail(g) for g in gamma_pows])
+    tails = grid.spectral_tail(np.array(gamma_pows))
     return GammaStack(
         k=omega_k.k,
         t=t,

@@ -226,10 +226,16 @@ def eval_coord_functionals(
 
     The n-index stacks are dv-bar^n applications (these are k = 0
     quantities); i_iota picks up one extra d_y for the alpha family.
+    Flat coordinates (G = H = Hbar = 0) give exactly zero for every value.
     """
     if family not in ("gamma", "alpha"):
         raise ValueError("coordinate functionals exist for gamma and alpha only")
-    i_io = 1 if family == "alpha" else 0
+    if not (np.any(state.G) or np.any(state.H) or np.any(state.Hbar)):
+        return {f"{q}_{f}": 0.0 for f in ("Hbar", "G", "H") for q in ("E", "D", "CK")}
+    return _coord_functionals(state, ctx, 1 if family == "alpha" else 0, M)
+
+
+def _coord_functionals(state: CoordinateState, ctx: EvalContext, i_io: int, M: int) -> dict[str, float]:
     t = state.t
     tab, p = ctx.table, ctx.params
     grid = ctx.grid

@@ -1,7 +1,8 @@
-"""Per-mode time integration of the passive scalar equation.
+"""Time integration of the passive scalar equation, all modes at once.
 
 Each Fourier mode solves  d_t w_k + ik(y + U0) w_k = nu Dlt_k w_k + f_k
-with Dirichlet walls.  Diffusion is implicit (prefactored Helmholtz solves),
+with Dirichlet walls; one step advances every mode as a single complex
+(K, ny+1) array.  Diffusion is implicit (cached real LU Helmholtz solves),
 the advection multiplier and forcing are explicit: SBDF2 after an
 IMEX-SSP2(2,2,2) startup step.  The explicit multiplier is pointwise, so the
 stability constraint is |k (y+U0)| dt below the scheme's imaginary-axis
@@ -14,9 +15,10 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgetrs
 
 from .coordinates import ShearProfile, zero_profile
-from .spectral import ChannelGrid, HelmholtzFactorization, ModeField, l2_norm
+from .spectral import ChannelGrid, ModeField, helmholtz_lu, l2_norm
 
 # measured imaginary-axis stability margin of the SBDF2 extrapolation
 THETA_ADV = 0.09
@@ -100,8 +102,8 @@ class ScalarState:
     t: float
     nu: float
     omega: dict[int, ModeField]
-    _prev: dict[int, np.ndarray] | None = None
-    _prev_ex: dict[int, np.ndarray] | None = None
+    _prev: np.ndarray | None = None  # (K, ny+1) SBDF2 history, sorted k
+    _prev_ex: np.ndarray | None = None
     _prev_dt: float | None = None
     _facts: dict = field(default_factory=dict, repr=False)
 
@@ -129,20 +131,17 @@ def initial_state(grid: ChannelGrid, nu: float, data: InitialData) -> ScalarStat
     )
 
 
-def _forcing_values(forcing, t: float, k: int, n: int):
+def _forcing_rows(forcing, t: float, ks: list[int], shape: tuple[int, int]):
+    """Forcing of every mode at time t as a (K, ny+1) array (0.0 if none)."""
     if forcing is None:
-        return np.zeros(n + 1, dtype=complex)
+        return 0.0
     table = forcing(t) if callable(forcing) else forcing
-    f = table.get(k)
-    if f is None:
-        return np.zeros(n + 1, dtype=complex)
-    return f.values if isinstance(f, ModeField) else np.asarray(f, dtype=complex)
-
-
-def _explicit_term(grid, k, values, t, profile, forcing, nu):
-    shear = grid.nodes + profile.u0(t, grid.nodes)
-    ex = -1j * k * shear * values + _forcing_values(forcing, t, k, grid.ny)
-    return ex
+    out = np.zeros(shape, dtype=complex)
+    for i, k in enumerate(ks):
+        f = table.get(k)
+        if f is not None:
+            out[i] = f.values if isinstance(f, ModeField) else f
+    return out
 
 
 def _check_stability(state: ScalarState, dt: float, profile: ShearProfile):
@@ -157,65 +156,67 @@ def _check_stability(state: ScalarState, dt: float, profile: ShearProfile):
         )
 
 
-def _factorization(state: ScalarState, k: int, alpha: float) -> HelmholtzFactorization:
-    key = (k, round(alpha, 12), round(state.nu, 15))
-    if key not in state._facts:
-        state._facts[key] = HelmholtzFactorization(state.grid, k, alpha, state.nu)
-    return state._facts[key]
-
-
-def _diffusion(grid: ChannelGrid, nu: float, k: int, values: np.ndarray) -> np.ndarray:
-    return nu * (grid.d2 @ values - float(k * k) * values)
+def _solve(state: ScalarState, ks: list[int], alpha: float, rhs: np.ndarray) -> np.ndarray:
+    """Dirichlet Helmholtz solves of the rows of rhs, re/im as two real columns."""
+    parts = np.stack([rhs.real, rhs.imag], axis=1)  # (K, 2, ny+1)
+    parts[:, :, [0, -1]] = 0.0
+    for i, k in enumerate(ks):
+        key = (k, round(alpha, 12), round(state.nu, 15))
+        if key not in state._facts:  # one real LU per (k, alpha, nu) and run
+            state._facts[key] = helmholtz_lu(state.grid, k, alpha, state.nu)
+        # parts[i].T is a Fortran-ordered (ny+1, 2) view, solved in place
+        if dgetrs(*state._facts[key], parts[i].T, overwrite_b=1)[1] != 0:
+            raise ValueError(f"dgetrs failed for mode {k}")
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = None, forcing=None) -> ScalarState:
-    """Advance every mode by one IMEX step; walls are exactly zero after."""
+    """Advance every mode by one IMEX step; walls are exactly zero after.
+
+    All modes move together as one complex (K, ny+1) array in sorted k order.
+    """
     if profile is None:
         profile = zero_profile()
     _check_stability(state, dt, profile)
     grid, nu = state.grid, state.nu
+    ks = state.modes()
+    k_col = np.array(ks, dtype=float)[:, None]
+    u = np.array([state.omega[k].values for k in ks], dtype=complex)
     restart = state._prev is None or state._prev_dt is None or abs(state._prev_dt - dt) > 1e-14
-    new_omega: dict[int, ModeField] = {}
-    prev, prev_ex = {}, {}
     t0, t1 = state.t, state.t + dt
-    for k, f in state.omega.items():
-        u = f.values
-        ex0 = _explicit_term(grid, k, u, t0, profile, forcing, nu)
-        if restart:
-            if nu > 0.0:
-                fact = _factorization(state, k, 1.0 / (_SSP_GAMMA * dt))
-                u1 = fact.solve(u / (_SSP_GAMMA * dt))
-                im1 = _diffusion(grid, nu, k, u1)
-                ex1 = _explicit_term(grid, k, u1, t0, profile, forcing, nu)
-                rhs2 = u + dt * (1.0 - 2.0 * _SSP_GAMMA) * im1 + dt * ex1
-                u2 = fact.solve(rhs2 / (_SSP_GAMMA * dt))
-                im2 = _diffusion(grid, nu, k, u2)
-                ex2 = _explicit_term(grid, k, u2, t1, profile, forcing, nu)
-                un = u + 0.5 * dt * (im1 + im2) + 0.5 * dt * (ex1 + ex2)
-            else:
-                # Heun step of the pure multiplier problem
-                ex1 = ex0
-                mid = u + dt * ex1
-                mid[0] = mid[-1] = 0.0
-                ex2 = _explicit_term(grid, k, mid, t1, profile, forcing, nu)
-                un = u + 0.5 * dt * (ex1 + ex2)
+
+    def explicit(values, t):
+        shear = grid.nodes + profile.u0(t, grid.nodes)
+        return -1j * k_col * shear * values + _forcing_rows(forcing, t, ks, u.shape)
+
+    def diffusion(values):
+        # d2 acts on the real (ny+1, 2K) view of the modes as columns
+        d2u = (grid.d2 @ np.ascontiguousarray(values.T).view(float)).view(complex).T
+        return nu * (d2u - k_col * k_col * values)
+
+    ex0 = explicit(u, t0)
+    if restart:
+        if nu > 0.0:
+            alpha = 1.0 / (_SSP_GAMMA * dt)
+            u1 = _solve(state, ks, alpha, u / (_SSP_GAMMA * dt))
+            im1 = diffusion(u1)
+            ex1 = explicit(u1, t0)
+            rhs2 = u + dt * (1.0 - 2.0 * _SSP_GAMMA) * im1 + dt * ex1
+            u2 = _solve(state, ks, alpha, rhs2 / (_SSP_GAMMA * dt))
+            im2 = diffusion(u2)
+            ex2 = explicit(u2, t1)
+            un = u + 0.5 * dt * (im1 + im2) + 0.5 * dt * (ex1 + ex2)
         else:
-            rhs = (2.0 * u - 0.5 * state._prev[k]) / dt + 2.0 * ex0 - state._prev_ex[k]
-            if nu > 0.0:
-                fact = _factorization(state, k, 1.5 / dt)
-                un = fact.solve(rhs)
-            else:
-                un = rhs * dt / 1.5
-        un[0] = 0.0
-        un[-1] = 0.0
-        new_omega[k] = ModeField(k, un)
-        prev[k] = u
-        prev_ex[k] = ex0
-    out = ScalarState(grid=grid, t=t1, nu=nu, omega=new_omega, _facts=state._facts)
-    out._prev = prev
-    out._prev_ex = prev_ex
-    out._prev_dt = dt
-    return out
+            # Heun step of the pure multiplier problem
+            mid = u + dt * ex0
+            mid[:, 0] = mid[:, -1] = 0.0
+            un = u + 0.5 * dt * (ex0 + explicit(mid, t1))
+    else:
+        rhs = (2.0 * u - 0.5 * state._prev) / dt + 2.0 * ex0 - state._prev_ex
+        un = _solve(state, ks, 1.5 / dt, rhs) if nu > 0.0 else rhs * dt / 1.5
+    un[:, [0, -1]] = 0.0
+    omega = {k: ModeField(k, row) for k, row in zip(ks, un)}
+    return ScalarState(grid, t1, nu, omega, _prev=u, _prev_ex=ex0, _prev_dt=dt, _facts=state._facts)
 
 
 def exact_transport(omega_in_k: ModeField, k: int, t: float, grid: ChannelGrid) -> ModeField:

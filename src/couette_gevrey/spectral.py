@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dct
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
 
 
 def chebyshev_lobatto(n: int) -> np.ndarray:
@@ -43,18 +43,17 @@ def clenshaw_curtis_weights(n: int) -> np.ndarray:
     """Quadrature weights on the n+1 Lobatto nodes, exact for degree <= n."""
     if n == 1:
         return np.array([1.0, 1.0])
-    w = np.zeros(n + 1)
-    jj = np.arange(n + 1)
+    j = np.arange(n + 1)
     v = np.zeros(n + 1)
     # moments of cos(k theta): int_0^pi cos(k t) sin(t) dt
     for k in range(0, n + 1, 2):
         v[k] = 2.0 / (1.0 - k * k)
-    # w_j = (2/n) sum'' v_k cos(k j pi / n), '' halving first/last terms
-    for j in jj:
-        acc = 0.5 * v[0] + 0.5 * v[n] * np.cos(np.pi * j)
-        for k in range(1, n):
-            acc += v[k] * np.cos(np.pi * k * j / n)
-        w[j] = 2.0 * acc / n
+    # w_j = (2/n) sum'' v_k cos(k j pi / n), '' halving first/last terms;
+    # every j at once, summed over k in the same order
+    acc = 0.5 * v[0] + 0.5 * v[n] * np.cos(np.pi * j)
+    for k in range(1, n):
+        acc += v[k] * np.cos(np.pi * k * j / n)
+    w = 2.0 * acc / n
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
@@ -69,7 +68,6 @@ class ChannelGrid:
     nodes: np.ndarray = field(init=False)
     d1: np.ndarray = field(init=False)
     d2: np.ndarray = field(init=False)
-    d3: np.ndarray = field(init=False)
     quad_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -78,53 +76,35 @@ class ChannelGrid:
         self.nodes = chebyshev_lobatto(self.ny)
         self.d1 = chebyshev_diff_matrix(self.nodes)
         self.d2 = self.d1 @ self.d1
-        self.d3 = self.d2 @ self.d1
         self.quad_weights = clenshaw_curtis_weights(self.ny)
         self._bary_w = np.ones(self.ny + 1)
         self._bary_w[0] = self._bary_w[-1] = 0.5
         self._bary_w *= (-1.0) ** np.arange(self.ny + 1)
 
-    @property
-    def modes(self) -> range:
-        return range(0, self.kmax + 1)
-
-    def diff(self, values: np.ndarray, order: int = 1) -> np.ndarray:
-        if order == 1:
-            return self.d1 @ values
-        if order == 2:
-            return self.d2 @ values
-        if order == 3:
-            return self.d3 @ values
-        out = values
-        for _ in range(order):
-            out = self.d1 @ out
-        return out
-
     def integrate(self, values: np.ndarray) -> complex:
         return np.asarray(values) @ self.quad_weights
 
     def cheb_coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Chebyshev coefficients of the interpolant through the nodes."""
+        """Chebyshev coefficients of the interpolant, along the last axis."""
         # DCT-I acts on values ordered from y=+1 down to y=-1
-        rev = np.asarray(values)[::-1]
+        rev = np.asarray(values)[..., ::-1]
         n = self.ny
         if np.iscomplexobj(rev):
-            coef = dct(rev.real, type=1) + 1j * dct(rev.imag, type=1)
+            coef = dct(rev.real, type=1, axis=-1) + 1j * dct(rev.imag, type=1, axis=-1)
         else:
-            coef = dct(rev, type=1)
+            coef = dct(rev, type=1, axis=-1)
         coef = coef / n
-        coef[0] *= 0.5
-        coef[-1] *= 0.5
+        coef[..., 0] *= 0.5
+        coef[..., -1] *= 0.5
         return coef
 
-    def spectral_tail(self, values: np.ndarray) -> float:
-        """Top-quarter Chebyshev energy fraction, a resolution trust score."""
+    def spectral_tail(self, values: np.ndarray) -> float | np.ndarray:
+        """Top-quarter Chebyshev energy fraction (per row), a resolution trust score."""
         coef = np.abs(self.cheb_coeffs(values))
-        total = coef.sum()
-        if total == 0.0:
-            return 0.0
+        total = coef.sum(axis=-1)
         q = max(1, (self.ny + 1) // 4)
-        return float(coef[-q:].sum() / total)
+        tail = coef[..., -q:].sum(axis=-1) / np.where(total == 0.0, 1.0, total)
+        return tail if tail.ndim else float(tail)
 
     def interpolate(self, values: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Barycentric evaluation of the interpolant at arbitrary points."""
@@ -248,23 +228,15 @@ def poisson_mode_solve(grid: ChannelGrid, rhs: ModeField, k: int | None = None) 
     return ModeField(k, sol.values)
 
 
-class HelmholtzFactorization:
-    """Prefactored (alpha*I - nu*(d_yy - k^2)) solver with Dirichlet rows."""
-
-    def __init__(self, grid: ChannelGrid, k: int, alpha: float, nu: float):
-        n = grid.ny
-        a = alpha * np.eye(n + 1) - nu * (grid.d2 - float(k * k) * np.eye(n + 1))
-        a[0, :] = 0.0
-        a[0, 0] = 1.0
-        a[-1, :] = 0.0
-        a[-1, -1] = 1.0
-        self._lu = lu_factor(a)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        b = rhs.astype(complex).copy()
-        b[0] = 0.0
-        b[-1] = 0.0
-        return lu_solve(self._lu, b)
+def helmholtz_lu(grid: ChannelGrid, k: int, alpha: float, nu: float):
+    """Real LU factors of (alpha*I - nu*(d_yy - k^2)) with Dirichlet rows."""
+    n = grid.ny
+    a = alpha * np.eye(n + 1) - nu * (grid.d2 - float(k * k) * np.eye(n + 1))
+    a[0, :] = 0.0
+    a[0, 0] = 1.0
+    a[-1, :] = 0.0
+    a[-1, -1] = 1.0
+    return lu_factor(a)
 
 
 def _one_minus_exp(x: np.ndarray | float) -> np.ndarray | float:

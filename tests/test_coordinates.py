@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import loop_spectral_tail
 
 from couette_gevrey.coordinates import (
     CoordinateDegeneracyError,
@@ -16,7 +17,7 @@ from couette_gevrey.coordinates import (
     step_coordinates,
     zero_profile,
 )
-from couette_gevrey.scalar import exact_transport
+from couette_gevrey.scalar import default_initial_data, exact_transport
 from couette_gevrey.spectral import ChannelGrid, ModeField, l2_norm
 from couette_gevrey.weights import eval_q
 
@@ -176,6 +177,20 @@ def test_stack_trust_flags(grid64):
     rough = np.sign(grid64.nodes).astype(complex)
     stack2 = build_gamma_stack(ModeField(1, rough), flat, 2, grid64)
     assert not stack2.trusted(1)
+
+
+def test_stack_tails_match_per_row_dct():
+    # one batched DCT per stack gives the per-level tails bit for bit
+    grid = ChannelGrid(192, kmax=8)
+    omega = default_initial_data(grid, 8).omega_in
+    sheared = init_coordinates(quartic_profile(1 / 256), grid, nu=1e-4)
+    for coord, t in ((couette_state(grid, 3.0), 3.0), (sheared, 0.7)):
+        for k in (0, 1, 8):
+            stack = build_gamma_stack(omega[k], coord, 6, grid, t=t)
+            ref = [loop_spectral_tail(grid, g) for g in stack.gamma_pows]
+            assert np.array_equal(stack.tails, ref)
+    assert grid.spectral_tail(np.zeros(grid.ny + 1)) == 0.0
+    assert np.array_equal(grid.spectral_tail(np.zeros((2, grid.ny + 1))), [0.0, 0.0])
 
 
 def test_profile_registry():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from couette_gevrey.coordinates import (
 )
 from couette_gevrey.functionals import (
     CK_KINDS,
+    _coord_functionals,
     FAMILIES,
     EvalContext,
     d_switch_sides,
@@ -224,6 +227,21 @@ def test_coord_functionals_couette_zero(grid64, params, cascade):
     flat = couette_state(grid64, 1.0)
     out = eval_coord_functionals(flat, ctx, "gamma", M=4)
     assert all(v == 0.0 for v in out.values())
+
+
+def test_coord_functionals_flat_shortcut(grid64, params, cascade):
+    # flat coordinates skip the field stacks; the full evaluation gives the
+    # same keys, in the same order, all +0.0
+    ctx = make_ctx(grid64, params, cascade, NU)
+    for t in (0.0, 3.0, 17.0):
+        flat = couette_state(grid64, t)
+        for i_io, fam in enumerate(("gamma", "alpha")):
+            fast = eval_coord_functionals(flat, ctx, fam, M=6)
+            full = _coord_functionals(flat, ctx, i_io, 6)
+            assert list(fast) == list(full)
+            for key, val in full.items():
+                assert fast[key] == val == 0.0
+                assert math.copysign(1.0, fast[key]) == math.copysign(1.0, val)
 
 
 def test_coord_functionals_single_term(grid64, params, cascade):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import loop_clenshaw_curtis_weights
 
 from couette_gevrey.spectral import (
     ChannelGrid,
     ModeField,
     SingularSolveError,
+    clenshaw_curtis_weights,
     green_eval,
     green_eval_split,
     green_solve,
@@ -33,6 +35,12 @@ def test_quadrature_exactness(grid64):
     for p in range(0, grid64.ny + 1, 5):
         exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
         assert grid64.integrate(y**p) == pytest.approx(exact, abs=1e-12)
+
+
+def test_clenshaw_curtis_weights_match_loop():
+    # all nodes at once, summed over k in the loop's order: bitwise equal
+    for n in (1, 2, 7, 8, 9, 64, 96, 128, 192, 255, 256):
+        assert np.array_equal(clenshaw_curtis_weights(n), loop_clenshaw_curtis_weights(n))
 
 
 def test_norms(grid64):
