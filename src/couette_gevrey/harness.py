@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -40,7 +38,6 @@ from .elliptic import (
 from .functionals import EvalContext, full_report
 from .scalar import (
     StabilityError,
-    checkpoint_to_bytes,
     default_dt,
     default_initial_data,
     gevrey_bump,
@@ -65,17 +62,13 @@ class ExperimentConfig:
     t_final_value: float | None = None
     shear: str = "zero"
     eps_u: float = 1.0 / 64.0
-    forcing: str = "none"
     weights: dict = field(default_factory=dict)
     truncation_m: int = 6
     output_dir: str = "out"
     cadence: float = 0.25
     formats: tuple[str, ...] = ("csv", "json")
-    checkpoints: bool = False
     noise_floor: float = 1e-8
     data_power: int = 16
-    seed: int = 0
-    serial: bool = True
     dt: float | None = None
     monotonicity_slack: float = 0.05
 
@@ -93,12 +86,19 @@ class ExperimentConfig:
                 raise ConfigError("config.nu: entries must be > 0")
         if self.t_final_policy not in ("nu_cube_root", "absolute"):
             raise ConfigError("config.t_final_policy: unknown policy")
-        if self.t_final_policy == "absolute" and not self.t_final_value:
+        if self.t_final_policy == "absolute" and self.t_final_value is None:
             raise ConfigError("config.t_final_value: required for absolute policy")
+        if self.t_final_value is not None and not self.t_final_value > 0.0:
+            raise ConfigError("config.t_final_value: must be > 0")
+        if self.dt is not None and not self.dt > 0.0:
+            raise ConfigError("config.dt: must be > 0")
+        if not self.cadence > 0.0:
+            raise ConfigError("config.cadence: must be > 0")
+        unknown = set(self.formats) - {"csv", "json"}
+        if unknown:
+            raise ConfigError(f"config.formats: unknown formats {sorted(unknown)}")
         if self.shear not in ("zero", "quartic", "sin_quartic"):
             raise ConfigError(f"config.shear: unknown profile {self.shear!r}")
-        if self.forcing not in ("none",):
-            raise ConfigError(f"config.forcing: unknown forcing {self.forcing!r}")
         if self.truncation_m < 0 or self.truncation_m > 12:
             raise ConfigError("config.truncation_m: hard cap is 12")
 
@@ -145,16 +145,6 @@ class ExperimentConfig:
         return d
 
 
-def thread_count(serial: bool) -> int:
-    if serial:
-        return 1
-    raw = os.environ.get("COUETTE_GEVREY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _json_dump(obj, path: Path):
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
@@ -179,22 +169,15 @@ def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = No
     data = default_initial_data(grid, config.kmax, power=config.data_power)
     state = initial_state(grid, nu, data)
     coord = init_coordinates(profile, grid, nu)
-    dt = config.dt if config.dt else default_dt(config.kmax)
+    dt = config.dt if config.dt is not None else default_dt(config.kmax)
     t_final = config.t_final(nu)
-    workers = thread_count(config.serial)
 
     def evaluate(scalar_state, coord_state):
-        def one(k):
-            return k, build_gamma_stack(
-                scalar_state.omega[k], coord_state, config.truncation_m, grid,
-                t=scalar_state.t,
-            )
-
-        if workers > 1:
-            with ThreadPoolExecutor(workers) as pool:
-                stacks = dict(pool.map(one, scalar_state.modes()))
-        else:
-            stacks = dict(map(one, scalar_state.modes()))
+        stacks = {
+            k: build_gamma_stack(scalar_state.omega[k], coord_state, config.truncation_m, grid,
+                                 t=scalar_state.t)
+            for k in scalar_state.modes()
+        }
         rep = full_report(stacks, ctx, coord_state, coord_M=config.truncation_m)
         rep["l2_total"] = scalar_state.total_l2()
         for k, norm in scalar_state.l2_norms().items():
@@ -244,11 +227,11 @@ def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = No
         "wall_clock_s": wall,
     }
     if out_dir is not None:
-        _write_run_files(config, grid, state, coord, result, out_dir)
+        _write_run_files(config, grid, coord, result, out_dir)
     return result
 
 
-def _write_run_files(config, grid, state, coord, result, out_dir: Path):
+def _write_run_files(config, grid, coord, result, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = f"nu{result['nu']:.0e}"
     if "csv" in config.formats:
@@ -260,8 +243,6 @@ def _write_run_files(config, grid, state, coord, result, out_dir: Path):
             lines.append(",".join(repr(_stable(row[k])) for k in keys))
         (out_dir / f"series_{tag}.csv").write_text("\n".join(lines) + "\n")
         (out_dir / f"coordinates_{tag}.csv").write_text(coord.export_csv(grid))
-    if config.checkpoints:
-        (out_dir / f"checkpoint_{tag}.bin").write_bytes(checkpoint_to_bytes(state))
     if "json" in config.formats:
         summary = {
             k: v for k, v in result.items() if k not in ("series", "wall_clock_s")
@@ -287,7 +268,7 @@ def run(config: ExperimentConfig) -> dict:
 
 
 def sweep(config: ExperimentConfig, over: str = "nu") -> dict:
-    """Comparative report over nu, M or Ny; >= 2 values required."""
+    """Comparative report over nu or M; >= 2 values required."""
     if over == "nu":
         values = list(config.nu)
         if len(values) < 2:
@@ -407,7 +388,7 @@ def decompose_suite(config: ExperimentConfig, nu: float | None = None, t_stop: f
     profile = make_profile(config.shear, config.eps_u)
     state = initial_state(grid, nu, default_initial_data(grid, config.kmax, power=config.data_power))
     coord = init_coordinates(profile, grid, nu)
-    dt = config.dt if config.dt else default_dt(config.kmax)
+    dt = config.dt if config.dt is not None else default_dt(config.kmax)
     t_stop = t_stop if t_stop is not None else config.t_final(nu) / 2.0
     while state.t < t_stop - 1e-12:
         step = min(dt, t_stop - state.t)
@@ -439,9 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="couette-gevrey",
                                 description="passive scalar / stream function verification harness")
     p.add_argument("--config", help="YAML config file (flags override file keys)")
-    p.add_argument("--serial", action="store_true", help="force bitwise-reproducible execution")
     p.add_argument("--output-dir")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="seed of the identity battery's random trials")
     sub = p.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="evolve and evaluate functionals")
     runp.add_argument("--nu", type=float, action="append")
@@ -465,12 +445,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> ExperimentConfig:
     overrides = {}
-    for key in ("output_dir", "seed", "ny", "kmax"):
+    for key in ("output_dir", "ny", "kmax"):
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
-    if getattr(args, "serial", False):
-        overrides["serial"] = True
     nu = getattr(args, "nu", None)
     if nu is not None:
         overrides["nu"] = tuple(nu) if isinstance(nu, list) else (nu,)

@@ -11,7 +11,6 @@ limit; the admissible dt is reported by :func:`admissible_dt`.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,37 +231,3 @@ def dirichlet_second_derivative_check(state: ScalarState) -> float:
         worst = max(worst, float(abs(dyy[0])), float(abs(dyy[-1])))
     return worst
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-_CKPT_MAGIC = b"CGCK"
-
-
-def checkpoint_to_bytes(state: ScalarState) -> bytes:
-    from .spectral import mode_field_to_bytes
-
-    ks = state.modes()
-    head = _CKPT_MAGIC + struct.pack(
-        "<ddQQ", state.t, state.nu, state.grid.ny, max(ks) if ks else 0
-    )
-    head += struct.pack("<Q", len(ks))
-    return head + b"".join(mode_field_to_bytes(state.omega[k]) for k in ks)
-
-
-def checkpoint_from_bytes(buf: bytes, grid: ChannelGrid) -> ScalarState:
-    from .spectral import mode_field_from_bytes
-
-    if buf[:4] != _CKPT_MAGIC:
-        raise ValueError("bad checkpoint header")
-    t, nu, ny, _kmax = struct.unpack("<ddQQ", buf[4:36])
-    if ny != grid.ny:
-        raise ValueError("grid mismatch")
-    (count,) = struct.unpack("<Q", buf[36:44])
-    offset = 44
-    omega = {}
-    for _ in range(count):
-        f, used = mode_field_from_bytes(buf[offset:])
-        omega[f.k] = f
-        offset += used
-    return ScalarState(grid=grid, t=t, nu=nu, omega=omega)

@@ -7,7 +7,6 @@ in y.  Boundary conditions are imposed by row replacement.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -338,29 +337,6 @@ def green_solve(
             acc += np.sum(wts * kernel * rvals)
         out[i] = acc
     return ModeField(k, out)
-
-
-_MODE_MAGIC = b"CGMF"
-
-
-def mode_field_to_bytes(f: ModeField) -> bytes:
-    """Binary layout: magic, k as i64, Ny as u64, interleaved re/im f64 (LE)."""
-    n = len(f.values) - 1
-    head = _MODE_MAGIC + struct.pack("<qQ", f.k, n)
-    inter = np.empty(2 * (n + 1))
-    inter[0::2] = f.values.real
-    inter[1::2] = f.values.imag
-    return head + inter.astype("<f8").tobytes()
-
-
-def mode_field_from_bytes(buf: bytes) -> tuple[ModeField, int]:
-    if buf[:4] != _MODE_MAGIC:
-        raise ValueError("bad mode field header")
-    k, n = struct.unpack("<qQ", buf[4:20])
-    count = 2 * (n + 1)
-    data = np.frombuffer(buf[20 : 20 + 8 * count], dtype="<f8")
-    values = data[0::2] + 1j * data[1::2]
-    return ModeField(int(k), values), 20 + 8 * count
 
 
 def mode_field_to_csv(grid: ChannelGrid, f: ModeField) -> str:

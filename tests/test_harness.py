@@ -47,6 +47,15 @@ def test_config_validation():
         ExperimentConfig(truncation_m=13)
     with pytest.raises(ConfigError):
         ExperimentConfig(nu=(1e-3, 0.0))
+    # run-control values that would loop forever, run backwards, be ignored
+    # or write nothing
+    for bad in (dict(dt=-0.01), dict(dt=0.0),
+                dict(t_final_policy="absolute", t_final_value=-1.0),
+                dict(t_final_policy="absolute", t_final_value=0.0),
+                dict(cadence=0.0), dict(cadence=-0.25),
+                dict(formats=("xml",)), dict(formats=("csv", "xml"))):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)
     cfg = ExperimentConfig(weights={"s": 1.5, "lambda0": 0.25})
     assert cfg.weight_params().s == 1.5
     with pytest.raises(ConfigError):
@@ -78,19 +87,18 @@ def test_config_yaml_roundtrip(tmp_path):
 
 def test_run_produces_report_and_files(tmp_path):
     cfg = small_config(output_dir=str(tmp_path), t_final_policy="absolute",
-                       t_final_value=1.0, checkpoints=True)
+                       t_final_value=1.0)
     report = run(cfg)
     assert report["all_monotone"] in (True, False)
     assert (tmp_path / "summary.json").exists()
     assert (tmp_path / "series_nu1e-02.csv").exists()
-    assert (tmp_path / "checkpoint_nu1e-02.bin").exists()
     header = (tmp_path / "series_nu1e-02.csv").read_text().splitlines()[0]
     assert "E_gamma" in header and "t" in header
 
 
 def test_serial_runs_byte_identical(tmp_path):
     cfg = small_config(output_dir=str(tmp_path), t_final_policy="absolute",
-                       t_final_value=0.6, serial=True)
+                       t_final_value=0.6)
     run(cfg)
     first = (tmp_path / "summary.json").read_bytes()
     run(cfg)
@@ -166,6 +174,28 @@ def test_cli_zero_viscosity_is_config_error(tmp_path, capsys):
     assert "config.nu" in capsys.readouterr().err
 
 
+def test_cli_negative_dt_is_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(yaml.safe_dump({
+        "ny": 48, "kmax": 1, "nu": [1e-2], "truncation_m": 2, "dt": -0.01,
+        "t_final_policy": "absolute", "t_final_value": 0.4,
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert main(["--config", str(cfgfile), "run"]) == 2
+    assert "config.dt" in capsys.readouterr().err
+
+
+def test_readme_config_block_matches_config(tmp_path):
+    # the README's YAML block documents every config key with its default,
+    # so a key that is added or deleted cannot drift out of the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert set(yaml.safe_load(block)) == set(ExperimentConfig.__dataclass_fields__)
+    path = tmp_path / "readme.yaml"
+    path.write_text(block)
+    assert ExperimentConfig.from_yaml(path) == ExperimentConfig()
+
+
 def test_zero_shear_runs_no_coordinate_solve(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("zero shear needs no coordinate solve")
@@ -200,11 +230,3 @@ def test_cli_decompose(tmp_path, capsys):
     files = list((tmp_path / "out").glob("decompose_k1_*.csv"))
     assert files
 
-
-def test_parallel_stack_evaluation(monkeypatch):
-    monkeypatch.setenv("COUETTE_GEVREY_THREADS", "4")
-    cfg_serial = small_config(t_final_policy="absolute", t_final_value=0.3, serial=True)
-    cfg_par = small_config(t_final_policy="absolute", t_final_value=0.3, serial=False)
-    a = run_single_nu(cfg_serial, 1e-2)
-    b = run_single_nu(cfg_par, 1e-2)
-    assert a["theta_series"] == b["theta_series"]

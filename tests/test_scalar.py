@@ -8,8 +8,6 @@ from couette_gevrey.scalar import (
     InitialData,
     StabilityError,
     admissible_dt,
-    checkpoint_from_bytes,
-    checkpoint_to_bytes,
     default_dt,
     default_initial_data,
     dirichlet_second_derivative_check,
@@ -203,19 +201,6 @@ def test_hermitian_symmetry_convention(grid64):
         + 2 * l2_norm(grid64, st.omega[2]) ** 2
     )
     assert st.total_l2() == pytest.approx(manual, rel=1e-14)
-
-
-def test_checkpoint_roundtrip(grid64):
-    data = default_initial_data(grid64, 3)
-    st = initial_state(grid64, 1e-3, data)
-    for _ in range(7):
-        st = step_scalar(st, 1e-2)
-    blob = checkpoint_to_bytes(st)
-    back = checkpoint_from_bytes(blob, grid64)
-    assert back.t == st.t
-    assert back.nu == st.nu
-    for k in st.modes():
-        assert np.array_equal(back.omega[k].values, st.omega[k].values)
 
 
 def test_sbdf2_amplification_margin():

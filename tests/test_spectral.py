@@ -16,8 +16,6 @@ from couette_gevrey.spectral import (
     h2k_seminorm,
     helmholtz_solve,
     l2_norm,
-    mode_field_from_bytes,
-    mode_field_to_bytes,
     mode_field_to_csv,
     poisson_mode_solve,
 )
@@ -224,15 +222,9 @@ def test_poisson_k0_rejected(grid64):
         poisson_mode_solve(grid64, ModeField(0, np.ones(grid64.ny + 1)))
 
 
-def test_mode_field_serialization(grid64, rng):
+def test_mode_field_csv(grid64, rng):
     vals = rng.normal(size=grid64.ny + 1) + 1j * rng.normal(size=grid64.ny + 1)
-    f = ModeField(-3, vals)
-    blob = mode_field_to_bytes(f)
-    g, used = mode_field_from_bytes(blob)
-    assert used == len(blob)
-    assert g.k == -3
-    assert np.array_equal(g.values, f.values)
-    csv = mode_field_to_csv(grid64, f)
+    csv = mode_field_to_csv(grid64, ModeField(-3, vals))
     lines = csv.strip().split("\n")
     assert lines[0] == "y,re,im"
     assert len(lines) == grid64.ny + 2
