@@ -24,6 +24,7 @@ from .spectral import (
     ModeField,
     _gauss_legendre,
     green_eval,
+    green_matrix,
     green_solve,
     l2_norm,
     poisson_mode_solve,
@@ -168,12 +169,13 @@ def decompose_phi(
     base = chic * w_at_v
     flat = coupling < 1e-14
 
+    green = green_matrix(grid, k, domain, quad_pts)
     phi = np.zeros(grid.ny + 1, dtype=complex)
     iterations = 0
     rhs = base.astype(complex)
     while True:
         iterations += 1
-        phi_new = green_solve(grid, ModeField(k, rhs), k=k, domain=domain, npts=quad_pts).values
+        phi_new = green_solve(grid, ModeField(k, rhs), k=k, matrix=green).values
         delta = np.max(np.abs(phi_new - phi))
         scale = max(np.max(np.abs(phi_new)), 1e-300)
         phi = phi_new

@@ -871,6 +871,33 @@ def theta_weights(n_values: np.ndarray, delta_drop: float, n_star: int) -> np.nd
     return delta_drop ** (np.minimum(n_values, n_star) - n_star)
 
 
+def theta_coefficient_table(
+    delta_drop: float,
+    n_star: int,
+    sigma: float,
+    lambda_s: float,
+    frak_c: float = 1.0,
+    n_max: int = 200,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The theta inequality's coefficients and right-hand weights theta_l^2.
+
+    coef[m, l] = sum_{n=l+1}^{n_max-m} theta_n^2 a^{n-l}
+    e^{-2 sigma (lgG(m+n+1) - lgG(m+l+1))} with a = (frak_c lambda_s)^2 is
+    the weight of entry (m, l) on the left side.  The inner sum is a suffix
+    sum over n, taken in log space; entries with l >= n_max - m are 0.
+    """
+    log_a = 2.0 * np.log(frak_c * lambda_s)
+    ns = np.arange(0, n_max + 1)
+    th2 = theta_weights(ns, delta_drop, n_star) ** 2
+    mn = np.add.outer(ns, ns)
+    lg = gammaln(mn + 1.0)
+    terms = np.log(th2) + ns * log_a - 2.0 * sigma * lg
+    terms[mn > n_max] = -np.inf
+    suffix = np.full_like(terms, -np.inf)
+    suffix[:, :-1] = np.logaddexp.accumulate(terms[:, :0:-1], axis=1)[:, ::-1]
+    return np.exp(suffix - ns * log_a + 2.0 * sigma * lg), th2
+
+
 def theta_inequality_worst_ratio(
     delta_drop: float,
     n_star: int,
@@ -885,21 +912,8 @@ def theta_inequality_worst_ratio(
     the supremum is the largest coefficient ratio max_{m,l} coef(m,l) /
     theta_l^2, computable without sampling.
     """
-    a = (frak_c * lambda_s) ** 2
-    ns = np.arange(0, n_max + 1)
-    th2 = theta_weights(ns, delta_drop, n_star) ** 2
-    worst = 0.0
-    for m in range(0, n_max + 1):
-        lg = gammaln(m + ns + 1.0)
-        for ell in range(0, n_max - m):
-            n_range = np.arange(ell + 1, n_max - m + 1)
-            coef = np.sum(
-                th2[n_range]
-                * a ** (n_range - ell)
-                * np.exp(-2.0 * sigma * (lg[n_range] - lg[ell]))
-            )
-            worst = max(worst, float(coef / th2[ell]))
-    return worst
+    coef, th2 = theta_coefficient_table(delta_drop, n_star, sigma, lambda_s, frak_c, n_max)
+    return float(np.max(coef / th2))
 
 
 def find_theta_params(
@@ -943,30 +957,15 @@ def find_theta_params(
             "target": target,
         }
     delta, n_star, ratio = best
-    # randomized confirmation on nonnegative arrays
+    # randomized confirmation on nonnegative arrays: the left side is the
+    # contraction of the coefficient table with the array
     rng = np.random.default_rng(seed)
-    a = (frak_c * lambda_s) ** 2
-    ns = np.arange(0, n_max + 1)
-    th2 = theta_weights(ns, delta, n_star) ** 2
+    coef, th2 = theta_coefficient_table(delta, n_star, sigma, lambda_s, frak_c, n_max)
+    tri = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1)) <= n_max
     measured = 0.0
     for _ in range(trials):
-        g = np.abs(rng.normal(size=(n_max + 1, n_max + 1)))
-        tri = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1)) <= n_max
-        g = g * tri
-        lhs = 0.0
-        rhs = float(np.sum(th2[None, :] * g * tri))
-        for m in range(n_max + 1):
-            lg = gammaln(m + ns + 1.0)
-            for n in range(1, n_max + 1 - m):
-                ells = np.arange(0, n)
-                lhs += th2[n] * float(
-                    np.sum(
-                        a ** (n - ells)
-                        * np.exp(-2.0 * sigma * (lg[n] - lg[ells]))
-                        * g[m, ells]
-                    )
-                )
-        measured = max(measured, lhs / rhs)
+        g = np.abs(rng.normal(size=(n_max + 1, n_max + 1))) * tri
+        measured = max(measured, float(np.sum(coef * g) / np.sum(th2 * g)))
     return {
         "delta_drop": delta,
         "n_star": n_star,

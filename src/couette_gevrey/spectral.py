@@ -105,18 +105,22 @@ class ChannelGrid:
         tail = coef[..., -q:].sum(axis=-1) / np.where(total == 0.0, 1.0, total)
         return tail if tail.ndim else float(tail)
 
+    def interpolation_matrix(self, targets: np.ndarray) -> np.ndarray:
+        """Barycentric rows: ``interpolation_matrix(t) @ values`` is the
+        interpolant at t; a target on a node gets that node's unit row."""
+        targets = np.atleast_1d(np.asarray(targets, dtype=float))
+        diff = targets.reshape(-1, 1) - self.nodes.reshape(1, -1)
+        exact = np.abs(diff) <= 1e-15
+        diff[exact] = 1.0
+        rows = self._bary_w / diff
+        rows /= rows.sum(axis=1, keepdims=True)
+        hit = exact.any(axis=1)
+        rows[hit] = exact[hit]
+        return rows
+
     def interpolate(self, values: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Barycentric evaluation of the interpolant at arbitrary points."""
-        targets = np.atleast_1d(np.asarray(targets, dtype=float))
-        vals = np.asarray(values)
-        diff = targets.reshape(-1, 1) - self.nodes.reshape(1, -1)
-        exact = np.isclose(diff, 0.0, atol=1e-15)
-        diff[exact] = 1.0
-        ratio = self._bary_w / diff
-        out = (ratio @ vals) / ratio.sum(axis=1)
-        hit_row, hit_col = np.nonzero(exact)
-        out[hit_row] = vals[hit_col]
-        return out
+        return self.interpolation_matrix(targets) @ np.asarray(values)
 
 
 @dataclass
@@ -298,49 +302,55 @@ def _gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[npts]
 
 
-def green_solve(
+def green_matrix(
     grid: ChannelGrid,
-    rhs: ModeField,
-    k: int | None = None,
-    domain: tuple[float, float] | None = None,
+    k: int,
+    domain: tuple[float, float] = (-1.0, 1.0),
     npts: int = 96,
-) -> ModeField:
-    """Solve (d_v^2 - k^2) phi = rhs by quadrature against the Green kernel.
+) -> np.ndarray:
+    """Kernel-quadrature matrix Q of (d_v^2 - k^2)^{-1} on ``domain``.
 
     The grid is interpreted as Chebyshev nodes mapped affinely onto
-    ``domain`` (default [-1,1]).  The kernel has a derivative kink at
-    v = v', so the integral is split there and each analytic piece is
-    integrated with Gauss-Legendre quadrature; the right-hand side is
-    evaluated off-grid with barycentric interpolation.
+    ``domain``.  The kernel has a derivative kink at v = v', so row i splits
+    the integral at v_i and integrates each analytic piece with
+    Gauss-Legendre quadrature; the data enter through barycentric
+    interpolation, so (Q @ f)_i approximates int G(v_i, v') f(v') dv'.
+    Rows are built one node at a time to keep the interpolation rows small.
     """
-    if k is None:
-        k = rhs.k
-    if k == 0:
-        raise SingularSolveError("k=0 not covered by the sinh kernel")
-    if domain is None:
-        domain = (-1.0, 1.0)
     vm, vp = float(domain[0]), float(domain[1])
     mid = 0.5 * (vm + vp)
     half = 0.5 * (vp - vm)
-    vgrid = mid + half * grid.nodes
     gl_x, gl_w = _gauss_legendre(npts)
-    out = np.zeros(grid.ny + 1, dtype=complex)
-    for i, v in enumerate(vgrid):
-        acc = 0.0 + 0.0j
+    q = np.zeros((grid.ny + 1, grid.ny + 1))
+    for i, v in enumerate(mid + half * grid.nodes):
         for lo, hi in ((vm, v), (v, vp)):
             if hi - lo <= 0.0:
                 continue
             pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gl_x
             wts = 0.5 * (hi - lo) * gl_w
-            kernel = green_eval(k, v, pts, domain)
-            rvals = grid.interpolate(rhs.values, (pts - mid) / half)
-            acc += np.sum(wts * kernel * rvals)
-        out[i] = acc
-    return ModeField(k, out)
+            kernel = wts * green_eval(k, v, pts, domain)
+            q[i] += kernel @ grid.interpolation_matrix((pts - mid) / half)
+    return q
 
 
-def mode_field_to_csv(grid: ChannelGrid, f: ModeField) -> str:
-    lines = ["y,re,im"]
-    for y, v in zip(grid.nodes, f.values):
-        lines.append(f"{float(y)!r},{float(v.real)!r},{float(v.imag)!r}")
-    return "\n".join(lines) + "\n"
+def green_solve(
+    grid: ChannelGrid,
+    rhs: ModeField,
+    k: int | None = None,
+    domain: tuple[float, float] = (-1.0, 1.0),
+    npts: int = 96,
+    matrix: np.ndarray | None = None,
+) -> ModeField:
+    """Solve (d_v^2 - k^2) phi = rhs by quadrature against the Green kernel.
+
+    ``matrix`` is ``green_matrix(grid, k, domain, npts)``, built here when
+    not given; callers solving repeatedly on one (k, domain) pass it in.
+    """
+    if k is None:
+        k = rhs.k
+    if k == 0:
+        raise SingularSolveError("k=0 not covered by the sinh kernel")
+    if matrix is None:
+        matrix = green_matrix(grid, k, domain, npts)
+    out = (matrix @ np.ascontiguousarray(rhs.values).view(float).reshape(-1, 2)).view(complex)
+    return ModeField(k, out.ravel())

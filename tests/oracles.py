@@ -8,7 +8,9 @@ import math
 import numpy as np
 from scipy.fft import dct
 from scipy.linalg import lu_factor, lu_solve
+from scipy.special import gammaln
 
+from couette_gevrey.spectral import green_eval
 from couette_gevrey.weights import eval_q, eval_W, eval_W_derivatives
 
 
@@ -287,3 +289,115 @@ def loop_spectral_tail(grid, values):
         return 0.0
     q = max(1, (grid.ny + 1) // 4)
     return float(coef[-q:].sum() / total)
+
+
+def loop_theta_worst_ratio(delta_drop, n_star, sigma, lambda_s, frak_c=1.0, n_max=200):
+    """max_{m,l} coef(m,l) / theta_l^2 of the theta inequality, one (m, l) at a time."""
+    a = (frak_c * lambda_s) ** 2
+    ns = np.arange(0, n_max + 1)
+    th2 = (delta_drop ** (np.minimum(ns, n_star) - n_star)) ** 2
+    worst = 0.0
+    for m in range(0, n_max + 1):
+        lg = gammaln(m + ns + 1.0)
+        for ell in range(0, n_max - m):
+            n_range = np.arange(ell + 1, n_max - m + 1)
+            coef = np.sum(
+                th2[n_range]
+                * a ** (n_range - ell)
+                * np.exp(-2.0 * sigma * (lg[n_range] - lg[ell]))
+            )
+            worst = max(worst, float(coef / th2[ell]))
+    return worst
+
+
+def loop_theta_measured_ratio(delta_drop, n_star, sigma, lambda_s, frak_c=1.0, n_max=200,
+                              trials=100, seed=0):
+    """Largest LHS/RHS of the theta inequality on random nonnegative arrays,
+    the left side summed over (m, n, l) directly."""
+    rng = np.random.default_rng(seed)
+    a = (frak_c * lambda_s) ** 2
+    ns = np.arange(0, n_max + 1)
+    th2 = (delta_drop ** (np.minimum(ns, n_star) - n_star)) ** 2
+    measured = 0.0
+    for _ in range(trials):
+        g = np.abs(rng.normal(size=(n_max + 1, n_max + 1)))
+        tri = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1)) <= n_max
+        g = g * tri
+        lhs = 0.0
+        rhs = float(np.sum(th2[None, :] * g * tri))
+        for m in range(n_max + 1):
+            lg = gammaln(m + ns + 1.0)
+            for n in range(1, n_max + 1 - m):
+                ells = np.arange(0, n)
+                lhs += th2[n] * float(
+                    np.sum(
+                        a ** (n - ells)
+                        * np.exp(-2.0 * sigma * (lg[n] - lg[ells]))
+                        * g[m, ells]
+                    )
+                )
+        measured = max(measured, lhs / rhs)
+    return measured
+
+
+def loop_find_theta_params(b_target, sigma=0.04, lambda_s=0.125**1.5, frak_c=1.0,
+                           trials=100, n_max=120, seed=0):
+    """``find_theta_params`` on the loop oracles: same search order and keys."""
+    target = 1.0 / b_target
+    for n_star in range(0, 41):
+        for delta in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
+            ratio = loop_theta_worst_ratio(delta, n_star, sigma, lambda_s, frak_c, n_max)
+            if ratio <= target:
+                measured = loop_theta_measured_ratio(
+                    delta, n_star, sigma, lambda_s, frak_c, n_max, trials, seed
+                )
+                return {
+                    "delta_drop": delta,
+                    "n_star": n_star,
+                    "verified": bool(measured <= target),
+                    "coefficient_ratio": ratio,
+                    "measured_ratio": measured,
+                    "target": target,
+                }
+    return {
+        "delta_drop": None,
+        "n_star": None,
+        "verified": False,
+        "tightest_ratio": loop_theta_worst_ratio(0.03125, 40, sigma, lambda_s, frak_c, n_max),
+        "target": target,
+    }
+
+
+def loop_interpolate(grid, values, targets):
+    """Barycentric interpolation at ``targets``, dividing after the product."""
+    n = grid.ny
+    bary = np.ones(n + 1)
+    bary[0] = bary[-1] = 0.5
+    bary *= (-1.0) ** np.arange(n + 1)
+    diff = np.asarray(targets, dtype=float).reshape(-1, 1) - grid.nodes.reshape(1, -1)
+    exact = np.isclose(diff, 0.0, atol=1e-15)
+    diff[exact] = 1.0
+    ratio = bary / diff
+    out = (ratio @ values) / ratio.sum(axis=1)
+    hit_row, hit_col = np.nonzero(exact)
+    out[hit_row] = values[hit_col]
+    return out
+
+
+def loop_green_solve(grid, values, k, domain=(-1.0, 1.0), npts=96):
+    """Green-kernel solve of (d_v^2 - k^2) phi = f, one node at a time,
+    interpolating the data afresh at both panels' Gauss points."""
+    vm, vp = domain
+    mid, half = 0.5 * (vm + vp), 0.5 * (vp - vm)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(npts)
+    values = np.asarray(values, dtype=complex)
+    out = np.zeros(grid.ny + 1, dtype=complex)
+    for i, v in enumerate(mid + half * grid.nodes):
+        for lo, hi in ((vm, v), (v, vp)):
+            if hi - lo <= 0.0:
+                continue
+            pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gl_x
+            wts = 0.5 * (hi - lo) * gl_w
+            rvals = loop_interpolate(grid, values, (pts - mid) / half)
+            out[i] += np.sum(wts * green_eval(k, v, pts, domain) * rvals)
+    return out

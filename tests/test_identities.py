@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import loop_find_theta_params, loop_theta_worst_ratio
 
 from couette_gevrey import identities as idn
 from couette_gevrey.coordinates import build_gamma_stack, couette_state
@@ -249,6 +250,40 @@ def test_theta_search_failure_reports_tightest():
     out = idn.find_theta_params(1e6, lambda_s=0.4, trials=2, n_max=40)
     assert not out["verified"]
     assert out["tightest_ratio"] > out["target"]
+
+
+@pytest.mark.parametrize(
+    "delta, n_star, sigma, lambda_s, frak_c, n_max",
+    [
+        (1.0, 0, 0.04, 0.125**1.5, 1.0, 120),
+        (0.5, 4, 0.04, 0.05, 1.0, 40),
+        (1.0 / 32.0, 40, 0.04, 0.4, 1.0, 40),
+        (0.125, 3, 0.1, 0.3, 2.0, 200),
+    ],
+)
+def test_theta_table_matches_loop_oracle(delta, n_star, sigma, lambda_s, frak_c, n_max):
+    ratio = idn.theta_inequality_worst_ratio(delta, n_star, sigma, lambda_s, frak_c, n_max)
+    ref = loop_theta_worst_ratio(delta, n_star, sigma, lambda_s, frak_c, n_max)
+    assert ratio == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(b_target=256.0, trials=2, n_max=60),
+        dict(b_target=64.0, lambda_s=0.25**1.5, trials=2, n_max=60, seed=7),
+        dict(b_target=1e6, lambda_s=0.4, trials=2, n_max=12),
+    ],
+)
+def test_theta_params_match_loop_oracle(kwargs):
+    out = idn.find_theta_params(**kwargs)
+    ref = loop_find_theta_params(**kwargs)
+    assert set(out) == set(ref)
+    for key, val in ref.items():
+        if isinstance(val, float):
+            assert out[key] == pytest.approx(val, rel=1e-12), key
+        else:
+            assert out[key] == val, key
 
 
 def test_report_json_roundtrip():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import loop_clenshaw_curtis_weights
+from oracles import loop_clenshaw_curtis_weights, loop_green_solve, loop_interpolate
 
 from couette_gevrey.spectral import (
     ChannelGrid,
@@ -16,7 +16,6 @@ from couette_gevrey.spectral import (
     h2k_seminorm,
     helmholtz_solve,
     l2_norm,
-    mode_field_to_csv,
     poisson_mode_solve,
 )
 
@@ -184,6 +183,24 @@ def test_green_solve_cross_validation(grid96, rng):
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize("domain", [(-1.0, 1.0), (-0.97, 1.02)])
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_green_solve_matches_loop_oracle(grid96, rng, k, domain):
+    f = rng.normal(size=grid96.ny + 1) + 1j * rng.normal(size=grid96.ny + 1)
+    ref = loop_green_solve(grid96, f, k, domain)
+    out = green_solve(grid96, ModeField(k, f), domain=domain).values
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_interpolation_matrix_matches_loop_oracle(grid64, rng):
+    f = rng.normal(size=grid64.ny + 1) + 1j * rng.normal(size=grid64.ny + 1)
+    targets = np.concatenate([rng.uniform(-1.0, 1.0, 50), grid64.nodes[::7]])
+    ref = loop_interpolate(grid64, f, targets)
+    assert np.max(np.abs(grid64.interpolate(f, targets) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    hits = grid64.interpolation_matrix(grid64.nodes[::7])
+    assert np.array_equal(hits, np.eye(grid64.ny + 1)[::7])
+
+
 def test_green_solve_zero(grid96):
     out = green_solve(grid96, ModeField(2, np.zeros(grid96.ny + 1)))
     assert np.max(np.abs(out.values)) == 0.0
@@ -220,14 +237,6 @@ def test_green_interior_smoothing(grid96):
 def test_poisson_k0_rejected(grid64):
     with pytest.raises(SingularSolveError):
         poisson_mode_solve(grid64, ModeField(0, np.ones(grid64.ny + 1)))
-
-
-def test_mode_field_csv(grid64, rng):
-    vals = rng.normal(size=grid64.ny + 1) + 1j * rng.normal(size=grid64.ny + 1)
-    csv = mode_field_to_csv(grid64, ModeField(-3, vals))
-    lines = csv.strip().split("\n")
-    assert lines[0] == "y,re,im"
-    assert len(lines) == grid64.ny + 2
 
 
 def test_spectral_tail_indicator(grid64):
