@@ -6,7 +6,11 @@ the walls.  Written in w = v - y the singular factor integrates exactly:
     (t_{j+1} w_{j+1} - t_j w_j)/dt = U0(t_{j+1/2}) + nu t_{j+1} d_y^2 w_{j+1}
 
 which needs no regularization at t = 0 and reproduces stationary profiles
-exactly when nu = 0.
+exactly when nu = 0.  Dividing the step by t_{j+1} leaves the operator
+(I - nu dt d_y^2) with Neumann rows d_y w = 0 at the walls, independent of
+t, so each run factors it once per (nu, dt) as a real LU
+(``coordinate_lu``), carried forward on ``CoordinateState``, and every step
+is one triangular solve against the right-hand side over t_{j+1}.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from .spectral import ChannelGrid, ModeField
 from .weights import CutoffCascade, eval_q
@@ -94,6 +100,7 @@ class CoordinateState:
     G: np.ndarray
     H: np.ndarray
     Hbar: np.ndarray
+    _facts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def export_csv(self, grid: ChannelGrid) -> str:
         lines = ["y,v,v_y,G,H,Hbar"]
@@ -105,13 +112,15 @@ class CoordinateState:
         return "\n".join(lines) + "\n"
 
 
-def _derived_state(grid: ChannelGrid, t: float, w: np.ndarray, g: np.ndarray) -> CoordinateState:
+def _derived_state(grid: ChannelGrid, t: float, w: np.ndarray, g: np.ndarray,
+                   facts: dict | None = None) -> CoordinateState:
     v = grid.nodes + w
     v_y = 1.0 + grid.d1 @ w
     if np.any(v_y <= 0.0):
         raise CoordinateDegeneracyError(f"v_y <= 0 at t={t}")
     return CoordinateState(
-        t=t, w=w, v=v, v_y=v_y, G=g, H=v_y - 1.0, Hbar=grid.d1 @ g
+        t=t, w=w, v=v, v_y=v_y, G=g, H=v_y - 1.0, Hbar=grid.d1 @ g,
+        _facts={} if facts is None else facts,
     )
 
 
@@ -133,6 +142,14 @@ def init_coordinates(profile: ShearProfile, grid: ChannelGrid, nu: float = 0.0) 
     return _derived_state(grid, 0.0, w0, g0)
 
 
+def coordinate_lu(grid: ChannelGrid, nu: float, dt: float):
+    """Real LU factors of (I - nu dt d_yy) with Neumann rows d_y w = 0."""
+    a = np.eye(grid.ny + 1) - nu * dt * grid.d2
+    a[0, :] = grid.d1[0, :]
+    a[-1, :] = grid.d1[-1, :]
+    return lu_factor(a)
+
+
 def step_coordinates(
     state: CoordinateState,
     dt: float,
@@ -148,21 +165,19 @@ def step_coordinates(
         t_switch = 10.0 * dt
     t0, t1 = state.t, state.t + dt
     y = grid.nodes
-    rhs = t0 * state.w + dt * profile.u0(t0 + 0.5 * dt, y)
-    n = grid.ny
-    a = t1 * np.eye(n + 1) - nu * t1 * dt * grid.d2
-    # Neumann rows keep d_y w = 0 at the walls
-    a[0, :] = grid.d1[0, :]
-    rhs = rhs.astype(float).copy()
-    rhs[0] = 0.0
-    a[-1, :] = grid.d1[-1, :]
-    rhs[-1] = 0.0
-    w1 = np.linalg.solve(a, rhs)
+    rhs = (t0 * state.w + dt * profile.u0(t0 + 0.5 * dt, y)) / t1
+    rhs[0] = rhs[-1] = 0.0  # the Neumann rows
+    key = (nu, dt)
+    if key not in state._facts:  # one real LU per (nu, dt) and run
+        state._facts[key] = coordinate_lu(grid, nu, dt)
+    w1, info = dgetrs(*state._facts[key], rhs, overwrite_b=1)
+    if info != 0:
+        raise ValueError("dgetrs failed for the coordinate step")
     if t1 >= t_switch:
         g = (profile.u0(t1, y) - w1) / t1
     else:
         g = (w1 - state.w) / dt - nu * (grid.d2 @ w1)
-    return _derived_state(grid, t1, w1, g)
+    return _derived_state(grid, t1, w1, g, state._facts)
 
 
 def evolve_coordinates(

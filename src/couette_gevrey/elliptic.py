@@ -243,26 +243,24 @@ def interior_greens_response(
 
     Quadrature panels are split at the evaluation point (kernel kink) and at
     the support edges (data kinks for spline bumps), so each panel has an
-    analytic integrand.
+    analytic integrand.  Every node has the two panels [lo, c] and [c, hi]
+    with c = clip(v, lo, hi); all nodes are evaluated at once, and a panel
+    of zero width gets weight 0.
     """
     gl_x, gl_w = _gauss_legendre(npts)
     lo, hi = support
+    v = grid.nodes[:, None]
+    c = np.clip(v, lo, hi)
     out = np.zeros(grid.ny + 1, dtype=complex)
-    for i, v in enumerate(grid.nodes):
-        edges = sorted({lo, hi, float(np.clip(v, lo, hi))})
-        acc = 0.0 + 0.0j
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b - a <= 0:
-                continue
-            pts = 0.5 * (a + b) + 0.5 * (b - a) * gl_x
-            wts = 0.5 * (b - a) * gl_w
-            integrand = (
-                green_eval(k, v, pts, domain)
-                * np.exp(-1j * k * pts * t)
-                * data_fn(pts)
-            )
-            acc += np.sum(wts * integrand)
-        out[i] = acc
+    for a, b in ((lo, c), (c, hi)):
+        pts = 0.5 * (a + b) + 0.5 * (b - a) * gl_x
+        wts = 0.5 * (b - a) * gl_w
+        integrand = (
+            green_eval(k, v, pts, domain)
+            * np.exp(-1j * k * pts * t)
+            * data_fn(pts)
+        )
+        out += np.sum(wts * integrand, axis=1)
     return ModeField(k, out)
 
 

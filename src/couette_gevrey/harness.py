@@ -393,7 +393,10 @@ def decompose_suite(config: ExperimentConfig, nu: float | None = None, t_stop: f
     while state.t < t_stop - 1e-12:
         step = min(dt, t_stop - state.t)
         state = step_scalar(state, step, profile)
-        coord = step_coordinates(coord, step, nu, profile, grid)
+        if config.shear == "zero":
+            coord = couette_state(grid, state.t)
+        else:
+            coord = step_coordinates(coord, step, nu, profile, grid)
     decomps = {}
     for k in state.modes():
         if k == 0:

@@ -4,14 +4,16 @@ the definitions with explicit loops and direct coefficient arithmetic (no
 log-space tricks), valid for small truncations."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.fft import dct
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gammaln
 
+from couette_gevrey.identities import IdentityReport
 from couette_gevrey.spectral import green_eval
-from couette_gevrey.weights import eval_q, eval_W, eval_W_derivatives
+from couette_gevrey.weights import GevreyCoeffTable, WeightParams, eval_q, eval_W, eval_W_derivatives
 
 
 def direct_a(params, m, n, t, lam=None):
@@ -400,4 +402,132 @@ def loop_green_solve(grid, values, k, domain=(-1.0, 1.0), npts=96):
             wts = 0.5 * (hi - lo) * gl_w
             rvals = loop_interpolate(grid, values, (pts - mid) / half)
             out[i] += np.sum(wts * green_eval(k, v, pts, domain) * rvals)
+    return out
+
+
+def _loop_log_binom(n, ell):
+    n = np.asarray(n, dtype=float)
+    ell = np.asarray(ell, dtype=float)
+    return gammaln(n + 1.0) - gammaln(ell + 1.0) - gammaln(n - ell + 1.0)
+
+
+def loop_check_combinatorics(which, n_max=2000, zeta=1.0, params=None, frak_c=2.0,
+                             t_samples=(0.0, 0.3, 0.7, 1.5, 3.0, 7.0, 15.0, 40.0, 120.0, 400.0)):
+    """``check_combinatorics`` calling gammaln afresh for every n and, in
+    comb_boun, rebuilding the (m, l) meshgrid for every (t, n)."""
+    if params is None:
+        params = WeightParams()
+    if which == "prod":
+        sups = []
+        for n in range(1, n_max + 1):
+            ell = np.arange(0, n + 1)
+            sups.append(np.exp(-zeta * _loop_log_binom(n, ell)).sum())
+        sups = np.asarray(sups)
+        last_decade = sups[int(0.9 * len(sups)):]
+        growth = float(last_decade.max() - sups.max())
+        report = IdentityReport("comb_prod", max(growth, 0.0), n_max, 1e-12,
+                                details={"empirical_constant": float(sups.max()), "zeta": zeta})
+        if abs(zeta - 1.0) < 1e-14 and n_max >= 3:
+            exact = sum(Fraction(1, math.comb(3, j)) for j in range(4))
+            report.details["exact_n3"] = float(exact)
+            report.details["exact_n3_is_8_3"] = exact == Fraction(8, 3)
+        return report
+    if which == "prod2":
+        vals = []
+        for n in range(2, n_max + 1):
+            ell = np.arange(1, n)
+            vals.append(n**zeta * np.exp(-zeta * _loop_log_binom(n, ell)).sum())
+        vals = np.asarray(vals)
+        last = vals[int(0.9 * len(vals)):]
+        growth = float(last.max() - vals.max())
+        return IdentityReport("comb_prod2", max(growth, 0.0), n_max, 1e-12,
+                              details={"empirical_constant": float(vals.max()), "zeta": zeta})
+    if which == "sum_comb":
+        expo = params.sigma + params.sigma_star
+        sups = []
+        for n in range(1, n_max + 1):
+            ell = np.arange(0, n)
+            log_term = (n - ell) * math.log(frak_c) - expo * (
+                gammaln(n + 1.0) - gammaln(ell + 1.0)
+            )
+            sups.append(np.exp(log_term).sum())
+        sups = np.asarray(sups)
+        last = sups[int(0.9 * len(sups)):]
+        growth = float(last.max() - sups.max())
+        return IdentityReport("comb_sum", max(growth, 0.0), n_max, 1e-12,
+                              details={"empirical_constant": float(sups.max()), "frak_c": frak_c})
+    if which == "comb_boun":
+        tab = GevreyCoeffTable(params)
+        s = params.s
+        worst_margin = -np.inf
+        count = 0
+        for t in t_samples:
+            log_phi = math.log(tab.phi(t))
+            log_lam = math.log(tab.lam(t))
+            for n in range(5, n_max + 1):
+                ells = np.arange(0, n // 2 + 1)
+                ms = np.arange(0, n_max - n + 1)
+                mm, ll = np.meshgrid(ms, ells, indexing="ij")
+                log_a_mn = s * ((mm + n) * log_lam - gammaln(mm + n + 1.0)) + (1 + n) * log_phi
+                log_a_ml = s * ((mm + ll) * log_lam - gammaln(mm + ll + 1.0)) + (1 + ll) * log_phi
+                log_a_0nl = s * ((n - ll) * log_lam - gammaln(n - ll + 1.0)) + (1 + n - ll) * log_phi
+                log_lhs = (
+                    0.5 * math.log1p(t * t) * -1.0
+                    + log_a_mn
+                    + _loop_log_binom(n, ll)
+                    - log_a_ml
+                    - log_a_0nl
+                )
+                log_rhs = ll * (s - 1.0) * math.log(0.5)
+                worst_margin = max(worst_margin, float(np.max(log_lhs - log_rhs)))
+                count += mm.size
+        return IdentityReport("comb_boun", max(worst_margin, 0.0), count, 1e-12,
+                              details={"worst_log_margin": worst_margin})
+    raise ValueError(f"unknown combinatorial check {which!r}")
+
+
+def loop_step_coordinates(t0, w0, dt, nu, profile, grid, t_switch=None):
+    """``step_coordinates`` from (t0, w0) assembling t1 (I - nu dt D2) with
+    Neumann rows and calling a dense solve on every step; returns (w1, G)."""
+    if t_switch is None:
+        t_switch = 10.0 * dt
+    t1 = t0 + dt
+    y = grid.nodes
+    rhs = t0 * w0 + dt * profile.u0(t0 + 0.5 * dt, y)
+    n = grid.ny
+    a = t1 * np.eye(n + 1) - nu * t1 * dt * grid.d2
+    a[0, :] = grid.d1[0, :]
+    rhs = rhs.astype(float).copy()
+    rhs[0] = 0.0
+    a[-1, :] = grid.d1[-1, :]
+    rhs[-1] = 0.0
+    w1 = np.linalg.solve(a, rhs)
+    if t1 >= t_switch:
+        g = (profile.u0(t1, y) - w1) / t1
+    else:
+        g = (w1 - w0) / dt - nu * (grid.d2 @ w1)
+    return w1, g
+
+
+def loop_interior_greens_response(grid, k, t, data_fn, support=(-0.25, 0.25),
+                                  domain=(-1.0, 1.0), npts=96):
+    """phi_I(t) one node at a time, panels split at the node and the support edges."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(npts)
+    lo, hi = support
+    out = np.zeros(grid.ny + 1, dtype=complex)
+    for i, v in enumerate(grid.nodes):
+        edges = sorted({lo, hi, float(np.clip(v, lo, hi))})
+        acc = 0.0 + 0.0j
+        for a, b in zip(edges[:-1], edges[1:]):
+            if b - a <= 0:
+                continue
+            pts = 0.5 * (a + b) + 0.5 * (b - a) * gl_x
+            wts = 0.5 * (b - a) * gl_w
+            integrand = (
+                green_eval(k, v, pts, domain)
+                * np.exp(-1j * k * pts * t)
+                * data_fn(pts)
+            )
+            acc += np.sum(wts * integrand)
+        out[i] = acc
     return out

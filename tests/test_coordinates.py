@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from oracles import loop_spectral_tail
+from oracles import loop_spectral_tail, loop_step_coordinates
 
+from couette_gevrey import coordinates
 from couette_gevrey.coordinates import (
     CoordinateDegeneracyError,
     ShearProfile,
@@ -72,6 +73,31 @@ def test_zero_profile_stays_couette(grid64):
     ref = couette_state(grid64, state.t)
     for name in ("t", "w", "v", "v_y", "G", "H", "Hbar"):
         assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("name", ["quartic", "sin_quartic"])
+@pytest.mark.parametrize("nu", [0.0, 1e-4, 1e-3])
+@pytest.mark.parametrize("ny", [64, 192])
+def test_factored_step_matches_solve_oracle(monkeypatch, name, nu, ny):
+    built, real_lu = [], coordinates.coordinate_lu
+
+    def counting_lu(grid, nu_, dt):
+        built.append(dt)
+        return real_lu(grid, nu_, dt)
+
+    monkeypatch.setattr(coordinates, "coordinate_lu", counting_lu)
+    grid = ChannelGrid(ny)
+    prof = make_profile(name, 1.0 / 256.0)
+    state = init_coordinates(prof, grid, nu)
+    t_ref, w_ref = state.t, state.w
+    for dt in [0.01] * 300 + [0.0037]:  # a shorter last step
+        state = step_coordinates(state, dt, nu, prof, grid)
+        w_ref, _ = loop_step_coordinates(t_ref, w_ref, dt, nu, prof, grid)
+        t_ref += dt
+    assert state.t == t_ref
+    assert np.max(np.abs(state.w - w_ref)) <= 1e-11 * np.max(np.abs(w_ref))
+    assert built == [0.01, 0.0037]
+    assert set(state._facts) == {(nu, 0.01), (nu, 0.0037)}
 
 
 def test_hbar_two_formulas(grid64):

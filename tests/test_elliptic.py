@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_ctx
+from oracles import loop_interior_greens_response
 
 from couette_gevrey.coordinates import couette_state, evolve_coordinates, quartic_profile
 from couette_gevrey.elliptic import (
@@ -148,6 +149,37 @@ def test_damping_steepens_with_budget(grid96):
         hist = [(t, interior_greens_response(grid96, 1, t, data, support=(-0.25, 0.25))) for t in times]
         slopes.append(damping_diagnostic(hist, grid96, 1, level)["slope"])
     assert slopes[0] > slopes[1] > slopes[2]
+
+
+GREEN_RESPONSE_DATA = {
+    "gevrey": (lambda v: gevrey_bump(v, 0.24), (-0.24, 0.24)),
+    "spline1": (lambda v: spline_bump(v, 1), (-0.25, 0.25)),
+    "spline2": (lambda v: spline_bump(v, 2), (-0.25, 0.25)),
+    "spline3": (lambda v: spline_bump(v, 3), (-0.25, 0.25)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GREEN_RESPONSE_DATA))
+@pytest.mark.parametrize("k", [1, 3])
+def test_interior_greens_response_matches_loop_oracle(grid96, name, k):
+    data, support = GREEN_RESPONSE_DATA[name]
+    for t in (0.0, 5.0, 17.3, 50.0):
+        out = interior_greens_response(grid96, k, t, data, support=support)
+        ref = loop_interior_greens_response(grid96, k, t, data, support=support)
+        np.testing.assert_array_equal(out.values, ref)
+
+
+def test_interior_greens_response_support_on_nodes():
+    # support edges sit exactly on nodes, so those nodes have a zero-width panel
+    grid = ChannelGrid(16)
+    edge = float(grid.nodes[10])
+    assert -edge == grid.nodes[6]
+    data = lambda v: spline_bump(v, 2, edge)
+    for t in (0.0, 3.0, 20.0):
+        out = interior_greens_response(grid, 2, t, data, support=(-edge, edge))
+        ref = loop_interior_greens_response(grid, 2, t, data, support=(-edge, edge))
+        np.testing.assert_array_equal(out.values, ref)
+        np.testing.assert_array_equal(np.signbit(out.values.imag), np.signbit(ref.imag))
 
 
 def test_damping_k_scaling(grid96):

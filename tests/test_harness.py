@@ -205,6 +205,17 @@ def test_zero_shear_runs_no_coordinate_solve(monkeypatch):
     assert len(res["series"]) == 5
 
 
+def test_zero_shear_decompose_runs_no_coordinate_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("zero shear needs no coordinate solve")
+
+    monkeypatch.setattr(harness, "step_coordinates", no_solve)
+    out = decompose_suite(small_config(kmax=1, ny=48), nu=1e-2, t_stop=0.2)
+    assert out["_coord"].t == out["t"]
+    assert not np.any(out["_coord"].w)
+    assert set(out["iterations"]) == {1}
+
+
 def test_cli_run_and_report(tmp_path, capsys):
     cfgfile = tmp_path / "c.yaml"
     cfgfile.write_text(yaml.safe_dump({

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import loop_find_theta_params, loop_theta_worst_ratio
+from oracles import loop_check_combinatorics, loop_find_theta_params, loop_theta_worst_ratio
 
 from couette_gevrey import identities as idn
 from couette_gevrey.coordinates import build_gamma_stack, couette_state
@@ -222,6 +222,28 @@ def test_combinatorics_comb_boun():
     rep = idn.check_combinatorics("comb_boun", n_max=80)
     assert rep.pass_
     assert rep.details["worst_log_margin"] <= 1e-10
+
+
+# every kind at the identity suite's parameters, quick and full
+COMBINATORICS_CASES = (
+    [(which, dict(n_max=n, zeta=zeta)) for which in ("prod", "prod2")
+     for n in (200, 2000) for zeta in (0.5, 1.0, 2.0)]
+    + [("sum_comb", dict(n_max=n, frak_c=c)) for n in (100, 500) for c in (1.0, 2.0, 4.0)]
+    + [("comb_boun", dict(n_max=n)) for n in (60, 200)]
+)
+
+
+@pytest.mark.parametrize(
+    "which, kwargs", COMBINATORICS_CASES,
+    ids=[f"{w}-" + "-".join(f"{v}" for v in kw.values()) for w, kw in COMBINATORICS_CASES],
+)
+def test_combinatorics_match_loop_oracle(which, kwargs):
+    rep = idn.check_combinatorics(which, **kwargs)
+    ref = loop_check_combinatorics(which, **kwargs)
+    assert rep.name == ref.name
+    assert rep.max_abs_residual == ref.max_abs_residual
+    assert rep.samples == ref.samples
+    assert rep.details == ref.details
 
 
 def test_theta_search_verifies():
