@@ -7,9 +7,9 @@ from .coordinates import (
     CoordinateState,
     GammaStack,
     ShearProfile,
-    apply_gamma,
     build_gamma_stack,
     couette_state,
+    gamma_ladder,
     init_coordinates,
     make_profile,
     step_coordinates,
@@ -20,7 +20,6 @@ from .functionals import (
     eval_coord_functionals,
     eval_dissipation,
     eval_energy,
-    eval_hypocoercivity,
     eval_icc,
     eval_sources,
 )
@@ -37,8 +36,6 @@ from .spectral import (
     ModeField,
     green_eval,
     green_solve,
-    h1k_seminorm,
-    h2k_seminorm,
     helmholtz_solve,
     l2_norm,
 )
@@ -48,7 +45,6 @@ from .weights import (
     WeightParams,
     build_cascade,
     check_gevrey_ratio,
-    eval_coeffs,
     eval_q,
     eval_W,
     eval_W_derivatives,

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs
 
-from .spectral import ChannelGrid, ModeField
-from .weights import CutoffCascade, eval_q
+from .spectral import ChannelGrid, ModeField, _apply_bc_rows
+from .weights import eval_q
 
 
 class CoordinateDegeneracyError(RuntimeError):
@@ -144,10 +144,7 @@ def init_coordinates(profile: ShearProfile, grid: ChannelGrid, nu: float = 0.0) 
 
 def coordinate_lu(grid: ChannelGrid, nu: float, dt: float):
     """Real LU factors of (I - nu dt d_yy) with Neumann rows d_y w = 0."""
-    a = np.eye(grid.ny + 1) - nu * dt * grid.d2
-    a[0, :] = grid.d1[0, :]
-    a[-1, :] = grid.d1[-1, :]
-    return lu_factor(a)
+    return lu_factor(_apply_bc_rows(np.eye(grid.ny + 1) - nu * dt * grid.d2, grid, "neumann"))
 
 
 def step_coordinates(
@@ -156,13 +153,15 @@ def step_coordinates(
     nu: float,
     profile: ShearProfile,
     grid: ChannelGrid,
-    t_switch: float | None = None,
 ) -> CoordinateState:
-    """One integrating-factor IMEX step of t d_t w + w = U0 + nu t d_yy w."""
+    """One integrating-factor IMEX step of t d_t w + w = U0 + nu t d_yy w.
+
+    G is read off (U0 - w) / t once t passes ten steps, and from the
+    difference quotient before that, where dividing the small U0 - w by t
+    would amplify its roundoff.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if t_switch is None:
-        t_switch = 10.0 * dt
     t0, t1 = state.t, state.t + dt
     y = grid.nodes
     rhs = (t0 * state.w + dt * profile.u0(t0 + 0.5 * dt, y)) / t1
@@ -173,25 +172,11 @@ def step_coordinates(
     w1, info = dgetrs(*state._facts[key], rhs, overwrite_b=1)
     if info != 0:
         raise ValueError("dgetrs failed for the coordinate step")
-    if t1 >= t_switch:
+    if t1 >= 10.0 * dt:
         g = (profile.u0(t1, y) - w1) / t1
     else:
         g = (w1 - state.w) / dt - nu * (grid.d2 @ w1)
     return _derived_state(grid, t1, w1, g, state._facts)
-
-
-def evolve_coordinates(
-    profile: ShearProfile,
-    grid: ChannelGrid,
-    nu: float,
-    t_final: float,
-    dt: float,
-) -> list[CoordinateState]:
-    states = [init_coordinates(profile, grid, nu)]
-    while states[-1].t < t_final - 1e-12:
-        step = min(dt, t_final - states[-1].t)
-        states.append(step_coordinates(states[-1], step, nu, profile, grid))
-    return states
 
 
 def monitor_assumptions(state: CoordinateState, profile: ShearProfile, grid: ChannelGrid) -> dict:
@@ -220,14 +205,22 @@ def monitor_assumptions(state: CoordinateState, profile: ShearProfile, grid: Cha
 # Gamma stacks
 
 
-def apply_gamma(grid: ChannelGrid, f: ModeField, state: CoordinateState, t: float | None = None) -> ModeField:
-    """Gamma_k f = v_y^{-1} d_y f + i k t f."""
-    if t is None:
-        t = state.t
-    if np.any(state.v_y <= 0.0):
-        raise CoordinateDegeneracyError("v_y must be positive")
-    vals = (grid.d1 @ f.values) / state.v_y + 1j * f.k * t * f.values
-    return ModeField(f.k, vals)
+def gamma_ladder(d1: np.ndarray, values: np.ndarray, v_y, n: int,
+                 k: int | None = None, t: float = 0.0) -> list[np.ndarray]:
+    """[f, X f, ..., X^n f] for X = v_y^{-1} d1 + i k t, the vector field Gamma_k.
+
+    With k = None, X is dv-bar = v_y^{-1} d1 (k = 0 keeps the i k t term,
+    which then only adds zeros).  Each level is (d1 @ f) / v_y + 1j k t f,
+    evaluated in that order, and ``values`` is used as given, so the dtype
+    and the rounding are the caller's.
+    """
+    out = [values]
+    for _ in range(n):
+        nxt = (d1 @ out[-1]) / v_y
+        if k is not None:
+            nxt = nxt + 1j * k * t * out[-1]
+        out.append(nxt)
+    return out
 
 
 @dataclass
@@ -284,11 +277,7 @@ def build_gamma_stack(
         raise ValueError("M must be nonnegative")
     if t is None:
         t = state.t
-    gamma_pows = [omega_k.values.astype(complex)]
-    cur = ModeField(omega_k.k, omega_k.values)
-    for _ in range(M):
-        cur = apply_gamma(grid, cur, state, t)
-        gamma_pows.append(cur.values)
+    gamma_pows = gamma_ladder(grid.d1, omega_k.values.astype(complex), state.v_y, M, omega_k.k, t)
     q = eval_q(grid.nodes)
     q_pows = np.array([q**n for n in range(M + 1)])
     tails = grid.spectral_tail(np.array(gamma_pows))
@@ -302,16 +291,3 @@ def build_gamma_stack(
         tails=tails,
         tail_tol=tail_tol,
     )
-
-
-def build_field_stack(
-    values: np.ndarray,
-    state: CoordinateState,
-    M: int,
-    grid: ChannelGrid,
-) -> list[np.ndarray]:
-    """dv-bar^n of a real k=0 field (used for G, H, Hbar stacks)."""
-    out = [np.asarray(values, dtype=float)]
-    for _ in range(M):
-        out.append((grid.d1 @ out[-1]) / state.v_y)
-    return out

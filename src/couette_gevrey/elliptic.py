@@ -13,11 +13,11 @@ geometrically (in flat coordinates it terminates after one pass).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coordinates import CoordinateState
+from .coordinates import CoordinateState, gamma_ladder
 from .functionals import EvalContext, hermitian_mode_weight, icc_vector_norm_sq
 from .spectral import (
     ChannelGrid,
@@ -29,7 +29,7 @@ from .spectral import (
     l2_norm,
     poisson_mode_solve,
 )
-from .weights import smoothstep
+from .weights import eval_q, smoothstep
 
 
 class NonContractionError(RuntimeError):
@@ -38,7 +38,7 @@ class NonContractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class EllipticCutoffs:
-    """chi^I / chi^E, the fattened chi~_1, and the buffer cutoff chi_*.
+    """The fattened cutoff chi~_1 and the buffer cutoff chi_*.
 
     chi_* rises strictly between supp(chi~_1^c) (|xi| < 3/8 - 1/80) and
     the region where the cascade cutoffs live (|xi| >= 3/8 shifted by at
@@ -48,13 +48,6 @@ class EllipticCutoffs:
 
     star_lo: float = 0.364
     star_hi: float = 0.3685
-
-    def chi_i(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        return 1.0 - smoothstep((np.abs(xi) - 0.5) / 0.25)
-
-    def chi_e(self, xi) -> np.ndarray:
-        return 1.0 - self.chi_i(xi)
 
     def chi_tilde1(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -73,11 +66,6 @@ class EllipticCutoffs:
     def chi_star_gap(self) -> float:
         # supp chi~_1^c ends at |xi| = 3/8 - 1/80, chi_star starts at star_lo
         return self.star_lo - (3.0 / 8.0 - 1.0 / 80.0)
-
-
-def solve_stream(grid: ChannelGrid, omega_k: ModeField, k: int | None = None) -> ModeField:
-    """(d_y^2 - k^2) psi = omega, Dirichlet, k != 0."""
-    return poisson_mode_solve(grid, omega_k, k)
 
 
 @dataclass
@@ -133,8 +121,6 @@ def decompose_phi(
     grid: ChannelGrid,
     cutoffs: EllipticCutoffs | None = None,
     tol: float = 1e-10,
-    max_iter: int = 50,
-    quad_pts: int = 96,
 ) -> PhiDecomposition:
     """Split the stream function into interior and exterior parts.
 
@@ -169,7 +155,7 @@ def decompose_phi(
     base = chic * w_at_v
     flat = coupling < 1e-14
 
-    green = green_matrix(grid, k, domain, quad_pts)
+    green = green_matrix(grid, k, domain)
     phi = np.zeros(grid.ny + 1, dtype=complex)
     iterations = 0
     rhs = base.astype(complex)
@@ -179,7 +165,7 @@ def decompose_phi(
         delta = np.max(np.abs(phi_new - phi))
         scale = max(np.max(np.abs(phi_new)), 1e-300)
         phi = phi_new
-        if flat or delta <= tol * scale or iterations >= max_iter:
+        if flat or delta <= tol * scale or iterations >= 50:
             rhs = base + chic * (-z_at_v * (dv @ (dv @ phi)) - 0.5 * dz * (dv @ phi))
             break
         rhs = base + chic * (-z_at_v * (dv @ (dv @ phi)) - 0.5 * dz * (dv @ phi))
@@ -236,10 +222,9 @@ def interior_greens_response(
     t: float,
     data_fn,
     support: tuple[float, float] = (-0.25, 0.25),
-    domain: tuple[float, float] = (-1.0, 1.0),
-    npts: int = 96,
 ) -> ModeField:
-    """phi_I(t) for free-transport forcing e^{-ikvt} g(v), flat coordinates.
+    """phi_I(t) for free-transport forcing e^{-ikvt} g(v), flat coordinates
+    on the whole channel (-1, 1), with 96 Gauss points per panel.
 
     Quadrature panels are split at the evaluation point (kernel kink) and at
     the support edges (data kinks for spline bumps), so each panel has an
@@ -247,7 +232,7 @@ def interior_greens_response(
     with c = clip(v, lo, hi); all nodes are evaluated at once, and a panel
     of zero width gets weight 0.
     """
-    gl_x, gl_w = _gauss_legendre(npts)
+    gl_x, gl_w = _gauss_legendre(96)
     lo, hi = support
     v = grid.nodes[:, None]
     c = np.clip(v, lo, hi)
@@ -256,7 +241,7 @@ def interior_greens_response(
         pts = 0.5 * (a + b) + 0.5 * (b - a) * gl_x
         wts = 0.5 * (b - a) * gl_w
         integrand = (
-            green_eval(k, v, pts, domain)
+            green_eval(k, v, pts, (-1.0, 1.0))
             * np.exp(-1j * k * pts * t)
             * data_fn(pts)
         )
@@ -316,35 +301,27 @@ def eval_elliptic_functionals(
     coord: CoordinateState,
     ctx: EvalContext,
     M: int = 4,
-    lam_tilde: float | None = None,
-    gevrey_r: float = 2.0,
-    psi_e: dict[int, ModeField] | None = None,
 ) -> dict:
     """J_ell^(1..3), E_ell^(I,out), E_ell^(I,full) and F_ell^(E), truncated.
 
-    psi_e supplies the fields for F_ell (the other decomposition); when
-    omitted F_ell is reported for the phi_E parts, which coincides with the
-    natural choice in flat coordinates with interior data.
+    F_ell is reported for the phi_E parts, with the coefficient
+    (2 lambda0)^(m+n) / (m+n)!.
     """
-    if lam_tilde is None:
-        lam_tilde = ctx.params.lambda0
     tab = ctx.table
     out = {f"J_ell_{ell}": 0.0 for ell in (1, 2, 3)}
     out["E_ell_I_out"] = 0.0
     out["E_ell_I_full"] = 0.0
     out["F_ell_E"] = 0.0
+    q = eval_q(ctx.grid.nodes)
     for k, dec in decomps.items():
         wk = hermitian_mode_weight(k)
         t = dec.t
         half = 0.5 * (dec.domain[1] - dec.domain[0])
         dv = ctx.grid.d1 / half
-        # interior functionals on the v-grid
+        # interior functionals on the v-grid, where the coordinate is flat
         chi1_v = ctx.cascade.chi(1, dec.v_nodes)
         vol = half  # quadrature maps to the physical interval
-        gam = dec.phi_i.copy()
-        gam_pows = [gam]
-        for _ in range(M):
-            gam_pows.append(dv @ gam_pows[-1] + 1j * k * t * gam_pows[-1])
+        gam_pows = gamma_ladder(dv, dec.phi_i, 1.0, M, k, t)
         for total_mn in range(M + 1):
             for m in range(total_mn + 1):
                 n = total_mn - m
@@ -372,75 +349,12 @@ def eval_elliptic_functionals(
                     out[f"J_ell_{ell}"] += wk * a2 * icc_vector_norm_sq(
                         dec.phi_e, ell, m, n, "J", coord, ctx, t=dec.t
                     )
-        # F_ell on the supplied exterior stream parts
-        target = None
-        if psi_e is not None and k in psi_e:
-            target = psi_e[k].values
-        elif psi_e is None:
-            target = dec.phi_e.values
-        if target is not None:
-            gam_e = [target.astype(complex)]
-            for _ in range(M):
-                nxt = (ctx.grid.d1 @ gam_e[-1]) / coord.v_y + 1j * k * t * gam_e[-1]
-                gam_e.append(nxt)
-            from .weights import eval_q
-
-            q = eval_q(ctx.grid.nodes)
-            for total_mn in range(M + 1):
-                for m in range(total_mn + 1):
-                    n = total_mn - m
-                    log_coef = (2.0 / gevrey_r) * (
-                        (m + n) * math.log(2.0 * lam_tilde) - math.lgamma(m + n + 1.0)
-                    )
-                    fld = ctx.chi(m + n) * float(abs(k)) ** m * q**n * gam_e[n]
-                    out["F_ell_E"] += (
-                        wk * math.exp(log_coef) * ctx.wsq(fld, np.ones_like(q))
-                    )
+        # F_ell on the exterior stream part
+        gam_e = gamma_ladder(ctx.grid.d1, dec.phi_e.values.astype(complex), coord.v_y, M, k, t)
+        for total_mn in range(M + 1):
+            for m in range(total_mn + 1):
+                n = total_mn - m
+                log_coef = (m + n) * math.log(2.0 * ctx.params.lambda0) - math.lgamma(m + n + 1.0)
+                fld = ctx.chi(m + n) * float(abs(k)) ** m * q**n * gam_e[n]
+                out["F_ell_E"] += wk * math.exp(log_coef) * ctx.wsq(fld, np.ones_like(q))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Psi^(I)/Psi^(E) residual checking (the coupled system itself is external)
-
-
-def psi_pair_residual(
-    grid: ChannelGrid,
-    k: int,
-    psi_i: ModeField,
-    psi_e: ModeField,
-    w_k: ModeField,
-) -> float:
-    """|| Dlt_k (Psi_I + Psi_E) - w || / ||w|| for an externally supplied pair."""
-    total = psi_i.values + psi_e.values
-    lap = grid.d2 @ total - k * k * total
-    return float(l2_norm(grid, lap - w_k.values) / max(l2_norm(grid, w_k), 1e-300))
-
-
-def solve_psi_e(
-    grid: ChannelGrid,
-    k: int,
-    w_k: ModeField,
-    coord: CoordinateState,
-    psi_i: ModeField | None = None,
-    cutoffs: EllipticCutoffs | None = None,
-) -> ModeField:
-    """Exterior part of the chi^I/chi^E decomposition.
-
-    Dlt_k Psi_E = chi^E(v) w + coupling(H, H^I, Psi_I); with interior data
-    and flat coordinates both terms vanish and Psi_E = 0.  The coupled
-    Psi_I solve lives outside this package, so Psi_I is a supplied field
-    (defaulting to zero coupling).
-    """
-    if cutoffs is None:
-        cutoffs = EllipticCutoffs()
-    chi_e = cutoffs.chi_e(coord.v)
-    rhs = chi_e * w_k.values
-    if psi_i is not None:
-        chi_i = cutoffs.chi_i(coord.v)
-        h = coord.H
-        h_i = chi_i * h
-        dvb = lambda f: (grid.d1 @ f) / coord.v_y
-        coupling = ((1.0 + h_i) ** 2 - (1.0 + h) ** 2) * dvb(dvb(psi_i.values))
-        coupling += ((1.0 + h) * dvb(h) - (1.0 + h_i) * dvb(h_i)) * dvb(psi_i.values)
-        rhs = rhs + coupling
-    return poisson_mode_solve(grid, ModeField(k, rhs), k)

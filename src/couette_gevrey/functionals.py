@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coordinates import CoordinateState, GammaStack, build_field_stack
+from .coordinates import CoordinateState, GammaStack, gamma_ladder
 from .spectral import ChannelGrid, ModeField
 from .weights import (
     CutoffCascade,
@@ -243,9 +243,10 @@ def _coord_functionals(state: CoordinateState, ctx: EvalContext, i_io: int, M: i
     swt = ctx.sqrt_neg_wt(t)
     br = _bracket(t)
     pow_t = br ** (3.0 + 2.0 / p.s)
-    g_stack = build_field_stack(state.G, state, M, grid)
-    h_stack = build_field_stack(state.H, state, M, grid)
-    hb_stack = build_field_stack(state.Hbar, state, M, grid)
+    g_stack, h_stack, hb_stack = (
+        gamma_ladder(grid.d1, np.asarray(f, dtype=float), state.v_y, M)
+        for f in (state.G, state.H, state.Hbar)
+    )
 
     def d_y(vals, j):
         out = vals
@@ -349,7 +350,7 @@ def eval_icc(
     ctx: EvalContext,
     t: float | None = None,
 ) -> tuple[ModeField, bool]:
-    """S/J/J0 operator applied to f_k; returns (field, in_index_set).
+    """S/J operator applied to f_k; returns (field, in_index_set).
 
     Outside the index set the boundary weight (m+n)/q is not defined and the
     paper's indicator makes the operator zero; the flag reports that case.
@@ -360,30 +361,21 @@ def eval_icc(
         t = coord.t
     grid = ctx.grid
     k = f_k.k
-    if variant == "J0" and k != 0:
-        raise ValueError("J0 is the k = 0 operator")
     if not in_index_set(a, b, c, n):
         return ModeField(k, np.zeros(grid.ny + 1, dtype=complex)), False
-    # Gamma^n f (for J0 the vector field is dv-bar, the k=0 Gamma)
-    gam = f_k.values.astype(complex)
-    for _ in range(n):
-        gam = (grid.d1 @ gam) / coord.v_y + 1j * k * t * gam
+    gam = gamma_ladder(grid.d1, f_k.values.astype(complex), coord.v_y, n, k, t)[-1]
     q = eval_q(grid.nodes)
     base = abs(k) ** m * q**n * gam
     if variant == "S":
         out = base
         for _ in range(b):
             out = grid.d1 @ out
-        out = _divide_by_q_power(grid, out, a) * float(m + n) ** a * abs(k) ** c
-        return ModeField(k, out), True
-    if variant in ("J", "J0"):
-        weight_count = n if variant == "J0" else m + n
-        out = ctx.chi(weight_count) * base
-        for _ in range(b):
-            out = (grid.d1 @ out) / coord.v_y
-        out = _divide_by_q_power(grid, out, a) * float(weight_count) ** a * abs(k) ** c
-        return ModeField(k, out), True
-    raise ValueError(f"unknown ICC variant {variant!r}")
+    elif variant == "J":
+        out = gamma_ladder(grid.d1, ctx.chi(m + n) * base, coord.v_y, b)[-1]
+    else:
+        raise ValueError(f"unknown ICC variant {variant!r}")
+    out = _divide_by_q_power(grid, out, a) * float(m + n) ** a * abs(k) ** c
+    return ModeField(k, out), True
 
 
 def icc_vector_norm_sq(
@@ -395,20 +387,15 @@ def icc_vector_norm_sq(
     coord: CoordinateState,
     ctx: EvalContext,
     t: float | None = None,
-    cumulative: bool = False,
 ) -> float:
     """||S^{(level)}|| or ||J^{(level)}|| squared: sum over a+b+c = level."""
     total = 0.0
-    levels = range(level + 1) if cumulative else (level,)
-    for ell in levels:
-        for a in range(ell + 1):
-            for b in range(ell - a + 1):
-                c = ell - a - b
-                if variant == "J0" and c != 0:
-                    continue
-                fld, ok = eval_icc(f_k, a, b, c, m, n, variant, coord, ctx, t)
-                if ok:
-                    total += ctx.wsq(fld.values, np.ones_like(ctx.grid.nodes))
+    for a in range(level + 1):
+        for b in range(level - a + 1):
+            c = level - a - b
+            fld, ok = eval_icc(f_k, a, b, c, m, n, variant, coord, ctx, t)
+            if ok:
+                total += ctx.wsq(fld.values, np.ones_like(ctx.grid.nodes))
     return float(total)
 
 
@@ -439,54 +426,6 @@ def eval_sources(stack_f: GammaStack, stack_omega: GammaStack, family: str, ctx:
             raise ValueError(f"unknown family {family!r}")
         total += coef * float(np.real(ctx.grid.integrate(pair * chi2 * ew2)))
     return float(total)
-
-
-# ---------------------------------------------------------------------------
-# hypocoercivity tables
-
-
-def eval_hypocoercivity(stack: GammaStack, ctx: EvalContext, c_alpha: float = 0.125) -> dict:
-    """Per-(m,n) energy/dissipation/CK triples of the mixed functional."""
-    if not (1.0 / 16.0 <= c_alpha <= 0.5):
-        raise ValueError("c_alpha outside its universal range [1/16, 1/2]")
-    t, tab = stack.t, ctx.table
-    phi_rate = abs(tab.phi_dot(t)) / tab.phi(t)
-    coef = _shell_coefficients(stack, tab)
-    norms = _family_norms(norm_table(stack, ctx), ctx.nu, float(stack.k**2))
-    mix = {"gamma": 1.0, "alpha": c_alpha, "mu": 1.0}
-    e, e_w, d = (sum(mix[fam] * coef * norms[fam][i] for fam in FAMILIES) for i in range(3))
-    out = {}
-    for m, n in stack.pairs():
-        j = m + n
-        out[(m, n)] = {
-            "E": float(e[n, j]),
-            **{f"E_{fam}": float(coef[n, j] * norms[fam][0][n, j]) for fam in FAMILIES},
-            "D": float(d[n, j]),
-            "CK_phi": (1.0 + n) * phi_rate * float(e[n, j]),
-            "CK_W": float(e_w[n, j]),
-        }
-    return out
-
-
-# ---------------------------------------------------------------------------
-# switch inequality diagnostics
-
-
-def d_switch_sides(stack: GammaStack, ctx: EvalContext) -> tuple[float, float]:
-    """LHS/RHS of the product-rule switch: moving chi inside the gradient.
-
-    LHS = sum a^2 nu || d_y(chi omega-ring) e^W ||^2, RHS = sum D^gamma
-    shells; the measured ratio realizes the stated comparison constant.
-    """
-    t = stack.t
-    ew = ctx.exp_w(t)
-    lhs = 0.0
-    for m, n in stack.pairs():
-        a2 = float(ctx.table.a(m, n, t)) ** 2
-        inner = ctx.grid.d1 @ (ctx.chi(m + n) * stack.entry(m, n))
-        lhs += a2 * ctx.nu * ctx.wsq(inner, ew, stack.noise_dy(n))
-    rhs = eval_dissipation(stack, "gamma", ctx)
-    return float(lhs), float(rhs)
 
 
 def full_report(

@@ -19,7 +19,7 @@ import yaml
 
 from . import identities as idn
 from .coordinates import (
-    CoordinateState,
+    PROFILES,
     build_gamma_stack,
     couette_state,
     init_coordinates,
@@ -28,7 +28,6 @@ from .coordinates import (
     step_coordinates,
 )
 from .elliptic import (
-    EllipticCutoffs,
     damping_diagnostic,
     decompose_phi,
     eval_elliptic_functionals,
@@ -44,7 +43,7 @@ from .scalar import (
     initial_state,
     step_scalar,
 )
-from .spectral import ChannelGrid, ModeField
+from .spectral import ChannelGrid
 from .weights import WeightParams, build_cascade
 
 
@@ -97,7 +96,7 @@ class ExperimentConfig:
         unknown = set(self.formats) - {"csv", "json"}
         if unknown:
             raise ConfigError(f"config.formats: unknown formats {sorted(unknown)}")
-        if self.shear not in ("zero", "quartic", "sin_quartic"):
+        if self.shear not in PROFILES:
             raise ConfigError(f"config.shear: unknown profile {self.shear!r}")
         if self.truncation_m < 0 or self.truncation_m > 12:
             raise ConfigError("config.truncation_m: hard cap is 12")
@@ -381,6 +380,9 @@ def damping_suite(k: int = 1, ny: int = 96, t_window: tuple[float, float] = (5.0
 
 def decompose_suite(config: ExperimentConfig, nu: float | None = None, t_stop: float | None = None) -> dict:
     nu = nu if nu is not None else config.nu[0]
+    t_stop = t_stop if t_stop is not None else config.t_final(nu) / 2.0
+    if t_stop < 0.0:
+        raise ConfigError("decompose --t: must be >= 0")
     params = config.weight_params()
     grid = ChannelGrid(config.ny, kmax=config.kmax)
     cascade = build_cascade(params, max(config.truncation_m + 2, 8))
@@ -389,7 +391,6 @@ def decompose_suite(config: ExperimentConfig, nu: float | None = None, t_stop: f
     state = initial_state(grid, nu, default_initial_data(grid, config.kmax, power=config.data_power))
     coord = init_coordinates(profile, grid, nu)
     dt = config.dt if config.dt is not None else default_dt(config.kmax)
-    t_stop = t_stop if t_stop is not None else config.t_final(nu) / 2.0
     while state.t < t_stop - 1e-12:
         step = min(dt, t_stop - state.t)
         state = step_scalar(state, step, profile)
@@ -463,6 +464,10 @@ def _load_config(args) -> ExperimentConfig:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command in ("verify-identities", "damping") and args.ny < 8:
+            raise ConfigError(f"{args.command} --ny: need at least 8")
+        if args.command == "damping" and args.k == 0:
+            raise ConfigError("damping --k: must be nonzero")
         if args.command == "verify-identities":
             reports = identity_suite(ny=args.ny, seed=args.seed or 0, quick=args.quick)
             for rep in reports:

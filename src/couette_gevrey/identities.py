@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from .coordinates import CoordinateState
+from .coordinates import CoordinateState, gamma_ladder
 from .spectral import ChannelGrid
 from .weights import GevreyCoeffTable, WeightParams, eval_q
 
@@ -132,11 +132,11 @@ def check_commutator_relations(
     k: int,
     coord: CoordinateState,
     grid: ChannelGrid,
-    test_fn: np.ndarray | None = None,
     t: float | None = None,
     tolerance: float = 1e-8,
 ) -> IdentityReport:
-    """One commutator relation, both sides evaluated spectrally.
+    """One commutator relation on ``wall_flat_test_field``, both sides
+    evaluated spectrally.
 
     All relations are oriented as [d, X] = d X - X d.  For the d_y versus
     Gamma^n relation the binomial of the re-indexed sum is binom(n, l-1),
@@ -158,9 +158,7 @@ def check_commutator_relations(
         raise ValueError("degenerate coordinate")
     if t is None:
         t = coord.t
-    if test_fn is None:
-        test_fn = wall_flat_test_field(grid)
-    f = test_fn.astype(complex)
+    f = wall_flat_test_field(grid).astype(complex)
     d1, d2 = grid.d1, grid.d2
     vy = coord.v_y
     vyy = d1 @ vy
@@ -174,16 +172,10 @@ def check_commutator_relations(
         return (d1 @ g) / vy
 
     def gam_pow(g, count):
-        out = np.asarray(g, dtype=complex)
-        for _ in range(count):
-            out = dvb(out) + 1j * k * t * out
-        return out
+        return gamma_ladder(d1, np.asarray(g, dtype=complex), vy, count, k, t)[-1]
 
     def dvb_pow(g, count):
-        out = np.asarray(g, dtype=complex)
-        for _ in range(count):
-            out = dvb(out)
-        return out
+        return gamma_ladder(d1, np.asarray(g, dtype=complex), vy, count)[-1]
 
     mask = np.ones(grid.ny + 1, dtype=bool)
     h = vy - 1.0
@@ -200,10 +192,7 @@ def check_commutator_relations(
         # unrolled recursion: [d, Gamma^count] = sum_j Gamma^j [d, Gamma] Gamma^{count-1-j}
         out = base_comm(gam_pow(f, count - 1))
         for j in range(1, count):
-            term = base_comm(gam_pow(f, count - 1 - j))
-            for _ in range(j):
-                term = dvb(term) + 1j * k * t * term
-            out = out + term
+            out = out + gam_pow(base_comm(gam_pow(f, count - 1 - j)), j)
         return out
 
     if which == "cm_py_Gn":
@@ -373,11 +362,8 @@ class ManufacturedSetup:
         return self.omega_t(t) + 1j * self.k * (self.grid.nodes + self.u0(t)) * om - self.nu * lap
 
     def gamma_pow(self, values: np.ndarray, t: float, count: int) -> np.ndarray:
-        coord = self.coord(t)
-        out = np.asarray(values, dtype=complex)
-        for _ in range(count):
-            out = (self.grid.d1 @ out) / coord.v_y + 1j * self.k * t * out
-        return out
+        vy = self.coord(t).v_y
+        return gamma_ladder(self.grid.d1, np.asarray(values, dtype=complex), vy, count, self.k, t)[-1]
 
     def omega_ring(self, m: int, n: int, t: float) -> np.ndarray:
         gam = self.gamma_pow(self.omega(t), t, n)
@@ -412,10 +398,7 @@ def mode_equation_rhs(setup: ManufacturedSetup, m: int, n: int, t: float) -> dic
     vy = coord.v_y
 
     def dvb_pow(g, count):
-        out = np.asarray(g, dtype=complex)
-        for _ in range(count):
-            out = (grid.d1 @ out) / vy
-        return out
+        return gamma_ladder(grid.d1, np.asarray(g, dtype=complex), vy, count)[-1]
 
     omega = setup.omega(t)
     km = float(abs(k)) ** m
@@ -494,7 +477,6 @@ def check_upsilon_identity(
     n: int,
     grid: ChannelGrid,
     nu: float = 1e-2,
-    test_fn: np.ndarray | None = None,
     tolerance: float = 1e-8,
 ) -> IdentityReport:
     """d_y C_q = nu [Ups1 (n/q) d_y^2 + Ups2 (n^2/q^2) d_y + Ups3 (n^3/q^3)] g.

@@ -78,17 +78,11 @@ class InitialData:
         return self
 
 
-def default_initial_data(
-    grid: ChannelGrid, kmax: int | None = None, profile: str = "spline", power: int = 16
-) -> InitialData:
+def default_initial_data(grid: ChannelGrid, kmax: int | None = None, power: int = 16) -> InitialData:
+    """The spline bump (see ``spline_initial_bump``) over (1 + k^2), k = 0..kmax."""
     if kmax is None:
         kmax = grid.kmax
-    if profile == "spline":
-        bump = spline_initial_bump(grid.nodes, power)
-    elif profile == "gevrey":
-        bump = gevrey_bump(grid.nodes)
-    else:
-        raise ValueError(f"unknown initial data profile {profile!r}")
+    bump = spline_initial_bump(grid.nodes, power)
     data = {
         k: ModeField(k, bump / (1.0 + k * k)) for k in range(0, kmax + 1)
     }
@@ -221,13 +215,3 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
 def exact_transport(omega_in_k: ModeField, k: int, t: float, grid: ChannelGrid) -> ModeField:
     """Closed-form nu = 0, U0 = 0 solution e^{-ikyt} omega_in."""
     return ModeField(k, np.exp(-1j * k * grid.nodes * t) * omega_in_k.values)
-
-
-def dirichlet_second_derivative_check(state: ScalarState) -> float:
-    """Largest wall value of |d_yy omega_k|; tends to zero as the PDE smooths."""
-    worst = 0.0
-    for f in state.omega.values():
-        dyy = state.grid.d2 @ f.values
-        worst = max(worst, float(abs(dyy[0])), float(abs(dyy[-1])))
-    return worst
-

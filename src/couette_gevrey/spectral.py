@@ -142,27 +142,8 @@ def l2_norm(grid: ChannelGrid, f) -> float:
     return float(np.sqrt(np.real(grid.integrate(np.abs(v) ** 2))))
 
 
-def h1k_seminorm(grid: ChannelGrid, f: ModeField) -> float:
-    dy = grid.d1 @ f.values
-    s = grid.integrate(np.abs(dy) ** 2) + f.k**2 * grid.integrate(np.abs(f.values) ** 2)
-    return float(np.sqrt(np.real(s)))
-
-
-def h2k_seminorm(grid: ChannelGrid, f: ModeField) -> float:
-    """sqrt of sum over b+c=2 of ||d_y^b |k|^c f||^2."""
-    dy = grid.d1 @ f.values
-    dyy = grid.d2 @ f.values
-    k2 = float(f.k * f.k)
-    s = (
-        grid.integrate(np.abs(dyy) ** 2)
-        + k2 * grid.integrate(np.abs(dy) ** 2)
-        + k2 * k2 * grid.integrate(np.abs(f.values) ** 2)
-    )
-    return float(np.sqrt(np.real(s)))
-
-
 class SingularSolveError(ValueError):
-    """Raised for the k=0 Neumann problem without compatible data."""
+    """Raised for the singular k = 0 problems."""
 
 
 def _apply_bc_rows(a: np.ndarray, grid: ChannelGrid, bc_kind: str) -> np.ndarray:
@@ -185,39 +166,18 @@ def helmholtz_solve(
     rhs: ModeField,
     k: int | None = None,
     bc: str = "dirichlet",
-    bc_values: tuple[complex, complex] = (0.0, 0.0),
 ) -> ModeField:
-    """Solve -psi'' + k^2 psi = F with Dirichlet or Neumann data at y = +-1.
+    """Solve -psi'' + k^2 psi = F with homogeneous Dirichlet or Neumann data.
 
-    ``bc_values`` are (value at y=-1, value at y=+1); for Neumann they are
-    the derivative values a_-, a_+.  The pure Neumann k=0 problem is singular
-    and requires the compatibility condition int F = a_- - a_+; incompatible
-    data raises SingularSolveError, compatible data returns the mean-zero
-    solution.
+    The k = 0 Neumann problem is singular and raises SingularSolveError.
     """
     if k is None:
         k = rhs.k
-    n = grid.ny
-    a = -(grid.d2) + float(k * k) * np.eye(n + 1)
-    b = rhs.values.astype(complex).copy()
     if k == 0 and bc == "neumann":
-        compat = grid.integrate(rhs.values) - (bc_values[0] - bc_values[1])
-        scale = max(1.0, float(np.max(np.abs(rhs.values))))
-        if abs(compat) > 1e-10 * scale:
-            raise SingularSolveError(
-                f"k=0 Neumann data violates compatibility (defect {abs(compat):.3e})"
-            )
-        a = _apply_bc_rows(a, grid, "neumann")
-        # pin the quadrature mean to zero in place of one interior row
-        mid = (n + 1) // 2
-        a[mid, :] = grid.quad_weights
-        b[mid] = 0.0
-        b[0] = bc_values[0]
-        b[-1] = bc_values[1]
-        return ModeField(k, np.linalg.solve(a, b))
-    a = _apply_bc_rows(a, grid, bc)
-    b[0] = bc_values[0]
-    b[-1] = bc_values[1]
+        raise SingularSolveError("k=0 Neumann problem is singular")
+    a = _apply_bc_rows(-(grid.d2) + float(k * k) * np.eye(grid.ny + 1), grid, bc)
+    b = rhs.values.astype(complex)
+    b[0] = b[-1] = 0.0
     return ModeField(k, np.linalg.solve(a, b))
 
 
@@ -235,11 +195,7 @@ def helmholtz_lu(grid: ChannelGrid, k: int, alpha: float, nu: float):
     """Real LU factors of (alpha*I - nu*(d_yy - k^2)) with Dirichlet rows."""
     n = grid.ny
     a = alpha * np.eye(n + 1) - nu * (grid.d2 - float(k * k) * np.eye(n + 1))
-    a[0, :] = 0.0
-    a[0, 0] = 1.0
-    a[-1, :] = 0.0
-    a[-1, -1] = 1.0
-    return lu_factor(a)
+    return lu_factor(_apply_bc_rows(a, grid, "dirichlet"))
 
 
 def _one_minus_exp(x: np.ndarray | float) -> np.ndarray | float:
@@ -259,7 +215,7 @@ def green_eval(k: int, v, vp, domain: tuple[float, float]):
     argument hits an endpoint.
     """
     if k == 0:
-        raise ValueError("k=0 kernel degenerates; use the Neumann solve instead")
+        raise ValueError("k=0 kernel degenerates")
     kk = abs(float(k))
     vm, vp_dom = float(domain[0]), float(domain[1])
     if vp_dom <= vm:
@@ -278,19 +234,6 @@ def green_eval(k: int, v, vp, domain: tuple[float, float]):
         / (2.0 * kk * _one_minus_exp(kk * length))
     )
     return val if val.shape else float(val)
-
-
-def green_eval_split(k: int, v: float, vp: float, domain: tuple[float, float]):
-    """The kernel's (H, S) split: H depends on v-v', S on v+v'."""
-    if k == 0:
-        raise ValueError("k=0 kernel degenerates")
-    kk = abs(float(k))
-    vm, vp_dom = float(domain[0]), float(domain[1])
-    length = vp_dom - vm
-    denom = 2.0 * kk * np.sinh(kk * length)
-    h_part = -np.cosh(kk * (abs(v - vp) - length)) / denom
-    s_part = np.cosh(kk * (v + vp - vp_dom - vm)) / denom
-    return h_part, s_part
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -198,12 +198,6 @@ class CutoffCascade:
         # |y| has zero higher derivatives away from y=0, where S' vanishes
         return jets[order] * (sgn / width) ** order
 
-    def export_csv(self) -> str:
-        lines = ["n,x_n,y_n"]
-        for i in range(self.n_max):
-            lines.append(f"{i + 1},{float(self.x[i])!r},{float(self.y[i])!r}")
-        return "\n".join(lines) + "\n"
-
 
 def build_cascade(params: WeightParams, n_max: int) -> CutoffCascade:
     return CutoffCascade(params, n_max)
@@ -328,9 +322,6 @@ class GevreyCoeffTable:
         tot = np.asarray(m) + np.asarray(n)
         return self.params.s * (tot * math.log(self.lam(t)) - gammaln(tot + 1.0))
 
-    def B(self, m, n, t: float):
-        return np.exp(self.log_B(m, n, t))
-
     def log_a(self, m, n, t: float):
         return self.log_B(m, n, t) + (1.0 + np.asarray(n)) * math.log(self.phi(t))
 
@@ -344,14 +335,6 @@ class GevreyCoeffTable:
         rate = rate + (1.0 + np.asarray(n)) * self.phi_dot(t) / phi
         return self.a(m, n, t) * rate
 
-    @staticmethod
-    def log_B_low(m, n):
-        tot = np.asarray(m) + np.asarray(n)
-        return 4.0 * (-tot * math.log(2.0) - gammaln(tot + 1.0))
-
-    def B_low(self, m, n):
-        return np.exp(self.log_B_low(m, n))
-
     def log_B_hat(self, m, n, t: float):
         tot = np.asarray(m) + np.asarray(n)
         return self.params.s * (tot * math.log(2.0 * self.lam(t)) - gammaln(tot + 1.0))
@@ -364,19 +347,6 @@ class GevreyCoeffTable:
 
     def theta(self, n):
         return self.params.theta(n)
-
-
-def eval_coeffs(m: int, n: int, t: float, table: GevreyCoeffTable):
-    """(B, a, B_low, a_hat, theta) at one index pair."""
-    if m < 0 or n < 0:
-        raise ValueError("indices must be nonnegative")
-    return (
-        float(table.B(m, n, t)),
-        float(table.a(m, n, t)),
-        float(table.B_low(m, n)),
-        float(table.a_hat(m, n, t)),
-        float(table.theta(n)),
-    )
 
 
 def check_gevrey_ratio(

@@ -174,16 +174,11 @@ def naive_icc(f_k, a, b, c, m, n, variant, coord, grid, cascade, t):
         out = base
         for _ in range(b):
             out = (grid.d1 @ out) / coord.v_y
-    elif variant == "J0":
-        base = cascade.chi(min(n, cascade.n_max), grid.nodes) * base
-        out = base
-        for _ in range(b):
-            out = (grid.d1 @ out) / coord.v_y
     else:
         out = base
         for _ in range(b):
             out = grid.d1 @ out
-    weight_count = n if variant == "J0" else m + n
+    weight_count = m + n
     if a > 0:
         res = np.empty_like(out)
         res[1:-1] = out[1:-1] / q[1:-1] ** a
@@ -530,4 +525,61 @@ def loop_interior_greens_response(grid, k, t, data_fn, support=(-0.25, 0.25),
             )
             acc += np.sum(wts * integrand)
         out[i] = acc
+    return out
+
+
+def loop_elliptic_functionals(decomps, coord, ctx, M=4):
+    """``eval_elliptic_functionals`` with every Gamma^n and dv-bar^b written
+    as its own loop, the J terms through ``naive_icc``; F_ell on phi_E with
+    the coefficient (2 lambda0)^(m+n) / (m+n)!."""
+    grid, cascade, tab = ctx.grid, ctx.cascade, ctx.table
+    out = {f"J_ell_{ell}": 0.0 for ell in (1, 2, 3)}
+    out["E_ell_I_out"] = 0.0
+    out["E_ell_I_full"] = 0.0
+    out["F_ell_E"] = 0.0
+    q = eval_q(grid.nodes)
+    ones = np.ones_like(q)
+    for k, dec in decomps.items():
+        wk = 2.0
+        t = dec.t
+        half = 0.5 * (dec.domain[1] - dec.domain[0])
+        dv = grid.d1 / half
+        chi1_v = cascade.chi(1, dec.v_nodes)
+        gam_i = [dec.phi_i]
+        gam_e = [dec.phi_e.values.astype(complex)]
+        for _ in range(M):
+            gam_i.append(dv @ gam_i[-1] + 1j * k * t * gam_i[-1])
+            gam_e.append((grid.d1 @ gam_e[-1]) / coord.v_y + 1j * k * t * gam_e[-1])
+        for total_mn in range(M + 1):
+            for m in range(total_mn + 1):
+                n = total_mn - m
+                km = float(abs(k)) ** m
+                a_hat2 = float(tab.a_hat(m, n, t)) ** 2
+                for ell in (0, 1, 2):
+                    fldv = gam_i[n]
+                    for _ in range(ell):
+                        fldv = dv @ fldv
+                    val = half * float(np.real(grid.integrate(np.abs(chi1_v * km * fldv) ** 2)))
+                    out["E_ell_I_out"] += wk * a_hat2 * val
+                val_full = half * float(np.real(grid.integrate(np.abs(km * gam_i[n]) ** 2)))
+                out["E_ell_I_full"] += wk * float(tab.B_hat(m, n, t)) ** 2 * val_full
+        for total_mn in range(M + 1):
+            for m in range(total_mn + 1):
+                n = total_mn - m
+                a2 = float(tab.a(m, n, t)) ** 2
+                for ell in (1, 2, 3):
+                    norm = 0.0
+                    for a in range(ell + 1):
+                        for b in range(ell - a + 1):
+                            vals, ok = naive_icc(dec.phi_e, a, b, ell - a - b, m, n, "J",
+                                                 coord, grid, cascade, t)
+                            if ok:
+                                norm += ctx.wsq(vals, ones)
+                    out[f"J_ell_{ell}"] += wk * a2 * norm
+        for total_mn in range(M + 1):
+            for m in range(total_mn + 1):
+                n = total_mn - m
+                coef = math.exp((m + n) * math.log(2.0 * ctx.params.lambda0) - math.lgamma(m + n + 1.0))
+                fld = ctx.chi(m + n) * float(abs(k)) ** m * q**n * gam_e[n]
+                out["F_ell_E"] += wk * coef * ctx.wsq(fld, ones)
     return out

@@ -6,10 +6,9 @@ from couette_gevrey import coordinates
 from couette_gevrey.coordinates import (
     CoordinateDegeneracyError,
     ShearProfile,
-    apply_gamma,
     build_gamma_stack,
     couette_state,
-    evolve_coordinates,
+    gamma_ladder,
     init_coordinates,
     make_profile,
     monitor_assumptions,
@@ -59,8 +58,9 @@ def test_couette_invariance(grid64):
 def test_stationary_exact(grid64):
     # nu = 0, time-independent U0: w stays exactly U0
     prof = quartic_profile(1.0 / 256.0)
-    states = evolve_coordinates(prof, grid64, 0.0, 2.0, 0.01)
-    final = states[-1]
+    final = init_coordinates(prof, grid64, nu=0.0)
+    for _ in range(200):
+        final = step_coordinates(final, 0.01, 0.0, prof, grid64)
     assert np.max(np.abs(final.w - prof.u0(final.t, grid64.nodes))) < 1e-10
 
 
@@ -103,8 +103,9 @@ def test_factored_step_matches_solve_oracle(monkeypatch, name, nu, ny):
 def test_hbar_two_formulas(grid64):
     # Hbar = d_y G must agree with (d_y U0 - H)/t for t >= 1
     prof = sin_quartic_profile(1.0 / 256.0)
-    states = evolve_coordinates(prof, grid64, 0.0, 1.5, 0.01)
-    final = states[-1]
+    final = init_coordinates(prof, grid64, nu=0.0)
+    for _ in range(150):
+        final = step_coordinates(final, 0.01, 0.0, prof, grid64)
     alt = (prof.dy_u0(final.t, grid64.nodes) - final.H) / final.t
     assert np.max(np.abs(final.Hbar - alt)) < 1e-10
 
@@ -145,21 +146,51 @@ def test_monitor(grid64):
 
 def test_apply_gamma_flat(grid64):
     flat = couette_state(grid64, 0.0)
-    f = ModeField(0, np.exp(1j * np.pi * grid64.nodes))
-    out = apply_gamma(grid64, f, flat)
+    f = np.exp(1j * np.pi * grid64.nodes)
+    out = gamma_ladder(grid64.d1, f, flat.v_y, 1, 0, flat.t)
+    assert out[0] is f
     expected = 1j * np.pi * np.exp(1j * np.pi * grid64.nodes)
-    assert np.max(np.abs(out.values - expected)) < 1e-9
+    assert np.max(np.abs(out[1] - expected)) < 1e-9
 
 
 def test_apply_gamma_linearity(grid64, rng):
     flat = couette_state(grid64, 1.0)
-    f = ModeField(2, rng.normal(size=grid64.ny + 1) + 1j * rng.normal(size=grid64.ny + 1))
-    g = ModeField(2, rng.normal(size=grid64.ny + 1) + 1j * rng.normal(size=grid64.ny + 1))
+    f = rng.normal(size=grid64.ny + 1) + 1j * rng.normal(size=grid64.ny + 1)
+    g = rng.normal(size=grid64.ny + 1) + 1j * rng.normal(size=grid64.ny + 1)
     a, b = 1.7 - 0.3j, -0.4 + 2.2j
-    combo = ModeField(2, a * f.values + b * g.values)
-    lhs = apply_gamma(grid64, combo, flat).values
-    rhs = a * apply_gamma(grid64, f, flat).values + b * apply_gamma(grid64, g, flat).values
+
+    def gamma(h):
+        return gamma_ladder(grid64.d1, h, flat.v_y, 1, 2, flat.t)[1]
+
+    lhs = gamma(a * f + b * g)
+    rhs = a * gamma(f) + b * gamma(g)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
+
+
+@pytest.mark.parametrize("k", [None, 0, 3])
+def test_gamma_ladder_matches_hand_loop(grid64, rng, k):
+    # every folded loop computed (d1 @ f) / v_y + 1j k t f level by level
+    # (dv-bar alone when k is None); the ladder must give the same bits
+    prof = quartic_profile(1 / 256)
+    coord = init_coordinates(prof, grid64, nu=0.0)
+    for _ in range(5):
+        coord = step_coordinates(coord, 0.05, 1e-3, prof, grid64)
+    t = 0.7
+    real = rng.normal(size=grid64.ny + 1)
+    for f in (real, real + 1j * rng.normal(size=grid64.ny + 1)):
+        ladder = gamma_ladder(grid64.d1, f, coord.v_y, 4, k, t)
+        cur = f
+        for level in ladder:
+            assert level.dtype == cur.dtype
+            assert np.array_equal(level, cur)
+            nxt = (grid64.d1 @ cur) / coord.v_y
+            cur = nxt if k is None else nxt + 1j * k * t * cur
+    # flat v-grid form of the interior ladder: dv @ f + 1j k t f
+    dv = grid64.d1 / 0.97
+    cur = real.astype(complex)
+    for level in gamma_ladder(dv, cur, 1.0, 4, 3, t):
+        assert np.array_equal(level, cur)
+        cur = dv @ cur + 1j * 3 * t * cur
 
 
 def test_gamma_transport_invariance():

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import make_ctx
-from oracles import loop_interior_greens_response
+from oracles import loop_elliptic_functionals, loop_interior_greens_response
 
-from couette_gevrey.coordinates import couette_state, evolve_coordinates, quartic_profile
+from couette_gevrey.coordinates import (
+    couette_state,
+    init_coordinates,
+    quartic_profile,
+    sin_quartic_profile,
+    step_coordinates,
+)
 from couette_gevrey.elliptic import (
     EllipticCutoffs,
     NonContractionError,
@@ -14,13 +20,10 @@ from couette_gevrey.elliptic import (
     decompose_phi,
     eval_elliptic_functionals,
     interior_greens_response,
-    psi_pair_residual,
-    solve_stream,
     spline_bump,
-    solve_psi_e,
 )
 from couette_gevrey.scalar import gevrey_bump, spline_initial_bump
-from couette_gevrey.spectral import ChannelGrid, ModeField, l2_norm
+from couette_gevrey.spectral import ChannelGrid, ModeField, l2_norm, poisson_mode_solve
 
 
 def interior_field(grid, rng, k=1):
@@ -30,13 +33,16 @@ def interior_field(grid, rng, k=1):
     return ModeField(k, env * poly)
 
 
+def sheared_coordinate(profile, grid, steps, dt=0.02):
+    coord = init_coordinates(profile, grid, nu=0.0)
+    for _ in range(steps):
+        coord = step_coordinates(coord, dt, 0.0, profile, grid)
+    return coord
+
+
 def test_cutoff_shapes():
     cut = EllipticCutoffs()
     xi = np.linspace(-1, 1, 4001)
-    ci = cut.chi_i(xi)
-    assert np.all(ci[np.abs(xi) < 0.5] == 1.0)
-    assert np.all(ci[np.abs(xi) > 0.75] == 0.0)
-    assert np.allclose(ci + cut.chi_e(xi), 1.0)
     ct = cut.chi_tilde1(xi)
     assert np.all(ct[np.abs(xi) >= 3 / 8 - 1 / 80] == 1.0)
     assert np.all(ct[np.abs(xi) <= 3 / 8 - 1 / 40] == 0.0)
@@ -48,20 +54,20 @@ def test_cutoff_shapes():
 def test_solve_stream_manufactured(grid96):
     k = 2
     om = ModeField(k, -(np.pi**2 + k * k) * np.sin(np.pi * grid96.nodes))
-    psi = solve_stream(grid96, om)
+    psi = poisson_mode_solve(grid96, om)
     assert np.max(np.abs(psi.values - np.sin(np.pi * grid96.nodes))) < 1e-11
-    zero = solve_stream(grid96, ModeField(1, np.zeros(grid96.ny + 1)))
+    zero = poisson_mode_solve(grid96, ModeField(1, np.zeros(grid96.ny + 1)))
     assert np.max(np.abs(zero.values)) == 0.0
     with pytest.raises(Exception):
-        solve_stream(grid96, ModeField(0, np.ones(grid96.ny + 1)))
+        poisson_mode_solve(grid96, ModeField(0, np.ones(grid96.ny + 1)))
 
 
 def test_stream_self_adjoint(grid96, rng):
     k = 3
     f = interior_field(grid96, rng, k)
     g = interior_field(grid96, rng, k)
-    pf = solve_stream(grid96, f)
-    pg = solve_stream(grid96, g)
+    pf = poisson_mode_solve(grid96, f)
+    pg = poisson_mode_solve(grid96, g)
     a = grid96.integrate(pf.values * np.conj(g.values))
     b = grid96.integrate(f.values * np.conj(pg.values))
     assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
@@ -77,7 +83,7 @@ def test_flat_decomposition_single_pass(rng):
     assert dec.iterations == 1
     # interior-supported forcing: the exterior equation sees nothing
     assert np.max(np.abs(dec.phi_e.values)) == 0.0
-    psi = solve_stream(grid, om)
+    psi = poisson_mode_solve(grid, om)
     comp = composite_values(dec, grid, flat)
     rel = np.max(np.abs(psi.values - comp)) / np.max(np.abs(psi.values))
     assert rel < 1e-8
@@ -90,7 +96,7 @@ def test_flat_decomposition_random_sweep(grid96, rng):
     for trial in range(6):
         om = interior_field(grid96, rng, k=1 + trial % 3)
         dec = decompose_phi(om, flat, grid96)
-        psi = solve_stream(grid96, om)
+        psi = poisson_mode_solve(grid96, om)
         comp = composite_values(dec, grid96, flat)
         worst = max(worst, np.max(np.abs(psi.values - comp)) / np.max(np.abs(psi.values)))
     assert worst < 1e-8
@@ -98,11 +104,11 @@ def test_flat_decomposition_random_sweep(grid96, rng):
 
 def test_distorted_decomposition(grid96, rng):
     prof = quartic_profile(1 / 256)
-    coord = evolve_coordinates(prof, grid96, 0.0, 1.2, 0.02)[-1]
+    coord = sheared_coordinate(prof, grid96, 60)
     om = interior_field(grid96, rng)
     dec = decompose_phi(om, coord, grid96, tol=1e-12)
     assert dec.iterations > 1
-    psi = solve_stream(grid96, om)
+    psi = poisson_mode_solve(grid96, om)
     comp = composite_values(dec, grid96, coord)
     rel = np.max(np.abs(psi.values - comp)) / np.max(np.abs(psi.values))
     # the chi~_1 transition layer is 1/80 wide and spectrally marginal, so
@@ -226,7 +232,7 @@ def test_elliptic_j_oracle(grid96, rng, params, cascade):
 
     ctx = make_ctx(grid96, params, cascade, 1e-3)
     prof = quartic_profile(1 / 256)
-    coord = evolve_coordinates(prof, grid96, 0.0, 0.6, 0.02)[-1]
+    coord = sheared_coordinate(prof, grid96, 30)
     om = interior_field(grid96, rng, k=2)
     dec = decompose_phi(om, coord, grid96)
     out = eval_elliptic_functionals({2: dec}, coord, ctx, M=2)
@@ -248,19 +254,31 @@ def test_elliptic_j_oracle(grid96, rng, params, cascade):
     assert out["J_ell_1"] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
-def test_psi_pair_residual_and_solver(grid96, rng):
-    flat = couette_state(grid96, 0.0)
-    k = 2
-    om = interior_field(grid96, rng, k)
-    psi = solve_stream(grid96, om)
-    zero = ModeField(k, np.zeros(grid96.ny + 1))
-    assert psi_pair_residual(grid96, k, psi, zero, om) < 1e-6
-    # interior-supported w in flat coordinates: Psi_E vanishes
-    psi_e = solve_psi_e(grid96, k, om, flat)
-    assert np.max(np.abs(psi_e.values)) < 1e-14
-    # a wrong pair is detected
-    bad = ModeField(k, psi.values * 1.1)
-    assert psi_pair_residual(grid96, k, bad, zero, om) > 0.05
+@pytest.mark.parametrize("shear", ["flat", "sin_quartic"])
+def test_elliptic_functionals_match_loop_oracle(grid96, rng, params, cascade, shear):
+    # the folded Gamma ladders and J operators give the loops' bits exactly;
+    # with diffusion the sheared v-interval is wider than the channel, so the
+    # interior ladder's d_v is not d_y
+    ctx = make_ctx(grid96, params, cascade, 1e-3, floor=1e-8)
+    coord = couette_state(grid96, 2.0)
+    if shear == "sin_quartic":
+        prof = sin_quartic_profile(1 / 256)
+        coord = init_coordinates(prof, grid96, 1e-2)
+        for _ in range(100):
+            coord = step_coordinates(coord, 0.02, 1e-2, prof, grid96)
+        assert coord.v[-1] - coord.v[0] > 2.0
+    decomps = {}
+    for k in (1, 3):
+        om = interior_field(grid96, rng, k)
+        # wall-reaching data gives phi_E a nonzero share in both cases
+        om = ModeField(k, om.values + 0.05 * np.sin(np.pi * grid96.nodes) ** 2)
+        decomps[k] = decompose_phi(om, coord, grid96)
+    out = eval_elliptic_functionals(decomps, coord, ctx, M=3)
+    ref = loop_elliptic_functionals(decomps, coord, ctx, M=3)
+    assert list(out) == list(ref)
+    for key, val in out.items():
+        assert val == ref[key], key
+    assert out["J_ell_1"] > 0.0 and out["F_ell_E"] > 0.0
 
 
 def test_decomposition_csv(grid96, rng):

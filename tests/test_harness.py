@@ -62,6 +62,18 @@ def test_config_validation():
         ExperimentConfig(weights={"s": 0.5}).weight_params()
 
 
+def test_config_shear_is_a_registered_profile():
+    # the config accepts exactly the names the coordinate layer can build
+    from couette_gevrey.coordinates import PROFILES, make_profile
+
+    for name in PROFILES:
+        cfg = ExperimentConfig(shear=name)
+        assert make_profile(cfg.shear, cfg.eps_u).name == name
+    for bad in ("bogus", "Quartic", ""):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(shear=bad)
+
+
 def test_config_yaml_roundtrip(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump({
@@ -149,6 +161,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("shear: bogus\n")
     assert main(["--config", str(bad), "run"]) == 2
+    # bad driver flags are config errors too, caught before any work
+    assert main(["verify-identities", "--ny", "3"]) == 2
+    assert "--ny" in capsys.readouterr().err
+    assert main(["damping", "--k", "0"]) == 2
+    assert "--k" in capsys.readouterr().err
+    assert main(["--output-dir", str(tmp_path / "deco"), "decompose", "--nu", "1e-3", "--t", "-1"]) == 2
+    assert "--t" in capsys.readouterr().err
+    assert not (tmp_path / "deco").exists()
     # verify-identities quick -> 0 and one JSON line per report
     code = main(["verify-identities", "--ny", "48", "--quick"])
     out = capsys.readouterr().out.strip().splitlines()

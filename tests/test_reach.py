@@ -1,0 +1,41 @@
+"""Every public top-level function and class of the package is reached.
+
+A name counts as reached when it appears as a word anywhere other than on
+its own definition line: elsewhere in the package (``__init__.py`` excluded,
+since re-exporting is not use), in the acceptance gate, or in the benchmark.
+Code that only its own unit tests call fails this guard.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "couette_gevrey"
+
+
+def _public_definitions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield path, node.name, node.lineno
+
+
+def _reaching_lines():
+    sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    sources += [ROOT / "tests" / "test_acceptance.py"]
+    sources += sorted((ROOT / "perfbench").glob("*.py"))
+    for path in sources:
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            yield path, lineno, line
+
+
+def test_every_public_definition_is_reached():
+    lines = list(_reaching_lines())
+    unreached = []
+    for path, name, def_line in _public_definitions():
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(word.search(line) and (p, n) != (path, def_line) for p, n, line in lines):
+            unreached.append(f"{path.stem}.{name}")
+    assert not unreached, f"reached only by their own unit tests: {unreached}"

@@ -8,7 +8,6 @@ from couette_gevrey.weights import (
     WeightParams,
     build_cascade,
     check_gevrey_ratio,
-    eval_coeffs,
     eval_q,
     eval_W,
     eval_W_derivatives,
@@ -182,14 +181,9 @@ def test_coeff_values(params):
     ts = np.linspace(0, 50, 200)
     lam = np.array([tab.lam(t) for t in ts])
     assert np.all(np.diff(lam) < 0)
-    B, a, B_low, a_hat, theta = eval_coeffs(0, 0, 0.0, tab)
-    assert B == pytest.approx(1.0)
-    assert a == pytest.approx(1.0)
-    assert eval_coeffs(1, 1, 0.0, tab)[2] == pytest.approx(0.125**4)
-    # fixed-radius check: (lambda^2/2)^s at lambda = 1/2, s = 3/2
-    direct = (0.5**2 / 2.0) ** 1.5
-    assert (0.5 ** (0 + 2) / 2.0) ** params.s == pytest.approx(direct)
-    assert tab.B(0, 2, 0.0) == pytest.approx(direct)
+    assert float(tab.a(0, 0, 0.0)) == pytest.approx(1.0)
+    # (lambda^2/2)^s at lambda(0) = 1/2, s = 3/2
+    assert np.exp(tab.log_B(0, 2, 0.0)) == pytest.approx((0.5**2 / 2.0) ** 1.5)
 
 
 def test_phi_bracket(params):
@@ -233,15 +227,6 @@ def test_gevrey_ratio_rejects(params):
     tab = GevreyCoeffTable(params)
     with pytest.raises(ValueError):
         check_gevrey_ratio(0, 0, 1, 0.0, tab)
-
-
-def test_cascade_csv(cascade):
-    text = cascade.export_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "n,x_n,y_n"
-    assert len(lines) == cascade.n_max + 1
-    first = lines[1].split(",")
-    assert float(first[1]) == 0.375
 
 
 @given(st.floats(-3.0, 4.0))
