@@ -235,17 +235,11 @@ class GammaStack:
     q_pows: np.ndarray  # q(y)^n, n = 0..M, shape (M+1, ny+1)
     tails: np.ndarray  # spectral tail per n
     tail_tol: float = 1e-4
-    _dy_cache: dict = field(default_factory=dict)
 
     def entry(self, m: int, n: int) -> np.ndarray:
         if m < 0 or n < 0 or m + n > self.M:
             raise KeyError((m, n))
         return abs(self.k) ** m * self.q_pows[n] * self.gamma_pows[n]
-
-    def dy_entry(self, m: int, n: int) -> np.ndarray:
-        if (m, n) not in self._dy_cache:
-            self._dy_cache[(m, n)] = self.grid.d1 @ self.entry(m, n)
-        return self._dy_cache[(m, n)]
 
     def trusted(self, n: int) -> bool:
         return bool(self.tails[n] <= self.tail_tol)
@@ -258,10 +252,10 @@ class GammaStack:
         """Noise level after one more differentiation of level n."""
         return float(max(self.tails[n], self.tails[min(n + 1, self.M)]))
 
-    def pairs(self):
-        for total in range(self.M + 1):
-            for m in range(total + 1):
-                yield m, total - m
+
+def shell_pairs(M: int) -> list[tuple[int, int]]:
+    """(m, n) with m + n <= M, by shell m + n and then by m: every sum's order."""
+    return [(m, j - m) for j in range(M + 1) for m in range(j + 1)]
 
 
 def build_gamma_stack(

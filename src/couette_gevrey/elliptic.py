@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coordinates import CoordinateState, gamma_ladder
-from .functionals import EvalContext, hermitian_mode_weight, icc_vector_norm_sq
+from .coordinates import CoordinateState, gamma_ladder, shell_pairs
+from .functionals import (EvalContext, _icc_finish, _icc_ladder, hermitian_mode_weight,
+                          in_index_set)
 from .spectral import (
     ChannelGrid,
     ModeField,
@@ -82,10 +83,9 @@ class PhiDecomposition:
 
     def export_csv(self, grid: ChannelGrid, coord: CoordinateState, omega_k: ModeField) -> str:
         psi = poisson_mode_solve(grid, omega_k, self.k)
-        comp = composite_values(self, grid, coord)
-        res = psi.values - comp
-        lines = ["y,psi_re,psi_im,phiI_of_v_re,phiI_of_v_im,phiE_re,phiE_im,residual_abs"]
         interior = grid.interpolate(self.phi_i, _to_reference(coord.v, self.domain))
+        res = psi.values - (interior + self.phi_e.values)
+        lines = ["y,psi_re,psi_im,phiI_of_v_re,phiI_of_v_im,phiE_re,phiE_im,residual_abs"]
         for i, y in enumerate(grid.nodes):
             lines.append(
                 f"{float(y)!r},{float(psi.values[i].real)!r},{float(psi.values[i].imag)!r},"
@@ -165,27 +165,25 @@ def decompose_phi(
         delta = np.max(np.abs(phi_new - phi))
         scale = max(np.max(np.abs(phi_new)), 1e-300)
         phi = phi_new
+        # coupling correction -Z d_v^2 phi - (d_v Z)/2 d_v phi; the last one
+        # also enters the exterior forcing
+        dphi = dv @ phi
+        d2phi = dv @ dphi
+        corr_v = -z_at_v * d2phi - 0.5 * dz * dphi
+        rhs = base + chic * corr_v
         if flat or delta <= tol * scale or iterations >= 50:
-            rhs = base + chic * (-z_at_v * (dv @ (dv @ phi)) - 0.5 * dz * (dv @ phi))
             break
-        rhs = base + chic * (-z_at_v * (dv @ (dv @ phi)) - 0.5 * dz * (dv @ phi))
 
-    int_res = (dv @ (dv @ phi)) - k * k * phi - rhs
+    int_res = d2phi - k * k * phi - rhs
     int_res_norm = float(np.max(np.abs(int_res)) / max(np.max(np.abs(rhs)), 1e-300))
 
     # exterior forcing on the y-grid, including the interior defect
     chi1_y = cutoffs.chi_tilde1(coord.v)
-    corr_v = -z_at_v * (dv @ (dv @ phi)) - 0.5 * dz * (dv @ phi)
     corr_y = grid.interpolate(corr_v, _to_reference(coord.v, domain))
     rhs_e = chi1_y * omega_k.values + chi1_y * corr_y
     phi_e = poisson_mode_solve(grid, ModeField(k, rhs_e), k)
 
-    comp = grid.interpolate(phi, _to_reference(coord.v, domain)) + phi_e.values
-    lap = grid.d2 @ comp - k * k * comp
-    sum_res = float(
-        l2_norm(grid, lap - omega_k.values) / max(l2_norm(grid, omega_k), 1e-300)
-    )
-    return PhiDecomposition(
+    dec = PhiDecomposition(
         k=k,
         t=coord.t,
         domain=domain,
@@ -194,8 +192,14 @@ def decompose_phi(
         phi_e=phi_e,
         iterations=iterations,
         interior_residual=int_res_norm,
-        sum_residual=sum_res,
+        sum_residual=0.0,
     )
+    comp = composite_values(dec, grid, coord)
+    lap = grid.d2 @ comp - k * k * comp
+    dec.sum_residual = float(
+        l2_norm(grid, lap - omega_k.values) / max(l2_norm(grid, omega_k), 1e-300)
+    )
+    return dec
 
 
 def composite_values(decomp: PhiDecomposition, grid: ChannelGrid, coord: CoordinateState) -> np.ndarray:
@@ -305,56 +309,48 @@ def eval_elliptic_functionals(
     """J_ell^(1..3), E_ell^(I,out), E_ell^(I,full) and F_ell^(E), truncated.
 
     F_ell is reported for the phi_E parts, with the coefficient
-    (2 lambda0)^(m+n) / (m+n)!.
+    (2 lambda0)^(m+n) / (m+n)!.  Every value is read off ladders built once:
+    per mode those of phi_I, its levels and phi_E, per (m, n) the J ladder.
     """
-    tab = ctx.table
-    out = {f"J_ell_{ell}": 0.0 for ell in (1, 2, 3)}
-    out["E_ell_I_out"] = 0.0
-    out["E_ell_I_full"] = 0.0
-    out["F_ell_E"] = 0.0
-    q = eval_q(ctx.grid.nodes)
+    tab, grid = ctx.table, ctx.grid
+    keys = ("J_ell_1", "J_ell_2", "J_ell_3", "E_ell_I_out", "E_ell_I_full", "F_ell_E")
+    out = dict.fromkeys(keys, 0.0)
+    q = eval_q(grid.nodes)
+    ones = np.ones_like(q)
     for k, dec in decomps.items():
         wk = hermitian_mode_weight(k)
         t = dec.t
+        # interior functionals on the v-grid, where the coordinate is flat;
+        # the factor half maps the quadrature to the physical interval
         half = 0.5 * (dec.domain[1] - dec.domain[0])
-        dv = ctx.grid.d1 / half
-        # interior functionals on the v-grid, where the coordinate is flat
+        dv = grid.d1 / half
         chi1_v = ctx.cascade.chi(1, dec.v_nodes)
-        vol = half  # quadrature maps to the physical interval
-        gam_pows = gamma_ladder(dv, dec.phi_i, 1.0, M, k, t)
-        for total_mn in range(M + 1):
-            for m in range(total_mn + 1):
-                n = total_mn - m
-                a_hat2 = float(tab.a_hat(m, n, t)) ** 2
-                b_hat2 = float(tab.B_hat(m, n, t)) ** 2
-                km = float(abs(k)) ** m
-                for ell in (0, 1, 2):
-                    fldv = gam_pows[n]
-                    for _ in range(ell):
-                        fldv = dv @ fldv
-                    val = vol * float(
-                        np.real(ctx.grid.integrate(np.abs(chi1_v * km * fldv) ** 2))
-                    )
-                    out["E_ell_I_out"] += wk * a_hat2 * val
-                val_full = vol * float(
-                    np.real(ctx.grid.integrate(np.abs(km * gam_pows[n]) ** 2))
-                )
-                out["E_ell_I_full"] += wk * b_hat2 * val_full
-        # exterior J functionals on the y-grid
-        for total_mn in range(M + 1):
-            for m in range(total_mn + 1):
-                n = total_mn - m
-                a2 = float(tab.a(m, n, t)) ** 2
-                for ell in (1, 2, 3):
-                    out[f"J_ell_{ell}"] += wk * a2 * icc_vector_norm_sq(
-                        dec.phi_e, ell, m, n, "J", coord, ctx, t=dec.t
-                    )
-        # F_ell on the exterior stream part
-        gam_e = gamma_ladder(ctx.grid.d1, dec.phi_e.values.astype(complex), coord.v_y, M, k, t)
-        for total_mn in range(M + 1):
-            for m in range(total_mn + 1):
-                n = total_mn - m
-                log_coef = (m + n) * math.log(2.0 * ctx.params.lambda0) - math.lgamma(m + n + 1.0)
-                fld = ctx.chi(m + n) * float(abs(k)) ** m * q**n * gam_e[n]
-                out["F_ell_E"] += wk * math.exp(log_coef) * ctx.wsq(fld, np.ones_like(q))
+        gam_i = gamma_ladder(dv, dec.phi_i, 1.0, M, k, t)
+        dv_i = [gamma_ladder(dv, level, 1.0, 2) for level in gam_i]
+        # exterior functionals on the y-grid
+        gam_e = gamma_ladder(grid.d1, dec.phi_e.values.astype(complex), coord.v_y, M, k, t)
+        for m, n in shell_pairs(M):
+            km = float(abs(k)) ** m
+            a_hat2 = float(tab.a_hat(m, n, t)) ** 2
+            for fldv in dv_i[n]:
+                val = half * float(np.real(grid.integrate(np.abs(chi1_v * km * fldv) ** 2)))
+                out["E_ell_I_out"] += wk * a_hat2 * val
+            val_full = half * float(np.real(grid.integrate(np.abs(km * gam_i[n]) ** 2)))
+            out["E_ell_I_full"] += wk * float(tab.B_hat(m, n, t)) ** 2 * val_full
+
+            # ||J^(ell)||^2: the J fields with a + b + c = ell in the index set
+            a2 = float(tab.a(m, n, t)) ** 2
+            ladder = _icc_ladder(gam_e[n], k, m, n, "J", coord, ctx, 3)
+            for ell in (1, 2, 3):
+                norm = 0.0
+                for a in range(ell + 1):
+                    for b in range(ell - a + 1):
+                        c = ell - a - b
+                        if in_index_set(a, b, c, n):
+                            norm += ctx.wsq(_icc_finish(grid, ladder[b], a, c, m, n, k), ones)
+                out[f"J_ell_{ell}"] += wk * a2 * norm
+
+            log_coef = (m + n) * math.log(2.0 * ctx.params.lambda0) - math.lgamma(m + n + 1.0)
+            fld = ctx.chi(m + n) * km * q**n * gam_e[n]
+            out["F_ell_E"] += wk * math.exp(log_coef) * ctx.wsq(fld, ones)
     return out

@@ -100,15 +100,20 @@ class EvalContext:
         out[np.abs(out) < thresh * peak] = 0.0
         return out
 
-    def wsq(self, values: np.ndarray, weight: np.ndarray, tail: float = 0.0) -> float:
+    def wsq(self, values: np.ndarray, weight: np.ndarray) -> float:
         """Quadrature of |values|^2 weight^2."""
-        integ = self.grid.integrate(np.abs(self.floored(values, tail)) ** 2 * weight**2)
+        integ = self.grid.integrate(np.abs(self.floored(values)) ** 2 * weight**2)
         return float(np.real(integ))
 
 
 def _dy_columns(grid: ChannelGrid, cols: np.ndarray) -> np.ndarray:
     """d_y of every column of a complex (ny+1, j) array in one real product."""
     return (grid.d1 @ np.ascontiguousarray(cols).view(float)).view(complex)
+
+
+def _level_columns(stack: GammaStack) -> np.ndarray:
+    """(ny+1, M+1) columns q^n Gamma^n omega, n = 0..M."""
+    return (stack.q_pows * np.asarray(stack.gamma_pows, dtype=complex)).T
 
 
 def norm_table(stack: GammaStack, ctx: EvalContext) -> np.ndarray:
@@ -121,7 +126,7 @@ def norm_table(stack: GammaStack, ctx: EvalContext) -> np.ndarray:
     |k|^{2m}.
     """
     M = stack.M
-    f0 = (stack.q_pows * np.asarray(stack.gamma_pows, dtype=complex)).T
+    f0 = _level_columns(stack)
     f1 = _dy_columns(ctx.grid, f0)
     f2 = _dy_columns(ctx.grid, f1)
     rows = [np.abs(ctx.floored(f0[:, n], stack.noise(n))) ** 2 for n in range(M + 1)]
@@ -142,18 +147,18 @@ def _family_norms(table: np.ndarray, nu: float, k2: float) -> dict:
 
 
 def _shell_coefficients(stack: GammaStack, tab: GevreyCoeffTable) -> np.ndarray:
-    """a_{m,n}(t)^2 |k|^{2m} on the (n, j = m + n) grid, zero where n > j."""
+    """theta_n^2 a_{m,n}(t)^2 |k|^{2m} on the (n, j = m + n) grid, zero where n > j."""
     n, j = np.indices((stack.M + 1, stack.M + 1))
     m = np.maximum(j - n, 0)
     k_pow = float(abs(stack.k)) ** (2 * m)  # 0.0 ** 0 == 1: k = 0 keeps m = 0 only
-    return np.where(n <= j, tab.a(m, n, stack.t) ** 2 * k_pow, 0.0)
+    return tab.theta(n) ** 2 * np.where(n <= j, tab.a(m, n, stack.t) ** 2 * k_pow, 0.0)
 
 
 def stack_values(stack: GammaStack, ctx: EvalContext) -> dict:
     """Energy shells, dissipation and CK values of every family, one stack."""
     t, tab = stack.t, ctx.table
     n, j = np.indices((stack.M + 1, stack.M + 1))
-    coef = tab.theta(n) ** 2 * _shell_coefficients(stack, tab)
+    coef = _shell_coefficients(stack, tab)
     phi_rate = abs(tab.phi_dot(t)) / tab.phi(t)
     lam_rate = abs(tab.lam_dot(t)) / tab.lam(t)
     out = {}
@@ -168,24 +173,20 @@ def stack_values(stack: GammaStack, ctx: EvalContext) -> dict:
     return out
 
 
-def _shell_sum(stack: GammaStack, key: str, family: str, ctx: EvalContext, shell_breakdown: bool):
+def _shell_sum(stack: GammaStack, key: str, family: str, ctx: EvalContext) -> float:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    shells = stack_values(stack, ctx)[f"shells_{key}_{family}"]
-    total = float(shells.sum())
-    if shell_breakdown:
-        return total, shells
-    return total
+    return float(stack_values(stack, ctx)[f"shells_{key}_{family}"].sum())
 
 
-def eval_energy(stack: GammaStack, family: str, ctx: EvalContext, shell_breakdown: bool = False):
+def eval_energy(stack: GammaStack, family: str, ctx: EvalContext) -> float:
     """E^{(family)} truncated at the stack's M, single mode."""
-    return _shell_sum(stack, "E", family, ctx, shell_breakdown)
+    return _shell_sum(stack, "E", family, ctx)
 
 
-def eval_dissipation(stack: GammaStack, family: str, ctx: EvalContext, shell_breakdown: bool = False):
+def eval_dissipation(stack: GammaStack, family: str, ctx: EvalContext) -> float:
     """D^{(family)}: same sums with sqrt(nu) grad_k applied once more."""
-    return _shell_sum(stack, "D", family, ctx, shell_breakdown)
+    return _shell_sum(stack, "D", family, ctx)
 
 
 def eval_ck(stack: GammaStack, family: str, kind: str, ctx: EvalContext) -> float:
@@ -338,6 +339,24 @@ def _divide_by_q_power(grid: ChannelGrid, values: np.ndarray, a: int) -> np.ndar
     return out
 
 
+def _icc_ladder(gam_n: np.ndarray, k: int, m: int, n: int, variant: str,
+                coord: CoordinateState, ctx: EvalContext, b: int) -> list[np.ndarray]:
+    """Orders 0..b of d_y (S) or of dv-bar after chi_{m+n} (J) on |k|^m q^n Gamma^n f."""
+    grid = ctx.grid
+    base = abs(k) ** m * eval_q(grid.nodes) ** n * gam_n
+    if variant == "S":
+        return gamma_ladder(grid.d1, base, 1.0, b)
+    if variant == "J":
+        return gamma_ladder(grid.d1, ctx.chi(m + n) * base, coord.v_y, b)
+    raise ValueError(f"unknown ICC variant {variant!r}")
+
+
+def _icc_finish(grid: ChannelGrid, values: np.ndarray, a: int, c: int, m: int, n: int,
+                k: int) -> np.ndarray:
+    """The boundary weight ((m+n)/q)^a and |k|^c applied to a ladder entry."""
+    return _divide_by_q_power(grid, values, a) * float(m + n) ** a * abs(k) ** c
+
+
 def eval_icc(
     f_k: ModeField,
     a: int,
@@ -364,39 +383,8 @@ def eval_icc(
     if not in_index_set(a, b, c, n):
         return ModeField(k, np.zeros(grid.ny + 1, dtype=complex)), False
     gam = gamma_ladder(grid.d1, f_k.values.astype(complex), coord.v_y, n, k, t)[-1]
-    q = eval_q(grid.nodes)
-    base = abs(k) ** m * q**n * gam
-    if variant == "S":
-        out = base
-        for _ in range(b):
-            out = grid.d1 @ out
-    elif variant == "J":
-        out = gamma_ladder(grid.d1, ctx.chi(m + n) * base, coord.v_y, b)[-1]
-    else:
-        raise ValueError(f"unknown ICC variant {variant!r}")
-    out = _divide_by_q_power(grid, out, a) * float(m + n) ** a * abs(k) ** c
-    return ModeField(k, out), True
-
-
-def icc_vector_norm_sq(
-    f_k: ModeField,
-    level: int,
-    m: int,
-    n: int,
-    variant: str,
-    coord: CoordinateState,
-    ctx: EvalContext,
-    t: float | None = None,
-) -> float:
-    """||S^{(level)}|| or ||J^{(level)}|| squared: sum over a+b+c = level."""
-    total = 0.0
-    for a in range(level + 1):
-        for b in range(level - a + 1):
-            c = level - a - b
-            fld, ok = eval_icc(f_k, a, b, c, m, n, variant, coord, ctx, t)
-            if ok:
-                total += ctx.wsq(fld.values, np.ones_like(ctx.grid.nodes))
-    return float(total)
+    out = _icc_ladder(gam, k, m, n, variant, coord, ctx, b)[-1]
+    return ModeField(k, _icc_finish(grid, out, a, c, m, n, k)), True
 
 
 # ---------------------------------------------------------------------------
@@ -404,28 +392,22 @@ def icc_vector_norm_sq(
 
 
 def eval_sources(stack_f: GammaStack, stack_omega: GammaStack, family: str, ctx: EvalContext) -> float:
-    """Re pairings of a forcing stack against the solution stack."""
+    """Re pairings of a forcing stack against the solution stack: the pair
+    table Re(F_n conj(O_n)) contracted like the energy's norm table."""
     if stack_f.M != stack_omega.M or stack_f.k != stack_omega.k:
         raise ValueError("stacks must share the truncation and mode")
     if abs(stack_f.t - stack_omega.t) > 1e-12:
         raise ValueError("stacks must share the evaluation time")
-    t = stack_omega.t
-    ew2 = ctx.exp_w(t) ** 2
     nu, k2 = ctx.nu, float(stack_omega.k**2)
-    total = 0.0
-    for m, n in stack_omega.pairs():
-        coef = ctx.table.theta(n) ** 2 * float(ctx.table.a(m, n, t)) ** 2
-        chi2 = ctx.chi(m + n) ** 2
-        if family == "gamma":
-            pair = stack_f.entry(m, n) * np.conj(stack_omega.entry(m, n))
-        elif family == "alpha":
-            pair = nu * stack_f.dy_entry(m, n) * np.conj(stack_omega.dy_entry(m, n))
-        elif family == "mu":
-            pair = nu * k2 * stack_f.entry(m, n) * np.conj(stack_omega.entry(m, n))
-        else:
-            raise ValueError(f"unknown family {family!r}")
-        total += coef * float(np.real(ctx.grid.integrate(pair * chi2 * ew2)))
-    return float(total)
+    scale = {"gamma": 1.0, "alpha": nu, "mu": nu * k2}.get(family)
+    if scale is None:
+        raise ValueError(f"unknown family {family!r}")
+    f, o = _level_columns(stack_f), _level_columns(stack_omega)
+    if family == "alpha":
+        f, o = _dy_columns(ctx.grid, f), _dy_columns(ctx.grid, o)
+    M = stack_omega.M
+    pairs = np.real(f * np.conj(o)).T @ ctx.norm_columns(stack_omega.t, M)[:, : M + 1]
+    return scale * float((_shell_coefficients(stack_omega, ctx.table) * pairs).sum())
 
 
 def full_report(

@@ -158,17 +158,31 @@ def _stable(x):
 # single run
 
 
-def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = None) -> dict:
-    """Evolve one viscosity, evaluating functionals on the stated cadence."""
+def _setup(config: ExperimentConfig, nu: float):
+    """Grid, context, profile, scalar and coordinate state at t = 0, and the step dt."""
     params = config.weight_params()
     grid = ChannelGrid(config.ny, kmax=config.kmax)
     cascade = build_cascade(params, max(config.truncation_m + 2, 8))
     ctx = EvalContext(grid, params, cascade, nu=nu, floor_rel=config.noise_floor)
     profile = make_profile(config.shear, config.eps_u)
-    data = default_initial_data(grid, config.kmax, power=config.data_power)
-    state = initial_state(grid, nu, data)
+    state = initial_state(grid, nu, default_initial_data(grid, config.kmax, power=config.data_power))
     coord = init_coordinates(profile, grid, nu)
     dt = config.dt if config.dt is not None else default_dt(config.kmax)
+    return grid, ctx, profile, state, coord, dt
+
+
+def _advance(config: ExperimentConfig, state, coord, step: float, profile):
+    """One scalar step and the coordinate at its new time."""
+    state = step_scalar(state, step, profile)
+    if config.shear == "zero":
+        # the zero profile keeps w = 0 exactly: no solve is needed
+        return state, couette_state(state.grid, state.t)
+    return state, step_coordinates(coord, step, state.nu, profile, state.grid)
+
+
+def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = None) -> dict:
+    """Evolve one viscosity, evaluating functionals on the stated cadence."""
+    grid, ctx, profile, state, coord, dt = _setup(config, nu)
     t_final = config.t_final(nu)
 
     def evaluate(scalar_state, coord_state):
@@ -188,13 +202,7 @@ def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = No
     next_sample = config.cadence
     t0 = time.time()
     while state.t < t_final - 1e-12:
-        step = min(dt, t_final - state.t)
-        state = step_scalar(state, step, profile)
-        if config.shear == "zero":
-            # the zero profile keeps w = 0 exactly: no solve is needed
-            coord = couette_state(grid, state.t)
-        else:
-            coord = step_coordinates(coord, step, nu, profile, grid)
+        state, coord = _advance(config, state, coord, min(dt, t_final - state.t), profile)
         if state.t >= next_sample - 1e-12 or state.t >= t_final - 1e-12:
             series.append(evaluate(state, coord))
             monitors.append(monitor_assumptions(coord, profile, grid))
@@ -383,21 +391,9 @@ def decompose_suite(config: ExperimentConfig, nu: float | None = None, t_stop: f
     t_stop = t_stop if t_stop is not None else config.t_final(nu) / 2.0
     if t_stop < 0.0:
         raise ConfigError("decompose --t: must be >= 0")
-    params = config.weight_params()
-    grid = ChannelGrid(config.ny, kmax=config.kmax)
-    cascade = build_cascade(params, max(config.truncation_m + 2, 8))
-    ctx = EvalContext(grid, params, cascade, nu=nu, floor_rel=config.noise_floor)
-    profile = make_profile(config.shear, config.eps_u)
-    state = initial_state(grid, nu, default_initial_data(grid, config.kmax, power=config.data_power))
-    coord = init_coordinates(profile, grid, nu)
-    dt = config.dt if config.dt is not None else default_dt(config.kmax)
+    grid, ctx, profile, state, coord, dt = _setup(config, nu)
     while state.t < t_stop - 1e-12:
-        step = min(dt, t_stop - state.t)
-        state = step_scalar(state, step, profile)
-        if config.shear == "zero":
-            coord = couette_state(grid, state.t)
-        else:
-            coord = step_coordinates(coord, step, nu, profile, grid)
+        state, coord = _advance(config, state, coord, min(dt, t_stop - state.t), profile)
     decomps = {}
     for k in state.modes():
         if k == 0:
@@ -495,8 +491,9 @@ def main(argv: list[str] | None = None) -> int:
             printable = {k: v for k, v in out.items() if not k.startswith("_")}
             out_dir = Path(config.output_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
+            state = out["_state"]
             for k, dec in out["_decomps"].items():
-                csv = dec.export_csv(ChannelGrid(config.ny), out["_coord"], out["_state"].omega[k])
+                csv = dec.export_csv(state.grid, out["_coord"], state.omega[k])
                 (out_dir / f"decompose_k{k}_t{out['t']:.3f}.csv").write_text(csv)
             print(json.dumps(printable, sort_keys=True, default=_stable))
             worst = max(out["sum_residuals"].values()) if out["sum_residuals"] else 0.0

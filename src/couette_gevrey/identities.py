@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from .coordinates import CoordinateState, gamma_ladder
+from .coordinates import CoordinateState, gamma_ladder, shell_pairs
 from .spectral import ChannelGrid
 from .weights import GevreyCoeffTable, WeightParams, eval_q
 
@@ -725,7 +725,7 @@ def check_boundary_lemma(stack, grid: ChannelGrid, tolerance: float = 1e-8) -> I
     worst = 0.0
     details = {}
     scale = 1e-300
-    for m, n in stack.pairs():
+    for m, n in shell_pairs(stack.M):
         g_n = abs(stack.k) ** m * stack.gamma_pows[n]
         dg = grid.d1 @ g_n
         ddg = grid.d1 @ dg

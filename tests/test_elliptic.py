@@ -4,8 +4,10 @@ import pytest
 from conftest import make_ctx
 from oracles import loop_elliptic_functionals, loop_interior_greens_response
 
+from couette_gevrey import elliptic, functionals
 from couette_gevrey.coordinates import (
     couette_state,
+    gamma_ladder,
     init_coordinates,
     quartic_profile,
     sin_quartic_profile,
@@ -273,12 +275,33 @@ def test_elliptic_functionals_match_loop_oracle(grid96, rng, params, cascade, sh
         # wall-reaching data gives phi_E a nonzero share in both cases
         om = ModeField(k, om.values + 0.05 * np.sin(np.pi * grid96.nodes) ** 2)
         decomps[k] = decompose_phi(om, coord, grid96)
-    out = eval_elliptic_functionals(decomps, coord, ctx, M=3)
-    ref = loop_elliptic_functionals(decomps, coord, ctx, M=3)
-    assert list(out) == list(ref)
-    for key, val in out.items():
-        assert val == ref[key], key
-    assert out["J_ell_1"] > 0.0 and out["F_ell_E"] > 0.0
+    for M in (3, 4):  # 4 is the depth decompose_suite uses
+        out = eval_elliptic_functionals(decomps, coord, ctx, M=M)
+        ref = loop_elliptic_functionals(decomps, coord, ctx, M=M)
+        assert list(out) == list(ref)
+        for key, val in out.items():
+            assert val == ref[key], (M, key)
+        assert out["J_ell_1"] > 0.0 and out["F_ell_E"] > 0.0
+
+
+def test_elliptic_functionals_build_each_ladder_once(grid96, rng, params, cascade, monkeypatch):
+    # per mode: the Gamma ladders of phi_I and phi_E, one d_v ladder per
+    # interior level and one chi_{m+n} dv-bar ladder per (m, n)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return gamma_ladder(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "gamma_ladder", counting)
+    monkeypatch.setattr(functionals, "gamma_ladder", counting)
+    ctx = make_ctx(grid96, params, cascade, 1e-3)
+    coord = sheared_coordinate(quartic_profile(1 / 256), grid96, 30)
+    decomps = {k: decompose_phi(interior_field(grid96, rng, k), coord, grid96) for k in (1, 2)}
+    for M in (2, 4):
+        calls.clear()
+        eval_elliptic_functionals(decomps, coord, ctx, M=M)
+        assert len(calls) <= len(decomps) * (2 + (M + 1) + (M + 1) * (M + 2) // 2)
 
 
 def test_decomposition_csv(grid96, rng):

@@ -151,6 +151,14 @@ def test_sources_collapse_and_oracle(grid64, params, cascade, rng):
     st_rot.gamma_pows = [1j * g for g in st_om.gamma_pows]
     val = eval_sources(st_rot, st_om, "gamma", ctx)
     assert abs(val) < 1e-12 * max(eval_sources(st_om, st_om, "gamma", ctx), 1.0)
+    # k = 0 keeps the m = 0 entries only; M = 0 is the single level n = 0
+    for k, M in ((0, 4), (2, 0)):
+        st_om = random_stack(grid64, rng, k=k, M=M)
+        st_f = random_stack(grid64, rng, k=k, M=M)
+        for fam in ("gamma", "alpha", "mu"):
+            mine = eval_sources(st_f, st_om, fam, ctx)
+            ref = naive_sources(st_f, st_om, fam, params, cascade, NU)
+            assert mine == pytest.approx(ref, rel=1e-12), (k, M, fam)
 
 
 def test_sources_mismatch_rejected(grid64, params, cascade, rng):
