@@ -30,7 +30,7 @@ from .spectral import (
     l2_norm,
     poisson_mode_solve,
 )
-from .weights import eval_q, smoothstep
+from .weights import smoothstep
 
 
 class NonContractionError(RuntimeError):
@@ -315,7 +315,7 @@ def eval_elliptic_functionals(
     tab, grid = ctx.table, ctx.grid
     keys = ("J_ell_1", "J_ell_2", "J_ell_3", "E_ell_I_out", "E_ell_I_full", "F_ell_E")
     out = dict.fromkeys(keys, 0.0)
-    q = eval_q(grid.nodes)
+    q = ctx.q
     ones = np.ones_like(q)
     for k, dec in decomps.items():
         wk = hermitian_mode_weight(k)
@@ -347,7 +347,7 @@ def eval_elliptic_functionals(
                     for b in range(ell - a + 1):
                         c = ell - a - b
                         if in_index_set(a, b, c, n):
-                            norm += ctx.wsq(_icc_finish(grid, ladder[b], a, c, m, n, k), ones)
+                            norm += ctx.wsq(_icc_finish(ctx, ladder[b], a, c, m, n, k), ones)
                 out[f"J_ell_{ell}"] += wk * a2 * norm
 
             log_coef = (m + n) * math.log(2.0 * ctx.params.lambda0) - math.lgamma(m + n + 1.0)

@@ -48,10 +48,12 @@ class EvalContext:
     floor_rel: float = 0.0
     tail_multiplier: float = 10.0
     table: GevreyCoeffTable = field(init=False)
+    q: np.ndarray = field(init=False, repr=False)  # the co-normal weight on the nodes
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.table = GevreyCoeffTable(self.params)
+        self.q = eval_q(self.grid.nodes)
 
     def exp_w(self, t: float) -> np.ndarray:
         key = ("eW", round(t, 12))
@@ -318,7 +320,7 @@ def in_index_set(a: int, b: int, c: int, n: int) -> bool:
     return a == 0 or a + b + c <= n
 
 
-def _divide_by_q_power(grid: ChannelGrid, values: np.ndarray, a: int) -> np.ndarray:
+def _divide_by_q_power(ctx: EvalContext, values: np.ndarray, a: int) -> np.ndarray:
     """values / q^a with the wall limits taken from the linear branch of q.
 
     Near y = +-1 the weight is exactly 99(1 -+ y), so the endpoint limit is
@@ -327,12 +329,11 @@ def _divide_by_q_power(grid: ChannelGrid, values: np.ndarray, a: int) -> np.ndar
     """
     if a == 0:
         return values
-    q = eval_q(grid.nodes)
     out = np.empty_like(values, dtype=complex)
-    out[1:-1] = values[1:-1] / q[1:-1] ** a
+    out[1:-1] = values[1:-1] / ctx.q[1:-1] ** a
     deriv = values
     for _ in range(a):
-        deriv = grid.d1 @ deriv
+        deriv = ctx.grid.d1 @ deriv
     fact = math.factorial(a) * 99.0**a
     out[0] = deriv[0] / fact
     out[-1] = (-1.0) ** a * deriv[-1] / fact
@@ -343,7 +344,7 @@ def _icc_ladder(gam_n: np.ndarray, k: int, m: int, n: int, variant: str,
                 coord: CoordinateState, ctx: EvalContext, b: int) -> list[np.ndarray]:
     """Orders 0..b of d_y (S) or of dv-bar after chi_{m+n} (J) on |k|^m q^n Gamma^n f."""
     grid = ctx.grid
-    base = abs(k) ** m * eval_q(grid.nodes) ** n * gam_n
+    base = abs(k) ** m * ctx.q ** n * gam_n
     if variant == "S":
         return gamma_ladder(grid.d1, base, 1.0, b)
     if variant == "J":
@@ -351,10 +352,10 @@ def _icc_ladder(gam_n: np.ndarray, k: int, m: int, n: int, variant: str,
     raise ValueError(f"unknown ICC variant {variant!r}")
 
 
-def _icc_finish(grid: ChannelGrid, values: np.ndarray, a: int, c: int, m: int, n: int,
+def _icc_finish(ctx: EvalContext, values: np.ndarray, a: int, c: int, m: int, n: int,
                 k: int) -> np.ndarray:
     """The boundary weight ((m+n)/q)^a and |k|^c applied to a ladder entry."""
-    return _divide_by_q_power(grid, values, a) * float(m + n) ** a * abs(k) ** c
+    return _divide_by_q_power(ctx, values, a) * float(m + n) ** a * abs(k) ** c
 
 
 def eval_icc(
@@ -384,7 +385,7 @@ def eval_icc(
         return ModeField(k, np.zeros(grid.ny + 1, dtype=complex)), False
     gam = gamma_ladder(grid.d1, f_k.values.astype(complex), coord.v_y, n, k, t)[-1]
     out = _icc_ladder(gam, k, m, n, variant, coord, ctx, b)[-1]
-    return ModeField(k, _icc_finish(grid, out, a, c, m, n, k)), True
+    return ModeField(k, _icc_finish(ctx, out, a, c, m, n, k)), True
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,17 @@ def _json_dump(obj, path: Path):
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
+def _timings_json(timings: dict) -> str:
+    """``_json_dump``'s layout of the timings, with every time written as
+    %.6e: only digits change from run to run, never the file's length."""
+    groups = []
+    for group, fmt in (("counters", "{}"), ("times", "{:.6e}")):
+        rows = ",\n".join(f'  "{key}": {fmt.format(value)}'
+                          for key, value in sorted(timings[group].items()))
+        groups.append(f' "{group}": {{\n{rows}\n }}')
+    return "{\n" + ",\n".join(groups) + "\n}\n"
+
+
 def _stable(x):
     if isinstance(x, (np.floating,)):
         return float(x)
@@ -172,16 +183,25 @@ def _setup(config: ExperimentConfig, nu: float):
 
 
 def _advance(config: ExperimentConfig, state, coord, step: float, profile):
-    """One scalar step and the coordinate at its new time."""
+    """One scalar step, and one coordinate step unless the shear is zero.
+
+    The zero profile keeps w = 0 exactly, so its coordinate is never
+    stepped: ``_coord_at`` builds it where it is read.
+    """
     state = step_scalar(state, step, profile)
     if config.shear == "zero":
-        # the zero profile keeps w = 0 exactly: no solve is needed
-        return state, couette_state(state.grid, state.t)
+        return state, coord
     return state, step_coordinates(coord, step, state.nu, profile, state.grid)
+
+
+def _coord_at(config: ExperimentConfig, state, coord):
+    """The coordinate at the scalar's time, from what ``_advance`` returned."""
+    return couette_state(state.grid, state.t) if config.shear == "zero" else coord
 
 
 def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = None) -> dict:
     """Evolve one viscosity, evaluating functionals on the stated cadence."""
+    start = time.perf_counter()
     grid, ctx, profile, state, coord, dt = _setup(config, nu)
     t_final = config.t_final(nu)
 
@@ -197,17 +217,27 @@ def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = No
             rep[f"l2_k{k}"] = norm
         return rep
 
-    series = [evaluate(state, coord)]
-    monitors = [monitor_assumptions(coord, profile, grid)]
+    series, monitors = [], []
+    steps, stepping, evaluation = 0, 0.0, 0.0
+
+    def sample(scalar_state, coord_state):
+        nonlocal evaluation
+        tick = time.perf_counter()
+        series.append(evaluate(scalar_state, coord_state))
+        monitors.append(monitor_assumptions(coord_state, profile, grid))
+        evaluation += time.perf_counter() - tick
+
+    sample(state, coord)
     next_sample = config.cadence
-    t0 = time.time()
     while state.t < t_final - 1e-12:
+        tick = time.perf_counter()
         state, coord = _advance(config, state, coord, min(dt, t_final - state.t), profile)
+        stepping += time.perf_counter() - tick
+        steps += 1
         if state.t >= next_sample - 1e-12 or state.t >= t_final - 1e-12:
-            series.append(evaluate(state, coord))
-            monitors.append(monitor_assumptions(coord, profile, grid))
+            coord = _coord_at(config, state, coord)
+            sample(state, coord)
             next_sample += config.cadence
-    wall = time.time() - t0
 
     ts = np.array([row["t"] for row in series])
     e_gamma = np.array([row["E_gamma"] for row in series])
@@ -231,11 +261,26 @@ def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = No
         "assumption_violations": [
             {k: v for k, v in mon.items() if not v["ok"]} for mon in monitors
         ],
-        "wall_clock_s": wall,
+        "timings": {
+            "counters": {
+                "steps": steps,
+                "samples": len(series),
+                "lu_factor_pairs": sum(len(pairs) for pairs in state._facts.values()),
+            },
+            "times": {
+                "stepping_s": stepping,
+                "evaluation_s": evaluation,
+                "wall_clock_s": time.perf_counter() - start,
+            },
+        },
     }
     if out_dir is not None:
         _write_run_files(config, grid, coord, result, out_dir)
     return result
+
+
+# result keys kept out of summary_nu*.json and summary.json
+_UNSUMMARIZED = ("series", "timings")
 
 
 def _write_run_files(config, grid, coord, result, out_dir: Path):
@@ -251,10 +296,10 @@ def _write_run_files(config, grid, coord, result, out_dir: Path):
         (out_dir / f"series_{tag}.csv").write_text("\n".join(lines) + "\n")
         (out_dir / f"coordinates_{tag}.csv").write_text(coord.export_csv(grid))
     if "json" in config.formats:
-        summary = {
-            k: v for k, v in result.items() if k not in ("series", "wall_clock_s")
-        }
+        summary = {k: v for k, v in result.items() if k not in _UNSUMMARIZED}
         _json_dump(summary, out_dir / f"summary_{tag}.json")
+        # timings change from run to run: they stay out of the summaries
+        (out_dir / f"timings_{tag}.json").write_text(_timings_json(result["timings"]))
 
 
 def run(config: ExperimentConfig) -> dict:
@@ -263,7 +308,7 @@ def run(config: ExperimentConfig) -> dict:
     report = {
         "config": config.to_json(),
         "runs": [
-            {k: v for k, v in r.items() if k not in ("series", "wall_clock_s")}
+            {k: v for k, v in r.items() if k not in _UNSUMMARIZED}
             for r in results
         ],
         "all_monotone": all(r["surrogate_monotone"] for r in results),
@@ -394,6 +439,7 @@ def decompose_suite(config: ExperimentConfig, nu: float | None = None, t_stop: f
     grid, ctx, profile, state, coord, dt = _setup(config, nu)
     while state.t < t_stop - 1e-12:
         state, coord = _advance(config, state, coord, min(dt, t_stop - state.t), profile)
+    coord = _coord_at(config, state, coord)
     decomps = {}
     for k in state.modes():
         if k == 0:

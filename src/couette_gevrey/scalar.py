@@ -2,9 +2,9 @@
 
 Each Fourier mode solves  d_t w_k + ik(y + U0) w_k = nu Dlt_k w_k + f_k
 with Dirichlet walls; one step advances every mode as a single complex
-(K, ny+1) array.  Diffusion is implicit (cached real LU Helmholtz solves),
-the advection multiplier and forcing are explicit: SBDF2 after an
-IMEX-SSP2(2,2,2) startup step.  The explicit multiplier is pointwise, so the
+(K, ny+1) array.  Diffusion is implicit (cached real LU Helmholtz solves,
+split into even and odd blocks), the advection multiplier and forcing are
+explicit: SBDF2 after an IMEX-SSP2(2,2,2) startup step.  The explicit multiplier is pointwise, so the
 stability constraint is |k (y+U0)| dt below the scheme's imaginary-axis
 limit; the admissible dt is reported by :func:`admissible_dt`.
 """
@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgetrs
 
 from .coordinates import ShearProfile, zero_profile
-from .spectral import ChannelGrid, ModeField, helmholtz_lu, l2_norm
+from .spectral import ChannelGrid, ModeField, helmholtz_lu, helmholtz_lu_solve, l2_norm
 
 # measured imaginary-axis stability margin of the SBDF2 extrapolation
 THETA_ADV = 0.09
@@ -137,9 +136,10 @@ def _forcing_rows(forcing, t: float, ks: list[int], shape: tuple[int, int]):
     return out
 
 
-def _check_stability(state: ScalarState, dt: float, profile: ShearProfile):
+def _check_stability(state: ScalarState, dt: float, shear: np.ndarray):
+    """Raise if dt exceeds the advection margin for the shear y + U0(t) on the nodes."""
     kmax = max(abs(k) for k in state.omega) or 1
-    bound = float(np.max(np.abs(state.grid.nodes + profile.u0(state.t, state.grid.nodes))))
+    bound = float(np.max(np.abs(shear)))
     theta = dt * kmax * bound
     if theta > THETA_ADV * (1.0 + 1e-9):
         raise StabilityError(
@@ -151,15 +151,13 @@ def _check_stability(state: ScalarState, dt: float, profile: ShearProfile):
 
 def _solve(state: ScalarState, ks: list[int], alpha: float, rhs: np.ndarray) -> np.ndarray:
     """Dirichlet Helmholtz solves of the rows of rhs, re/im as two real columns."""
+    key = (round(alpha, 12), state.nu, tuple(ks))
+    factors = state._facts.get(key)
+    if factors is None:  # one LU pair per mode, per (alpha, nu) and run
+        factors = state._facts[key] = [helmholtz_lu(state.grid, k, alpha, state.nu) for k in ks]
     parts = np.stack([rhs.real, rhs.imag], axis=1)  # (K, 2, ny+1)
     parts[:, :, [0, -1]] = 0.0
-    for i, k in enumerate(ks):
-        key = (k, round(alpha, 12), round(state.nu, 15))
-        if key not in state._facts:  # one real LU per (k, alpha, nu) and run
-            state._facts[key] = helmholtz_lu(state.grid, k, alpha, state.nu)
-        # parts[i].T is a Fortran-ordered (ny+1, 2) view, solved in place
-        if dgetrs(*state._facts[key], parts[i].T, overwrite_b=1)[1] != 0:
-            raise ValueError(f"dgetrs failed for mode {k}")
+    parts = helmholtz_lu_solve(factors, parts)
     return parts[:, 0] + 1j * parts[:, 1]
 
 
@@ -170,16 +168,20 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
     """
     if profile is None:
         profile = zero_profile()
-    _check_stability(state, dt, profile)
     grid, nu = state.grid, state.nu
+    t0, t1 = state.t, state.t + dt
+
+    def shear_at(t):
+        return grid.nodes + profile.u0(t, grid.nodes)
+
+    shear0 = shear_at(t0)
+    _check_stability(state, dt, shear0)
     ks = state.modes()
     k_col = np.array(ks, dtype=float)[:, None]
     u = np.array([state.omega[k].values for k in ks], dtype=complex)
     restart = state._prev is None or state._prev_dt is None or abs(state._prev_dt - dt) > 1e-14
-    t0, t1 = state.t, state.t + dt
 
-    def explicit(values, t):
-        shear = grid.nodes + profile.u0(t, grid.nodes)
+    def explicit(values, t, shear):
         return -1j * k_col * shear * values + _forcing_rows(forcing, t, ks, u.shape)
 
     def diffusion(values):
@@ -187,23 +189,23 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
         d2u = (grid.d2 @ np.ascontiguousarray(values.T).view(float)).view(complex).T
         return nu * (d2u - k_col * k_col * values)
 
-    ex0 = explicit(u, t0)
+    ex0 = explicit(u, t0, shear0)
     if restart:
         if nu > 0.0:
             alpha = 1.0 / (_SSP_GAMMA * dt)
             u1 = _solve(state, ks, alpha, u / (_SSP_GAMMA * dt))
             im1 = diffusion(u1)
-            ex1 = explicit(u1, t0)
+            ex1 = explicit(u1, t0, shear0)
             rhs2 = u + dt * (1.0 - 2.0 * _SSP_GAMMA) * im1 + dt * ex1
             u2 = _solve(state, ks, alpha, rhs2 / (_SSP_GAMMA * dt))
             im2 = diffusion(u2)
-            ex2 = explicit(u2, t1)
+            ex2 = explicit(u2, t1, shear_at(t1))
             un = u + 0.5 * dt * (im1 + im2) + 0.5 * dt * (ex1 + ex2)
         else:
             # Heun step of the pure multiplier problem
             mid = u + dt * ex0
             mid[:, 0] = mid[:, -1] = 0.0
-            un = u + 0.5 * dt * (ex0 + explicit(mid, t1))
+            un = u + 0.5 * dt * (ex0 + explicit(mid, t1, shear_at(t1)))
     else:
         rhs = (2.0 * u - 0.5 * state._prev) / dt + 2.0 * ex0 - state._prev_ex
         un = _solve(state, ks, 1.5 / dt, rhs) if nu > 0.0 else rhs * dt / 1.5

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dct
 from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 
 def chebyshev_lobatto(n: int) -> np.ndarray:
@@ -191,11 +192,59 @@ def poisson_mode_solve(grid: ChannelGrid, rhs: ModeField, k: int | None = None) 
     return ModeField(k, sol.values)
 
 
+def _parity_sizes(ny: int) -> tuple[int, int]:
+    """Unknowns of the even block (the centre node included when ny is even)
+    and of the odd block (whose centre value is zero)."""
+    return ny // 2 + 1, (ny + 1) // 2
+
+
 def helmholtz_lu(grid: ChannelGrid, k: int, alpha: float, nu: float):
-    """Real LU factors of (alpha*I - nu*(d_yy - k^2)) with Dirichlet rows."""
+    """Real LU factors of the even and odd blocks of (alpha*I - nu*(d_yy - k^2))
+    with Dirichlet rows.
+
+    On the symmetric Lobatto nodes the matrix A commutes with the reversal J
+    up to roundoff; its symmetrisation (A + JAJ)/2 commutes exactly, so it
+    maps even vectors (Jx = x) to even ones and odd to odd.  Each block is
+    the top rows of the symmetrised matrix acting on the lower half of the
+    nodes: column j of the even block is A[:, j] + A[:, ny - j] (A[:, j]
+    alone for the centre node), of the odd block A[:, j] - A[:, ny - j].
+    """
     n = grid.ny
     a = alpha * np.eye(n + 1) - nu * (grid.d2 - float(k * k) * np.eye(n + 1))
-    return lu_factor(_apply_bc_rows(a, grid, "dirichlet"))
+    a = _apply_bc_rows(a, grid, "dirichlet")
+    a = 0.5 * (a + a[::-1, ::-1])
+    ne, no = _parity_sizes(n)
+    top, mirror = a[:ne], a[:ne, ::-1]
+    even = top[:, :ne] + mirror[:, :ne]
+    if n % 2 == 0:
+        even[:, -1] = top[:, ne - 1]  # the centre node is its own mirror
+    odd = top[:no, :no] - mirror[:no, :no]
+    return lu_factor(even), lu_factor(odd)
+
+
+def helmholtz_lu_solve(factors: list, parts: np.ndarray) -> np.ndarray:
+    """Solve the rows of a real (K, 2, ny+1) array with ``helmholtz_lu`` pairs.
+
+    ``factors[i]`` is the pair of row i.  The right-hand sides are split into
+    their even and odd halves, each half is solved by one ``dgetrs`` call and
+    the two solutions are joined on the full grid.
+    """
+    n = parts.shape[-1] - 1
+    ne, no = _parity_sizes(n)
+    rev = parts[..., ::-1]
+    even = 0.5 * (parts[..., :ne] + rev[..., :ne])
+    odd = 0.5 * (parts[..., :no] - rev[..., :no])
+    for i, pair in enumerate(factors):
+        # half.T is a Fortran-ordered (size, 2) view, solved in place
+        for half, (lu, piv) in zip((even[i], odd[i]), pair):
+            if dgetrs(lu, piv, half.T, overwrite_b=1)[1] != 0:
+                raise ValueError(f"dgetrs failed for row {i}")
+    out = np.empty_like(parts)
+    out[..., :no] = even[..., :no] + odd
+    out[..., ::-1][..., :no] = even[..., :no] - odd
+    if n % 2 == 0:
+        out[..., no] = even[..., no]
+    return out
 
 
 def _one_minus_exp(x: np.ndarray | float) -> np.ndarray | float:

@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from couette_gevrey import harness
+from couette_gevrey.coordinates import couette_state
 from couette_gevrey.harness import (
     ConfigError,
     ExperimentConfig,
@@ -106,6 +107,29 @@ def test_run_produces_report_and_files(tmp_path):
     assert (tmp_path / "series_nu1e-02.csv").exists()
     header = (tmp_path / "series_nu1e-02.csv").read_text().splitlines()[0]
     assert "E_gamma" in header and "t" in header
+
+
+def test_run_writes_timings_beside_summary(tmp_path):
+    # a dt of 1/64 reaches t = 0.3125 in 20 steps without roundoff
+    cfg = small_config(output_dir=str(tmp_path), t_final_policy="absolute",
+                       t_final_value=0.3125, dt=1.0 / 64.0)
+    (res,) = run(cfg)["_full"]
+    timings = json.loads((tmp_path / "timings_nu1e-02.json").read_text())
+    assert set(timings) == {"counters", "times"}
+    assert set(timings["times"]) == {"stepping_s", "evaluation_s", "wall_clock_s"}
+    counters = timings["counters"]
+    assert counters["samples"] == len(res["series"])
+    assert counters["steps"] == 20
+    # three modes, each with one LU pair for the restart and one for SBDF2
+    assert counters["lu_factor_pairs"] == 6
+    times = timings["times"]
+    assert 0.0 < times["stepping_s"] + times["evaluation_s"] <= times["wall_clock_s"]
+    size = (tmp_path / "timings_nu1e-02.json").stat().st_size
+    run(cfg)  # the file's length does not depend on the measured times
+    assert (tmp_path / "timings_nu1e-02.json").stat().st_size == size
+    summary = json.loads((tmp_path / "summary_nu1e-02.json").read_text())
+    (summary_run,) = json.loads((tmp_path / "summary.json").read_text())["runs"]
+    assert summary == summary_run and "timings" not in summary
 
 
 def test_serial_runs_byte_identical(tmp_path):
@@ -220,9 +244,18 @@ def test_zero_shear_runs_no_coordinate_solve(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("zero shear needs no coordinate solve")
 
+    built = []
+
+    def counted_couette_state(grid, t=0.0):
+        built.append(t)
+        return couette_state(grid, t)
+
     monkeypatch.setattr(harness, "step_coordinates", no_solve)
+    monkeypatch.setattr(harness, "couette_state", counted_couette_state)
     res = run_single_nu(small_config(t_final_policy="absolute", t_final_value=0.2), 1e-2)
     assert len(res["series"]) == 5
+    # the flat coordinate is built at the samples after t = 0, not every step
+    assert built == [row["t"] for row in res["series"][1:]]
 
 
 def test_zero_shear_decompose_runs_no_coordinate_solve(monkeypatch):

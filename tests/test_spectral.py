@@ -11,6 +11,8 @@ from couette_gevrey.spectral import (
     clenshaw_curtis_weights,
     green_eval,
     green_solve,
+    helmholtz_lu,
+    helmholtz_lu_solve,
     helmholtz_solve,
     l2_norm,
     poisson_mode_solve,
@@ -57,6 +59,25 @@ def test_helmholtz_manufactured(grid64):
     assert np.max(np.abs(psi.values - np.sin(np.pi * grid64.nodes))) < 1e-12
     zero = helmholtz_solve(grid64, ModeField(1, np.zeros(grid64.ny + 1)))
     assert np.max(np.abs(zero.values)) == 0.0
+
+
+@pytest.mark.parametrize("ny", [64, 65])
+@pytest.mark.parametrize("k", [0, 3])
+def test_helmholtz_parity_solve_matches_dense(ny, k, rng):
+    # the even/odd block solves against one dense solve of the full
+    # Dirichlet matrix; ny = 64 has a centre node, ny = 65 has none
+    grid = ChannelGrid(ny)
+    alpha, nu = 150.0, 1e-3
+    a = alpha * np.eye(ny + 1) - nu * (grid.d2 - float(k * k) * np.eye(ny + 1))
+    a[[0, -1], :] = 0.0
+    a[0, 0] = a[-1, -1] = 1.0
+    rhs = rng.normal(size=(3, 2, ny + 1))
+    rhs[..., [0, -1]] = 0.0
+    factors = [helmholtz_lu(grid, k, alpha, nu)] * 3
+    out = helmholtz_lu_solve(factors, rhs.copy())
+    for got, b in zip(out, rhs):
+        dense = np.linalg.solve(a, b.T).T
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_helmholtz_spectral_convergence():
