@@ -33,7 +33,6 @@ from .scalar import (
 )
 from .spectral import (
     ChannelGrid,
-    ModeField,
     green_eval,
     green_solve,
     helmholtz_solve,

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs
 
-from .spectral import ChannelGrid, ModeField, _apply_bc_rows
+from .spectral import ChannelGrid, _apply_bc_rows
 from .weights import eval_q
 
 
@@ -51,8 +51,8 @@ def zero_profile() -> ShearProfile:
 
 
 def quartic_profile(eps_u: float = 1.0 / 64.0) -> ShearProfile:
-    if eps_u > 1.0 / 32.0:
-        raise ValueError("eps_u above 1/32 violates the closeness assumption")
+    if not abs(eps_u) <= 1.0 / 32.0:
+        raise ValueError("|eps_u| above 1/32 violates the closeness assumption")
     return ShearProfile(
         "quartic",
         lambda t, y: eps_u * (1.0 - y * y) ** 2,
@@ -61,8 +61,8 @@ def quartic_profile(eps_u: float = 1.0 / 64.0) -> ShearProfile:
 
 
 def sin_quartic_profile(eps_u: float = 1.0 / 64.0) -> ShearProfile:
-    if eps_u > 1.0 / 32.0:
-        raise ValueError("eps_u above 1/32 violates the closeness assumption")
+    if not abs(eps_u) <= 1.0 / 32.0:
+        raise ValueError("|eps_u| above 1/32 violates the closeness assumption")
 
     def u0(t, y):
         return eps_u * np.sin(np.pi * y) * (1.0 - y * y) ** 2
@@ -259,24 +259,25 @@ def shell_pairs(M: int) -> list[tuple[int, int]]:
 
 
 def build_gamma_stack(
-    omega_k: ModeField,
+    omega_k: np.ndarray,
+    k: int,
     state: CoordinateState,
     M: int,
     grid: ChannelGrid,
     t: float | None = None,
     tail_tol: float = 1e-4,
 ) -> GammaStack:
-    """n-fold Gamma application followed by scaling with q^n |k|^m."""
+    """n-fold Gamma_k application to mode k's values, then scaling with q^n |k|^m."""
     if M < 0:
         raise ValueError("M must be nonnegative")
     if t is None:
         t = state.t
-    gamma_pows = gamma_ladder(grid.d1, omega_k.values.astype(complex), state.v_y, M, omega_k.k, t)
+    gamma_pows = gamma_ladder(grid.d1, np.array(omega_k, dtype=complex), state.v_y, M, k, t)
     q = eval_q(grid.nodes)
     q_pows = np.array([q**n for n in range(M + 1)])
     tails = grid.spectral_tail(np.array(gamma_pows))
     return GammaStack(
-        k=omega_k.k,
+        k=k,
         t=t,
         M=M,
         grid=grid,

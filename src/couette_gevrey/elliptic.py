@@ -18,15 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coordinates import CoordinateState, gamma_ladder, shell_pairs
-from .functionals import (EvalContext, _icc_finish, _icc_ladder, hermitian_mode_weight,
-                          in_index_set)
+from .functionals import EvalContext, _icc_finish, _icc_ladder, in_index_set
 from .spectral import (
     ChannelGrid,
-    ModeField,
     _gauss_legendre,
     green_eval,
     green_matrix,
     green_solve,
+    hermitian_mode_weight,
     l2_norm,
     poisson_mode_solve,
 )
@@ -76,21 +75,22 @@ class PhiDecomposition:
     domain: tuple[float, float]
     v_nodes: np.ndarray
     phi_i: np.ndarray  # interior solution on the v-grid
-    phi_e: ModeField  # exterior solution on the y-grid
+    phi_e: np.ndarray  # exterior solution on the y-grid
     iterations: int
     interior_residual: float
     sum_residual: float
 
-    def export_csv(self, grid: ChannelGrid, coord: CoordinateState, omega_k: ModeField) -> str:
+    def export_csv(self, grid: ChannelGrid, coord: CoordinateState, omega_k: np.ndarray) -> str:
+        """Stream function, both parts and the residual of mode ``self.k`` per node."""
         psi = poisson_mode_solve(grid, omega_k, self.k)
         interior = grid.interpolate(self.phi_i, _to_reference(coord.v, self.domain))
-        res = psi.values - (interior + self.phi_e.values)
+        res = psi - (interior + self.phi_e)
         lines = ["y,psi_re,psi_im,phiI_of_v_re,phiI_of_v_im,phiE_re,phiE_im,residual_abs"]
         for i, y in enumerate(grid.nodes):
             lines.append(
-                f"{float(y)!r},{float(psi.values[i].real)!r},{float(psi.values[i].imag)!r},"
+                f"{float(y)!r},{float(psi[i].real)!r},{float(psi[i].imag)!r},"
                 f"{float(interior[i].real)!r},{float(interior[i].imag)!r},"
-                f"{float(self.phi_e.values[i].real)!r},{float(self.phi_e.values[i].imag)!r},"
+                f"{float(self.phi_e[i].real)!r},{float(self.phi_e[i].imag)!r},"
                 f"{float(abs(res[i]))!r}"
             )
         return "\n".join(lines) + "\n"
@@ -116,24 +116,24 @@ def _y_of_v(grid: ChannelGrid, coord: CoordinateState, v_targets: np.ndarray) ->
 
 
 def decompose_phi(
-    omega_k: ModeField,
+    omega_k: np.ndarray,
+    k: int,
     coord: CoordinateState,
     grid: ChannelGrid,
     cutoffs: EllipticCutoffs | None = None,
     tol: float = 1e-10,
 ) -> PhiDecomposition:
-    """Split the stream function into interior and exterior parts.
+    """Split the stream function of mode k into interior and exterior parts.
 
     Interior: (d_v^2 - k^2) phi_I = chi~_1^c w(y(v)) + chi~_1^c (-Z d_v^2
     - (d_v Z)/2 d_v) phi_I with Z = v_y^2 - 1, solved by Picard iteration
     with the Green kernel.  Exterior: one Dirichlet Helmholtz solve for the
     remaining forcing.  The sum reproduces the direct stream solve.
     """
-    if omega_k.k == 0:
+    if k == 0:
         raise ValueError("k = 0 is outside the elliptic layer")
     if cutoffs is None:
         cutoffs = EllipticCutoffs()
-    k = omega_k.k
     domain = (float(coord.v[0]), float(coord.v[-1]))
     mid = 0.5 * (domain[0] + domain[1])
     half = 0.5 * (domain[1] - domain[0])
@@ -141,7 +141,7 @@ def decompose_phi(
     dv = grid.d1 / half
 
     y_at_v = _y_of_v(grid, coord, v_nodes)
-    w_at_v = grid.interpolate(omega_k.values, y_at_v)
+    w_at_v = grid.interpolate(omega_k, y_at_v)
     vy_at_v = grid.interpolate(coord.v_y, y_at_v).real
     z_at_v = vy_at_v**2 - 1.0
     chic = cutoffs.chi_tilde1_c(v_nodes)
@@ -161,7 +161,7 @@ def decompose_phi(
     rhs = base.astype(complex)
     while True:
         iterations += 1
-        phi_new = green_solve(grid, ModeField(k, rhs), k=k, matrix=green).values
+        phi_new = green_solve(grid, rhs, k, matrix=green)
         delta = np.max(np.abs(phi_new - phi))
         scale = max(np.max(np.abs(phi_new)), 1e-300)
         phi = phi_new
@@ -180,8 +180,8 @@ def decompose_phi(
     # exterior forcing on the y-grid, including the interior defect
     chi1_y = cutoffs.chi_tilde1(coord.v)
     corr_y = grid.interpolate(corr_v, _to_reference(coord.v, domain))
-    rhs_e = chi1_y * omega_k.values + chi1_y * corr_y
-    phi_e = poisson_mode_solve(grid, ModeField(k, rhs_e), k)
+    rhs_e = chi1_y * omega_k + chi1_y * corr_y
+    phi_e = poisson_mode_solve(grid, rhs_e, k)
 
     dec = PhiDecomposition(
         k=k,
@@ -197,14 +197,14 @@ def decompose_phi(
     comp = composite_values(dec, grid, coord)
     lap = grid.d2 @ comp - k * k * comp
     dec.sum_residual = float(
-        l2_norm(grid, lap - omega_k.values) / max(l2_norm(grid, omega_k), 1e-300)
+        l2_norm(grid, lap - omega_k) / max(l2_norm(grid, omega_k), 1e-300)
     )
     return dec
 
 
 def composite_values(decomp: PhiDecomposition, grid: ChannelGrid, coord: CoordinateState) -> np.ndarray:
     interior = grid.interpolate(decomp.phi_i, _to_reference(coord.v, decomp.domain))
-    return interior + decomp.phi_e.values
+    return interior + decomp.phi_e
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +226,8 @@ def interior_greens_response(
     t: float,
     data_fn,
     support: tuple[float, float] = (-0.25, 0.25),
-) -> ModeField:
-    """phi_I(t) for free-transport forcing e^{-ikvt} g(v), flat coordinates
+) -> np.ndarray:
+    """phi_I(t) of mode k for free-transport forcing e^{-ikvt} g(v), flat coordinates
     on the whole channel (-1, 1), with 96 Gauss points per panel.
 
     Quadrature panels are split at the evaluation point (kernel kink) and at
@@ -250,17 +250,18 @@ def interior_greens_response(
             * data_fn(pts)
         )
         out += np.sum(wts * integrand, axis=1)
-    return ModeField(k, out)
+    return out
 
 
 def damping_diagnostic(
-    history: list[tuple[float, ModeField]],
+    history: list[tuple[float, np.ndarray]],
     grid: ChannelGrid,
     k: int,
     n_gamma: int = 0,
     cutoffs: EllipticCutoffs | None = None,
 ) -> dict:
-    """Least-squares decay exponent of the interior stream function.
+    """Least-squares decay exponent of mode k's interior stream function,
+    sampled as (t, phi_I(t)) pairs.
 
     n_gamma = 0 fits the plain L^2 norm (expected slope -2 for interior
     data).  For n_gamma >= 1 the measured quantity is the sup norm on the
@@ -280,7 +281,7 @@ def damping_diagnostic(
         if n_gamma == 0:
             val = l2_norm(grid, phi)
         else:
-            val = float(np.max(np.abs(star * phi.values)))
+            val = float(np.max(np.abs(star * phi)))
         if val > 0.0:
             ts.append(t)
             amps.append(val)
@@ -328,7 +329,7 @@ def eval_elliptic_functionals(
         gam_i = gamma_ladder(dv, dec.phi_i, 1.0, M, k, t)
         dv_i = [gamma_ladder(dv, level, 1.0, 2) for level in gam_i]
         # exterior functionals on the y-grid
-        gam_e = gamma_ladder(grid.d1, dec.phi_e.values.astype(complex), coord.v_y, M, k, t)
+        gam_e = gamma_ladder(grid.d1, dec.phi_e.astype(complex), coord.v_y, M, k, t)
         for m, n in shell_pairs(M):
             km = float(abs(k)) ** m
             a_hat2 = float(tab.a_hat(m, n, t)) ** 2

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coordinates import CoordinateState, GammaStack, gamma_ladder
-from .spectral import ChannelGrid, ModeField
+from .spectral import ChannelGrid, hermitian_mode_weight
 from .weights import (
     CutoffCascade,
     GevreyCoeffTable,
@@ -200,10 +200,6 @@ def eval_ck(stack: GammaStack, family: str, kind: str, ctx: EvalContext) -> floa
     return stack_values(stack, ctx)[f"CK_{family}_{kind}"]
 
 
-def hermitian_mode_weight(k: int) -> float:
-    return 1.0 if k == 0 else 2.0
-
-
 def truncation_tail(shells: np.ndarray) -> float:
     total = float(shells.sum())
     if total <= 0.0:
@@ -359,7 +355,8 @@ def _icc_finish(ctx: EvalContext, values: np.ndarray, a: int, c: int, m: int, n:
 
 
 def eval_icc(
-    f_k: ModeField,
+    f_k: np.ndarray,
+    k: int,
     a: int,
     b: int,
     c: int,
@@ -369,8 +366,8 @@ def eval_icc(
     coord: CoordinateState,
     ctx: EvalContext,
     t: float | None = None,
-) -> tuple[ModeField, bool]:
-    """S/J operator applied to f_k; returns (field, in_index_set).
+) -> tuple[np.ndarray, bool]:
+    """S/J operator applied to mode k's values f_k; returns (field, in_index_set).
 
     Outside the index set the boundary weight (m+n)/q is not defined and the
     paper's indicator makes the operator zero; the flag reports that case.
@@ -380,12 +377,11 @@ def eval_icc(
     if t is None:
         t = coord.t
     grid = ctx.grid
-    k = f_k.k
     if not in_index_set(a, b, c, n):
-        return ModeField(k, np.zeros(grid.ny + 1, dtype=complex)), False
-    gam = gamma_ladder(grid.d1, f_k.values.astype(complex), coord.v_y, n, k, t)[-1]
+        return np.zeros(grid.ny + 1, dtype=complex), False
+    gam = gamma_ladder(grid.d1, np.array(f_k, dtype=complex), coord.v_y, n, k, t)[-1]
     out = _icc_ladder(gam, k, m, n, variant, coord, ctx, b)[-1]
-    return ModeField(k, _icc_finish(ctx, out, a, c, m, n, k)), True
+    return _icc_finish(ctx, out, a, c, m, n, k), True
 
 
 # ---------------------------------------------------------------------------

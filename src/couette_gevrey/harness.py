@@ -96,8 +96,16 @@ class ExperimentConfig:
         unknown = set(self.formats) - {"csv", "json"}
         if unknown:
             raise ConfigError(f"config.formats: unknown formats {sorted(unknown)}")
-        if self.shear not in PROFILES:
-            raise ConfigError(f"config.shear: unknown profile {self.shear!r}")
+        try:
+            make_profile(self.shear, self.eps_u)
+        except ValueError as exc:
+            raise ConfigError(f"config.{'eps_u' if self.shear in PROFILES else 'shear'}: {exc}") from exc
+        if not 0.0 <= self.noise_floor < 1.0:
+            raise ConfigError("config.noise_floor: must lie in [0, 1)")
+        if self.data_power < 1:
+            raise ConfigError("config.data_power: must be at least 1")
+        if not self.monotonicity_slack >= 0.0:
+            raise ConfigError("config.monotonicity_slack: must be >= 0")
         if self.truncation_m < 0 or self.truncation_m > 12:
             raise ConfigError("config.truncation_m: hard cap is 12")
 
@@ -207,9 +215,8 @@ def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = No
 
     def evaluate(scalar_state, coord_state):
         stacks = {
-            k: build_gamma_stack(scalar_state.omega[k], coord_state, config.truncation_m, grid,
-                                 t=scalar_state.t)
-            for k in scalar_state.modes()
+            k: build_gamma_stack(omega_k, k, coord_state, config.truncation_m, grid, t=scalar_state.t)
+            for k, omega_k in zip(scalar_state.ks, scalar_state.omega)
         }
         rep = full_report(stacks, ctx, coord_state, coord_M=config.truncation_m)
         rep["l2_total"] = scalar_state.total_l2()
@@ -440,11 +447,8 @@ def decompose_suite(config: ExperimentConfig, nu: float | None = None, t_stop: f
     while state.t < t_stop - 1e-12:
         state, coord = _advance(config, state, coord, min(dt, t_stop - state.t), profile)
     coord = _coord_at(config, state, coord)
-    decomps = {}
-    for k in state.modes():
-        if k == 0:
-            continue
-        decomps[k] = decompose_phi(state.omega[k], coord, grid)
+    decomps = {k: decompose_phi(omega_k, k, coord, grid)
+               for k, omega_k in zip(state.ks, state.omega) if k != 0}
     funcs = eval_elliptic_functionals(decomps, coord, ctx, M=min(config.truncation_m, 4))
     return {
         "nu": nu,
@@ -538,8 +542,9 @@ def main(argv: list[str] | None = None) -> int:
             out_dir = Path(config.output_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
             state = out["_state"]
+            rows = dict(zip(state.ks, state.omega))
             for k, dec in out["_decomps"].items():
-                csv = dec.export_csv(state.grid, out["_coord"], state.omega[k])
+                csv = dec.export_csv(state.grid, out["_coord"], rows[k])
                 (out_dir / f"decompose_k{k}_t{out['t']:.3f}.csv").write_text(csv)
             print(json.dumps(printable, sort_keys=True, default=_stable))
             worst = max(out["sum_residuals"].values()) if out["sum_residuals"] else 0.0

@@ -25,7 +25,7 @@ from scipy.special import gammaln
 
 from .coordinates import CoordinateState, gamma_ladder, shell_pairs
 from .spectral import ChannelGrid
-from .weights import GevreyCoeffTable, WeightParams, eval_q
+from .weights import GevreyCoeffTable, WeightParams, eval_q, theta_weights
 
 
 @dataclass
@@ -840,10 +840,6 @@ def check_combinatorics(which: str, n_max: int = 2000, zeta: float = 1.0,
 
 # ---------------------------------------------------------------------------
 # theta sequence search
-
-
-def theta_weights(n_values: np.ndarray, delta_drop: float, n_star: int) -> np.ndarray:
-    return delta_drop ** (np.minimum(n_values, n_star) - n_star)
 
 
 def theta_coefficient_table(

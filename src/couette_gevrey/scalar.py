@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coordinates import ShearProfile, zero_profile
-from .spectral import ChannelGrid, ModeField, helmholtz_lu, helmholtz_lu_solve, l2_norm
+from .spectral import ChannelGrid, helmholtz_lu, helmholtz_lu_solve, hermitian_mode_weight, l2_norm
 
 # measured imaginary-axis stability margin of the SBDF2 extrapolation
 THETA_ADV = 0.09
@@ -62,17 +62,27 @@ def spline_initial_bump(y: np.ndarray, power: int = 16, half_width: float = 0.25
 
 @dataclass
 class InitialData:
-    """Mode map of the initial scalar; must be supported inside (-1/4, 1/4)."""
+    """The initial scalar: ascending wavenumbers ``ks`` and the complex
+    (K, ny+1) array ``omega`` of their modes, supported inside (-1/4, 1/4)."""
 
-    omega_in: dict[int, ModeField]
+    ks: tuple[int, ...]
+    omega: np.ndarray
+
+    def __post_init__(self):
+        self.ks = tuple(int(k) for k in self.ks)
+        self.omega = np.ascontiguousarray(self.omega, dtype=complex)
+        if list(self.ks) != sorted(set(self.ks)) or min(self.ks, default=0) < 0:
+            raise ValueError("ks must be distinct nonnegative wavenumbers in ascending order")
+        if self.omega.ndim != 2 or self.omega.shape[0] != len(self.ks):
+            raise ValueError("omega must hold one row per wavenumber")
 
     def validate(self, grid: ChannelGrid, tol: float = 1e-14):
         outside = np.abs(grid.nodes) >= 0.25
-        for k, f in self.omega_in.items():
-            scale = float(np.max(np.abs(f.values))) or 1.0
-            if np.any(np.abs(f.values[outside]) > tol * scale):
+        for k, f in zip(self.ks, self.omega):
+            scale = float(np.max(np.abs(f))) or 1.0
+            if np.any(np.abs(f[outside]) > tol * scale):
                 raise ValueError(f"mode {k} has support outside (-1/4, 1/4)")
-            if not np.all(np.isfinite(f.values)):
+            if not np.all(np.isfinite(f)):
                 raise ValueError(f"mode {k} is not square integrable")
         return self
 
@@ -82,10 +92,8 @@ def default_initial_data(grid: ChannelGrid, kmax: int | None = None, power: int 
     if kmax is None:
         kmax = grid.kmax
     bump = spline_initial_bump(grid.nodes, power)
-    data = {
-        k: ModeField(k, bump / (1.0 + k * k)) for k in range(0, kmax + 1)
-    }
-    return InitialData(data).validate(grid)
+    ks = range(0, kmax + 1)
+    return InitialData(ks, [bump / (1.0 + k * k) for k in ks]).validate(grid)
 
 
 @dataclass
@@ -93,52 +101,30 @@ class ScalarState:
     grid: ChannelGrid
     t: float
     nu: float
-    omega: dict[int, ModeField]
-    _prev: np.ndarray | None = None  # (K, ny+1) SBDF2 history, sorted k
+    ks: tuple[int, ...]  # ascending wavenumbers, one per row of omega
+    omega: np.ndarray  # complex (K, ny+1); no step writes into it
+    _prev: np.ndarray | None = None  # the previous state's omega, SBDF2 history
     _prev_ex: np.ndarray | None = None
     _prev_dt: float | None = None
     _facts: dict = field(default_factory=dict, repr=False)
 
-    def modes(self) -> list[int]:
-        return sorted(self.omega.keys())
-
     def l2_norms(self) -> dict[int, float]:
-        return {k: l2_norm(self.grid, f) for k, f in self.omega.items()}
+        return {k: l2_norm(self.grid, f) for k, f in zip(self.ks, self.omega)}
 
     def total_l2(self) -> float:
-        # Hermitian partner modes -k are implicit: double the k > 0 weights
         s = 0.0
-        for k, f in self.omega.items():
-            w = 1.0 if k == 0 else 2.0
-            s += w * l2_norm(self.grid, f) ** 2
+        for k, f in zip(self.ks, self.omega):
+            s += hermitian_mode_weight(k) * l2_norm(self.grid, f) ** 2
         return float(np.sqrt(s))
 
 
 def initial_state(grid: ChannelGrid, nu: float, data: InitialData) -> ScalarState:
-    return ScalarState(
-        grid=grid,
-        t=0.0,
-        nu=nu,
-        omega={k: f.copy() for k, f in data.omega_in.items()},
-    )
-
-
-def _forcing_rows(forcing, t: float, ks: list[int], shape: tuple[int, int]):
-    """Forcing of every mode at time t as a (K, ny+1) array (0.0 if none)."""
-    if forcing is None:
-        return 0.0
-    table = forcing(t) if callable(forcing) else forcing
-    out = np.zeros(shape, dtype=complex)
-    for i, k in enumerate(ks):
-        f = table.get(k)
-        if f is not None:
-            out[i] = f.values if isinstance(f, ModeField) else f
-    return out
+    return ScalarState(grid=grid, t=0.0, nu=nu, ks=data.ks, omega=data.omega.copy())
 
 
 def _check_stability(state: ScalarState, dt: float, shear: np.ndarray):
     """Raise if dt exceeds the advection margin for the shear y + U0(t) on the nodes."""
-    kmax = max(abs(k) for k in state.omega) or 1
+    kmax = max(state.ks) or 1
     bound = float(np.max(np.abs(shear)))
     theta = dt * kmax * bound
     if theta > THETA_ADV * (1.0 + 1e-9):
@@ -149,9 +135,9 @@ def _check_stability(state: ScalarState, dt: float, shear: np.ndarray):
         )
 
 
-def _solve(state: ScalarState, ks: list[int], alpha: float, rhs: np.ndarray) -> np.ndarray:
+def _solve(state: ScalarState, ks: tuple[int, ...], alpha: float, rhs: np.ndarray) -> np.ndarray:
     """Dirichlet Helmholtz solves of the rows of rhs, re/im as two real columns."""
-    key = (round(alpha, 12), state.nu, tuple(ks))
+    key = (round(alpha, 12), state.nu, ks)
     factors = state._facts.get(key)
     if factors is None:  # one LU pair per mode, per (alpha, nu) and run
         factors = state._facts[key] = [helmholtz_lu(state.grid, k, alpha, state.nu) for k in ks]
@@ -164,7 +150,9 @@ def _solve(state: ScalarState, ks: list[int], alpha: float, rhs: np.ndarray) -> 
 def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = None, forcing=None) -> ScalarState:
     """Advance every mode by one IMEX step; walls are exactly zero after.
 
-    All modes move together as one complex (K, ny+1) array in sorted k order.
+    All modes move together as one complex (K, ny+1) array in ascending k
+    order: the step reads ``state.omega`` and returns a state holding a new
+    array.  ``forcing(t)``, if given, is the (K, ny+1) forcing at time t.
     """
     if profile is None:
         profile = zero_profile()
@@ -176,13 +164,14 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
 
     shear0 = shear_at(t0)
     _check_stability(state, dt, shear0)
-    ks = state.modes()
+    ks = state.ks
     k_col = np.array(ks, dtype=float)[:, None]
-    u = np.array([state.omega[k].values for k in ks], dtype=complex)
+    u = state.omega
     restart = state._prev is None or state._prev_dt is None or abs(state._prev_dt - dt) > 1e-14
 
     def explicit(values, t, shear):
-        return -1j * k_col * shear * values + _forcing_rows(forcing, t, ks, u.shape)
+        ex = -1j * k_col * shear * values
+        return ex if forcing is None else ex + forcing(t)
 
     def diffusion(values):
         # d2 acts on the real (ny+1, 2K) view of the modes as columns
@@ -210,10 +199,9 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
         rhs = (2.0 * u - 0.5 * state._prev) / dt + 2.0 * ex0 - state._prev_ex
         un = _solve(state, ks, 1.5 / dt, rhs) if nu > 0.0 else rhs * dt / 1.5
     un[:, [0, -1]] = 0.0
-    omega = {k: ModeField(k, row) for k, row in zip(ks, un)}
-    return ScalarState(grid, t1, nu, omega, _prev=u, _prev_ex=ex0, _prev_dt=dt, _facts=state._facts)
+    return ScalarState(grid, t1, nu, ks, un, _prev=u, _prev_ex=ex0, _prev_dt=dt, _facts=state._facts)
 
 
-def exact_transport(omega_in_k: ModeField, k: int, t: float, grid: ChannelGrid) -> ModeField:
-    """Closed-form nu = 0, U0 = 0 solution e^{-ikyt} omega_in."""
-    return ModeField(k, np.exp(-1j * k * grid.nodes * t) * omega_in_k.values)
+def exact_transport(omega_k: np.ndarray, k: int, t: float, grid: ChannelGrid) -> np.ndarray:
+    """Closed-form nu = 0, U0 = 0 solution e^{-ikyt} omega_k(0) of mode k."""
+    return np.exp(-1j * k * grid.nodes * t) * omega_k

@@ -1,8 +1,10 @@
 """Chebyshev-Fourier channel discretization and per-mode elliptic solves.
 
-The channel T x [-1,1] is discretized with Fourier modes in x (so every
-operation here is per-wavenumber k) and Chebyshev-Gauss-Lobatto collocation
-in y.  Boundary conditions are imposed by row replacement.
+The channel T x [-1,1] is discretized with Fourier modes in x and
+Chebyshev-Gauss-Lobatto collocation in y.  A field is one complex
+(K, ny+1) array whose rows are its modes in ascending k; the solves here
+take one row and its wavenumber k.  Boundary conditions are imposed by row
+replacement.
 """
 
 from __future__ import annotations
@@ -124,23 +126,15 @@ class ChannelGrid:
         return self.interpolation_matrix(targets) @ np.asarray(values)
 
 
-@dataclass
-class ModeField:
-    """A single Fourier mode: complex values over the y-nodes."""
-
-    k: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-
-    def copy(self) -> "ModeField":
-        return ModeField(self.k, self.values.copy())
+def l2_norm(grid: ChannelGrid, values: np.ndarray) -> float:
+    """L2 norm over [-1, 1] of one mode's values on the nodes."""
+    return float(np.sqrt(np.real(grid.integrate(np.abs(values) ** 2))))
 
 
-def l2_norm(grid: ChannelGrid, f) -> float:
-    v = f.values if isinstance(f, ModeField) else np.asarray(f)
-    return float(np.sqrt(np.real(grid.integrate(np.abs(v) ** 2))))
+def hermitian_mode_weight(k: int) -> float:
+    """Modes are stored for k >= 0; the partner -k is the conjugate of k,
+    so every k > 0 counts twice in a sum over all wavenumbers."""
+    return 1.0 if k == 0 else 2.0
 
 
 class SingularSolveError(ValueError):
@@ -162,34 +156,24 @@ def _apply_bc_rows(a: np.ndarray, grid: ChannelGrid, bc_kind: str) -> np.ndarray
     return a
 
 
-def helmholtz_solve(
-    grid: ChannelGrid,
-    rhs: ModeField,
-    k: int | None = None,
-    bc: str = "dirichlet",
-) -> ModeField:
+def helmholtz_solve(grid: ChannelGrid, rhs: np.ndarray, k: int, bc: str = "dirichlet") -> np.ndarray:
     """Solve -psi'' + k^2 psi = F with homogeneous Dirichlet or Neumann data.
 
     The k = 0 Neumann problem is singular and raises SingularSolveError.
     """
-    if k is None:
-        k = rhs.k
     if k == 0 and bc == "neumann":
         raise SingularSolveError("k=0 Neumann problem is singular")
     a = _apply_bc_rows(-(grid.d2) + float(k * k) * np.eye(grid.ny + 1), grid, bc)
-    b = rhs.values.astype(complex)
+    b = np.array(rhs, dtype=complex)
     b[0] = b[-1] = 0.0
-    return ModeField(k, np.linalg.solve(a, b))
+    return np.linalg.solve(a, b)
 
 
-def poisson_mode_solve(grid: ChannelGrid, rhs: ModeField, k: int | None = None) -> ModeField:
+def poisson_mode_solve(grid: ChannelGrid, rhs: np.ndarray, k: int) -> np.ndarray:
     """Solve (d_yy - k^2) psi = rhs with homogeneous Dirichlet data, k != 0."""
-    if k is None:
-        k = rhs.k
     if k == 0:
         raise SingularSolveError("k=0 stream mode is excluded (Neumann mean mode)")
-    sol = helmholtz_solve(grid, ModeField(k, -rhs.values), k=k, bc="dirichlet")
-    return ModeField(k, sol.values)
+    return helmholtz_solve(grid, -np.asarray(rhs), k, bc="dirichlet")
 
 
 def _parity_sizes(ny: int) -> tuple[int, int]:
@@ -327,22 +311,20 @@ def green_matrix(
 
 def green_solve(
     grid: ChannelGrid,
-    rhs: ModeField,
-    k: int | None = None,
+    rhs: np.ndarray,
+    k: int,
     domain: tuple[float, float] = (-1.0, 1.0),
     npts: int = 96,
     matrix: np.ndarray | None = None,
-) -> ModeField:
+) -> np.ndarray:
     """Solve (d_v^2 - k^2) phi = rhs by quadrature against the Green kernel.
 
     ``matrix`` is ``green_matrix(grid, k, domain, npts)``, built here when
     not given; callers solving repeatedly on one (k, domain) pass it in.
     """
-    if k is None:
-        k = rhs.k
     if k == 0:
         raise SingularSolveError("k=0 not covered by the sinh kernel")
     if matrix is None:
         matrix = green_matrix(grid, k, domain, npts)
-    out = (matrix @ np.ascontiguousarray(rhs.values).view(float).reshape(-1, 2)).view(complex)
-    return ModeField(k, out.ravel())
+    out = (matrix @ np.ascontiguousarray(rhs, dtype=complex).view(float).reshape(-1, 2)).view(complex)
+    return out.ravel()

@@ -140,10 +140,13 @@ class WeightParams:
             raise ValueError("delta_drop must lie in (0, 1]")
 
     def theta(self, n) -> np.ndarray | float:
-        """Nonincreasing shell weights: ratio delta_drop below n_star, 1 after."""
-        n = np.asarray(n)
-        val = self.delta_drop ** (np.minimum(n, self.n_star) - self.n_star)
+        val = theta_weights(np.asarray(n), self.delta_drop, self.n_star)
         return float(val) if val.shape == () else val
+
+
+def theta_weights(n, delta_drop: float, n_star: int):
+    """Nonincreasing shell weights theta_n: ratio delta_drop below n_star, 1 after."""
+    return delta_drop ** (np.minimum(n, n_star) - n_star)
 
 
 # ---------------------------------------------------------------------------

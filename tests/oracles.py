@@ -159,12 +159,11 @@ def naive_sources(stack_f, stack_om, family, params, cascade, nu):
     return total
 
 
-def naive_icc(f_k, a, b, c, m, n, variant, coord, grid, cascade, t):
+def naive_icc(f_k, k, a, b, c, m, n, variant, coord, grid, cascade, t):
     """Direct ICC evaluation; wall limits via the linear branch Taylor rule."""
     if not (a == 0 or a + b + c <= n):
         return np.zeros(grid.ny + 1, dtype=complex), False
-    k = f_k.k
-    gam = f_k.values.astype(complex)
+    gam = np.array(f_k, dtype=complex)
     for _ in range(n):
         gam = (grid.d1 @ gam) / coord.v_y + 1j * k * t * gam
     q = eval_q(grid.nodes)
@@ -201,9 +200,10 @@ class LoopScalarStepper:
 
     SSP_GAMMA = 1.0 - 1.0 / np.sqrt(2.0)
 
-    def __init__(self, grid, nu, omega):
+    def __init__(self, grid, nu, ks, omega):
         self.grid, self.nu, self.t = grid, nu, 0.0
-        self.omega = {k: np.array(f.values, dtype=complex) for k, f in omega.items()}
+        self.ks = list(ks)
+        self.omega = {k: np.array(f, dtype=complex) for k, f in zip(ks, omega)}
         self.prev = self.prev_ex = self.prev_dt = None
         self.facts = {}
 
@@ -224,9 +224,8 @@ class LoopScalarStepper:
     def _explicit(self, k, values, t, profile, forcing):
         shear = self.grid.nodes + profile.u0(t, self.grid.nodes)
         ex = -1j * k * shear * values
-        table = {} if forcing is None else forcing(t)
-        if k in table:
-            ex = ex + table[k]
+        if forcing is not None:
+            ex = ex + forcing(t)[self.ks.index(k)]
         return ex
 
     def _diffusion(self, k, values):
@@ -546,7 +545,7 @@ def loop_elliptic_functionals(decomps, coord, ctx, M=4):
         dv = grid.d1 / half
         chi1_v = cascade.chi(1, dec.v_nodes)
         gam_i = [dec.phi_i]
-        gam_e = [dec.phi_e.values.astype(complex)]
+        gam_e = [dec.phi_e.astype(complex)]
         for _ in range(M):
             gam_i.append(dv @ gam_i[-1] + 1j * k * t * gam_i[-1])
             gam_e.append((grid.d1 @ gam_e[-1]) / coord.v_y + 1j * k * t * gam_e[-1])
@@ -571,7 +570,7 @@ def loop_elliptic_functionals(decomps, coord, ctx, M=4):
                     norm = 0.0
                     for a in range(ell + 1):
                         for b in range(ell - a + 1):
-                            vals, ok = naive_icc(dec.phi_e, a, b, ell - a - b, m, n, "J",
+                            vals, ok = naive_icc(dec.phi_e, k, a, b, ell - a - b, m, n, "J",
                                                  coord, grid, cascade, t)
                             if ok:
                                 norm += ctx.wsq(vals, ones)

@@ -41,7 +41,7 @@ from couette_gevrey.scalar import (
     initial_state,
     step_scalar,
 )
-from couette_gevrey.spectral import ChannelGrid, ModeField, helmholtz_solve, l2_norm
+from couette_gevrey.spectral import ChannelGrid, helmholtz_solve, l2_norm
 from couette_gevrey.weights import (
     GevreyCoeffTable,
     WeightParams,
@@ -152,14 +152,14 @@ def test_c03_spectral_correctness():
 
     def forcing(t):
         om = exact(t)
-        return {k: (-1.0 + 1j * k * grid.nodes + nu * (np.pi**2 + k * k)) * om}
+        return [(-1.0 + 1j * k * grid.nodes + nu * (np.pi**2 + k * k)) * om]
 
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
-        st = initial_state(grid, nu, InitialData({k: ModeField(k, exact(0.0))}))
+        st = initial_state(grid, nu, InitialData((k,), [exact(0.0)]))
         while st.t < 1.0 - 1e-12:
             st = step_scalar(st, dt, forcing=forcing)
-        errs.append(float(np.max(np.abs(st.omega[k].values - exact(st.t)))))
+        errs.append(float(np.max(np.abs(st.omega[0] - exact(st.t)))))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     ok = errs[-1] < 1e-6 and all(abs(o - 2.0) < 0.2 for o in orders)
     # maximal regularity constant over 50 random cases
@@ -170,11 +170,11 @@ def test_c03_spectral_correctness():
         kk = int(rng.integers(1, 9))
         coef = rng.normal(size=12) * np.exp(-0.4 * np.arange(12))
         f = sum(c * np.cos(j * theta) for j, c in enumerate(coef))
-        psi = helmholtz_solve(grid, ModeField(kk, f), bc="dirichlet" if trial % 2 else "neumann")
+        psi = helmholtz_solve(grid, f, kk, bc="dirichlet" if trial % 2 else "neumann")
         num = (
-            l2_norm(grid, grid.d2 @ psi.values)
-            + kk * l2_norm(grid, grid.d1 @ psi.values)
-            + kk * kk * l2_norm(grid, psi.values)
+            l2_norm(grid, grid.d2 @ psi)
+            + kk * l2_norm(grid, grid.d1 @ psi)
+            + kk * kk * l2_norm(grid, psi)
         )
         worst = max(worst, num / l2_norm(grid, f))
     ok &= worst <= 3.0 + np.sqrt(2.0) + 1e-9
@@ -188,9 +188,9 @@ def test_c03_spectral_correctness():
         kk = int(rng.integers(1, 7))
         coef = rng.normal(size=10) * np.exp(-0.5 * np.arange(10))
         f = sum(c * np.cos(j * theta96) for j, c in enumerate(coef)) * (1 + 0.3j)
-        direct = helmholtz_solve(g96, ModeField(kk, -f))
-        viagreen = green_solve(g96, ModeField(kk, f), k=kk)
-        cross = max(cross, l2_norm(g96, viagreen.values - direct.values) / l2_norm(g96, direct.values))
+        direct = helmholtz_solve(g96, -f, kk)
+        viagreen = green_solve(g96, f, kk)
+        cross = max(cross, l2_norm(g96, viagreen - direct) / l2_norm(g96, direct))
     ok &= cross < 1e-8
     _line(3, "spectral: manufactured accuracy + order, max regularity, Green",
           ok, f"err={errs[-1]:.2e} const={worst:.4f} cross={cross:.1e}")
@@ -237,11 +237,11 @@ def test_c05_boundary_lemma():
     grid = ChannelGrid(96, kmax=2)
     nu = 1e-3
     vals = np.sin(np.pi * grid.nodes) * (1 - grid.nodes**2) ** 2
-    st = initial_state(grid, nu, InitialData({1: ModeField(1, vals.astype(complex))}))
+    st = initial_state(grid, nu, InitialData((1,), [vals.astype(complex)]))
     dt = default_dt(2)
     while st.t < 1.0 - 1e-12:
         st = step_scalar(st, dt)
-    stack = build_gamma_stack(st.omega[1], couette_state(grid, st.t), 3, grid, t=st.t)
+    stack = build_gamma_stack(st.omega[0], 1, couette_state(grid, st.t), 3, grid, t=st.t)
     rep = idn.check_boundary_lemma(stack, grid)
     _line(5, "boundary lemma wall products vanish for n in {0,2,3}",
           rep.pass_ and rep.max_abs_residual < 1e-8, f"residual={rep.max_abs_residual:.1e}")
@@ -254,8 +254,8 @@ def test_c06_free_transport_conservation():
     ref = None
     worst = 0.0
     for t in (0.0, 5.0, 10.0, 20.0, 35.0, 50.0):
-        om = exact_transport(ModeField(k, g0), k, t, grid)
-        stack = build_gamma_stack(om, couette_state(grid, t), 4, grid, t=t)
+        om = exact_transport(g0, k, t, grid)
+        stack = build_gamma_stack(om, k, couette_state(grid, t), 4, grid, t=t)
         norms = [l2_norm(grid, stack.gamma_pows[n]) for n in range(5)]
         if ref is None:
             ref = norms
@@ -338,14 +338,14 @@ def test_c10_functional_oracle_equivalence(grid64, params, cascade):
             b = naive_sources(stack_f, stack, fam, params, cascade, nu)
             worst = max(worst, abs(a - b) / max(abs(b), 1e-12))
         if trial < 10:
-            f = ModeField(2, stack.gamma_pows[0])
+            f = stack.gamma_pows[0]
             for (a_i, b_i, c_i, m_i, n_i, var) in (
                 (0, 1, 0, 1, 1, "J"), (1, 0, 0, 0, 2, "S"), (1, 1, 1, 1, 3, "J"),
             ):
-                mine, ok1 = eval_icc(f, a_i, b_i, c_i, m_i, n_i, var, coord, ctx, t=stack.t)
-                ref, ok2 = naive_icc(f, a_i, b_i, c_i, m_i, n_i, var, coord, grid64, cascade, stack.t)
+                mine, ok1 = eval_icc(f, 2, a_i, b_i, c_i, m_i, n_i, var, coord, ctx, t=stack.t)
+                ref, ok2 = naive_icc(f, 2, a_i, b_i, c_i, m_i, n_i, var, coord, grid64, cascade, stack.t)
                 assert ok1 == ok2
                 scale = max(np.max(np.abs(ref)), 1e-300)
-                worst = max(worst, float(np.max(np.abs(mine.values - ref)) / scale))
+                worst = max(worst, float(np.max(np.abs(mine - ref)) / scale))
     _line(10, "functional evaluators match the naive oracle on 50 random stacks",
           worst < 1e-12, f"worst={worst:.2e}")

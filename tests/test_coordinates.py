@@ -18,7 +18,7 @@ from couette_gevrey.coordinates import (
     zero_profile,
 )
 from couette_gevrey.scalar import default_initial_data, exact_transport
-from couette_gevrey.spectral import ChannelGrid, ModeField, l2_norm
+from couette_gevrey.spectral import ChannelGrid, l2_norm
 from couette_gevrey.weights import eval_q
 
 
@@ -200,8 +200,8 @@ def test_gamma_transport_invariance():
     g0 = np.exp(-8 * grid.nodes**2) * (1 - grid.nodes**2) ** 2
     norms0 = None
     for t in (0.0, 10.0, 30.0, 50.0):
-        om = exact_transport(ModeField(k, g0), k, t, grid)
-        stack = build_gamma_stack(om, couette_state(grid, t), 4, grid, t=t)
+        om = exact_transport(g0, k, t, grid)
+        stack = build_gamma_stack(om, k, couette_state(grid, t), 4, grid, t=t)
         norms = [l2_norm(grid, stack.gamma_pows[n]) for n in range(5)]
         if norms0 is None:
             norms0 = norms
@@ -213,7 +213,7 @@ def test_gamma_transport_invariance():
 def test_stack_structure(grid64, rng):
     flat = couette_state(grid64, 0.3)
     vals = np.exp(-6 * grid64.nodes**2) * (1 + 0.2j)
-    stack = build_gamma_stack(ModeField(3, vals), flat, 3, grid64, t=0.3)
+    stack = build_gamma_stack(vals, 3, flat, 3, grid64, t=0.3)
     assert np.array_equal(stack.entry(0, 0), vals)
     q = eval_q(grid64.nodes)
     expected = 3.0 * q * stack.gamma_pows[1]
@@ -229,21 +229,21 @@ def test_stack_structure(grid64, rng):
 def test_stack_trust_flags(grid64):
     flat = couette_state(grid64, 0.0)
     smooth = np.exp(-3 * grid64.nodes**2).astype(complex)
-    stack = build_gamma_stack(ModeField(1, smooth), flat, 2, grid64)
+    stack = build_gamma_stack(smooth, 1, flat, 2, grid64)
     assert stack.trusted(0) and stack.trusted(2)
     rough = np.sign(grid64.nodes).astype(complex)
-    stack2 = build_gamma_stack(ModeField(1, rough), flat, 2, grid64)
+    stack2 = build_gamma_stack(rough, 1, flat, 2, grid64)
     assert not stack2.trusted(1)
 
 
 def test_stack_tails_match_per_row_dct():
     # one batched DCT per stack gives the per-level tails bit for bit
     grid = ChannelGrid(192, kmax=8)
-    omega = default_initial_data(grid, 8).omega_in
+    omega = default_initial_data(grid, 8).omega
     sheared = init_coordinates(quartic_profile(1 / 256), grid, nu=1e-4)
     for coord, t in ((couette_state(grid, 3.0), 3.0), (sheared, 0.7)):
         for k in (0, 1, 8):
-            stack = build_gamma_stack(omega[k], coord, 6, grid, t=t)
+            stack = build_gamma_stack(omega[k], k, coord, 6, grid, t=t)
             ref = [loop_spectral_tail(grid, g) for g in stack.gamma_pows]
             assert np.array_equal(stack.tails, ref)
     assert grid.spectral_tail(np.zeros(grid.ny + 1)) == 0.0

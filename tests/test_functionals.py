@@ -24,12 +24,11 @@ from couette_gevrey.functionals import (
     eval_icc,
     eval_sources,
     full_report,
-    hermitian_mode_weight,
     in_index_set,
     truncation_tail,
 )
 from couette_gevrey.scalar import default_dt, default_initial_data, initial_state, spline_initial_bump, step_scalar
-from couette_gevrey.spectral import ModeField
+from couette_gevrey.spectral import hermitian_mode_weight
 from couette_gevrey.weights import eval_q, eval_W
 
 NU = 1e-3
@@ -37,9 +36,7 @@ NU = 1e-3
 
 def test_zero_field_all_zero(grid64, params, cascade):
     ctx = make_ctx(grid64, params, cascade, NU)
-    stack = build_gamma_stack(
-        ModeField(1, np.zeros(grid64.ny + 1)), couette_state(grid64, 0.0), 3, grid64
-    )
+    stack = build_gamma_stack(np.zeros(grid64.ny + 1), 1, couette_state(grid64, 0.0), 3, grid64)
     for fam in ("gamma", "alpha", "mu"):
         assert eval_energy(stack, fam, ctx) == 0.0
         assert eval_dissipation(stack, fam, ctx) == 0.0
@@ -51,7 +48,7 @@ def test_single_shell_energy(grid64, params, cascade):
     ctx = make_ctx(grid64, params, cascade, NU)
     flat = couette_state(grid64, 0.0)
     vals = spline_initial_bump(grid64.nodes).astype(complex)
-    stack = build_gamma_stack(ModeField(1, vals), flat, 0, grid64)
+    stack = build_gamma_stack(vals, 1, flat, 0, grid64)
     got = eval_energy(stack, "gamma", ctx)
     tab = ctx.table
     w = np.exp(2 * eval_W(0.0, grid64.nodes, NU, params))
@@ -69,7 +66,7 @@ def test_energy_monotone_in_m(grid64, params, cascade, rng):
     vals = (np.exp(-5 * grid64.nodes**2) * (1 + 0.4j)).astype(complex)
     prev = None
     for M in (0, 1, 2, 3):
-        stack = build_gamma_stack(ModeField(2, vals), flat, M, grid64, t=0.4)
+        stack = build_gamma_stack(vals, 2, flat, M, grid64, t=0.4)
         e = eval_energy(stack, "gamma", ctx)
         if prev is not None:
             assert e >= prev - 1e-15
@@ -172,18 +169,18 @@ def test_sources_mismatch_rejected(grid64, params, cascade, rng):
 def test_icc_trivial_and_cancellation(grid64, params, cascade):
     ctx = make_ctx(grid64, params, cascade, NU)
     flat = couette_state(grid64, 0.0)
-    f = ModeField(1, (spline_initial_bump(grid64.nodes) * np.sin(2 * grid64.nodes)).astype(complex))
-    fld, ok = eval_icc(f, 0, 0, 0, 1, 1, "J", flat, ctx)
+    f = (spline_initial_bump(grid64.nodes) * np.sin(2 * grid64.nodes)).astype(complex)
+    fld, ok = eval_icc(f, 1, 0, 0, 0, 1, 1, "J", flat, ctx)
     assert ok
-    stack = build_gamma_stack(f, flat, 2, grid64)
+    stack = build_gamma_stack(f, 1, flat, 2, grid64)
     direct = cascade.chi(2, grid64.nodes) * stack.entry(1, 1)
-    assert np.max(np.abs(fld.values - direct)) < 1e-13 * max(np.max(np.abs(direct)), 1.0)
+    assert np.max(np.abs(fld - direct)) < 1e-13 * max(np.max(np.abs(direct)), 1.0)
     # (1,0,0) with n >= 1: one q cancels, finite at the walls
-    fld2, ok2 = eval_icc(f, 1, 0, 0, 0, 2, "S", flat, ctx)
-    assert ok2 and np.all(np.isfinite(fld2.values))
+    fld2, ok2 = eval_icc(f, 1, 1, 0, 0, 0, 2, "S", flat, ctx)
+    assert ok2 and np.all(np.isfinite(fld2))
     # outside the index set: zero field, flagged
-    fld3, ok3 = eval_icc(f, 2, 1, 0, 0, 2, "S", flat, ctx)
-    assert not ok3 and np.max(np.abs(fld3.values)) == 0.0
+    fld3, ok3 = eval_icc(f, 1, 2, 1, 0, 0, 2, "S", flat, ctx)
+    assert not ok3 and np.max(np.abs(fld3)) == 0.0
     assert in_index_set(0, 3, 0, 0)  # a = 0 always allowed
     assert not in_index_set(1, 1, 1, 2)
 
@@ -196,13 +193,13 @@ def test_icc_oracle(grid64, params, cascade, rng, variant):
     k = 2
     theta = np.arccos(np.clip(grid64.nodes, -1, 1))
     coef = rng.normal(size=6) + 1j * rng.normal(size=6)
-    f = ModeField(k, sum(c * np.cos(j * theta) for j, c in enumerate(coef)))
+    f = sum(c * np.cos(j * theta) for j, c in enumerate(coef))
     for (a, b, c, m, n) in ((0, 0, 0, 1, 2), (1, 1, 0, 0, 3), (1, 0, 1, 2, 1), (2, 0, 0, 0, 2), (0, 2, 0, 0, 1)):
-        mine, ok1 = eval_icc(f, a, b, c, m, n, variant, coord, ctx, t=0.6)
-        ref, ok2 = naive_icc(f, a, b, c, m, n, variant, coord, grid64, cascade, 0.6)
+        mine, ok1 = eval_icc(f, k, a, b, c, m, n, variant, coord, ctx, t=0.6)
+        ref, ok2 = naive_icc(f, k, a, b, c, m, n, variant, coord, grid64, cascade, 0.6)
         assert ok1 == ok2
         scale = max(np.max(np.abs(ref)), 1.0)
-        assert np.max(np.abs(mine.values - ref)) < 1e-12 * scale
+        assert np.max(np.abs(mine - ref)) < 1e-12 * scale
 
 
 def test_coord_functionals_couette_zero(grid64, params, cascade):
@@ -267,8 +264,8 @@ def test_truncation_tail_and_report(grid64, params, cascade):
     flat = couette_state(grid64, 0.5)
     vals = spline_initial_bump(grid64.nodes).astype(complex)
     stacks = {
-        0: build_gamma_stack(ModeField(0, vals), flat, 4, grid64, t=0.5),
-        1: build_gamma_stack(ModeField(1, vals), flat, 4, grid64, t=0.5),
+        0: build_gamma_stack(vals, 0, flat, 4, grid64, t=0.5),
+        1: build_gamma_stack(vals, 1, flat, 4, grid64, t=0.5),
     }
     rep = full_report(stacks, ctx, flat, coord_M=3)
     assert rep["E_gamma"] >= 0.0
@@ -285,7 +282,8 @@ def test_full_report_floored_oracle(grid96, params, cascade):
     for _ in range(200):
         state = step_scalar(state, default_dt(4))
     coord = couette_state(grid96, state.t)
-    stacks = {k: build_gamma_stack(state.omega[k], coord, 6, grid96, t=state.t) for k in state.modes()}
+    stacks = {k: build_gamma_stack(f, k, coord, 6, grid96, t=state.t)
+              for k, f in zip(state.ks, state.omega)}
     ctx = EvalContext(grid96, params, cascade, nu=nu, floor_rel=floor[0], tail_multiplier=floor[1])
     rep = full_report(stacks, ctx)
     unfloored = full_report(stacks, make_ctx(grid96, params, cascade, nu))

@@ -57,6 +57,15 @@ def test_config_validation():
                 dict(formats=("xml",)), dict(formats=("csv", "xml"))):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
+    # values the run would only reject, or misread, once it had started
+    for bad in (dict(shear="quartic", eps_u=0.5), dict(shear="sin_quartic", eps_u=0.5),
+                dict(shear="quartic", eps_u=-1.0), dict(shear="quartic", eps_u=float("nan")),
+                dict(data_power=0), dict(data_power=-2),
+                dict(monotonicity_slack=-0.5), dict(noise_floor=-1.0), dict(noise_floor=2.0)):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)
+    # the zero profile has no amplitude to bound
+    assert ExperimentConfig(shear="zero", eps_u=0.5).eps_u == 0.5
     cfg = ExperimentConfig(weights={"s": 1.5, "lambda0": 0.25})
     assert cfg.weight_params().s == 1.5
     with pytest.raises(ConfigError):
@@ -185,6 +194,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("shear: bogus\n")
     assert main(["--config", str(bad), "run"]) == 2
+    # a shear amplitude the profile rejects exits 2 before any step, not 3
+    bad.write_text(f"shear: quartic\neps_u: 0.5\noutput_dir: {tmp_path / 'out'}\n")
+    assert main(["--config", str(bad), "run"]) == 2
+    assert "config.eps_u" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     # bad driver flags are config errors too, caught before any work
     assert main(["verify-identities", "--ny", "3"]) == 2
     assert "--ny" in capsys.readouterr().err

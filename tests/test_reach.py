@@ -3,10 +3,12 @@
 A name counts as reached when it appears as a word anywhere other than on
 its own definition line: elsewhere in the package (``__init__.py`` excluded,
 since re-exporting is not use), in the acceptance gate, or in the benchmark.
-Code that only its own unit tests call fails this guard.
+Code that only its own unit tests call fails this guard.  And every
+`module.name` the README quotes names something the module defines.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -39,3 +41,13 @@ def test_every_public_definition_is_reached():
         if not any(word.search(line) and (p, n) != (path, def_line) for p, n, line in lines):
             unreached.append(f"{path.stem}.{name}")
     assert not unreached, f"reached only by their own unit tests: {unreached}"
+
+
+def test_readme_module_references_resolve():
+    modules = {p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    readme = (ROOT / "README.md").read_text()
+    refs = [(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)`", readme) if mod in modules]
+    assert refs, "the README quotes no module.name"
+    missing = [f"{mod}.{name}" for mod, name in refs
+               if not hasattr(importlib.import_module(f"couette_gevrey.{mod}"), name)]
+    assert not missing, f"README names that do not resolve: {missing}"

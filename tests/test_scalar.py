@@ -16,23 +16,27 @@ from couette_gevrey.scalar import (
     spline_initial_bump,
     step_scalar,
 )
-from couette_gevrey.spectral import ChannelGrid, ModeField, l2_norm
+from couette_gevrey.spectral import ChannelGrid, l2_norm
 
 
 def exact_mms(grid, t, k=1):
     return np.exp(-t) * np.sin(np.pi * grid.nodes).astype(complex)
 
 
+def mms_row(grid, nu, t, k=1):
+    """The forcing of mode k that makes ``exact_mms`` a solution."""
+    return (-1.0 + 1j * k * grid.nodes + nu * (np.pi**2 + k * k)) * exact_mms(grid, t, k)
+
+
 def mms_forcing(grid, nu, k=1):
     def forcing(t):
-        om = exact_mms(grid, t, k)
-        return {k: (-1.0 + 1j * k * grid.nodes + nu * (np.pi**2 + k * k)) * om}
+        return mms_row(grid, nu, t, k)[None, :]
 
     return forcing
 
 
 def march(grid, nu, dt, t_end, k=1):
-    st = initial_state(grid, nu, InitialData({k: ModeField(k, exact_mms(grid, 0.0, k))}))
+    st = initial_state(grid, nu, InitialData((k,), [exact_mms(grid, 0.0, k)]))
     f = mms_forcing(grid, nu, k)
     while st.t < t_end - 1e-12:
         st = step_scalar(st, dt, forcing=f)
@@ -42,9 +46,9 @@ def march(grid, nu, dt, t_end, k=1):
 def test_initial_data_support(grid64):
     data = default_initial_data(grid64, 3)
     outside = np.abs(grid64.nodes) >= 0.25
-    for f in data.omega_in.values():
-        assert np.all(f.values[outside] == 0.0)
-    bad = InitialData({1: ModeField(1, np.ones(grid64.ny + 1))})
+    for f in data.omega:
+        assert np.all(f[outside] == 0.0)
+    bad = InitialData((1,), [np.ones(grid64.ny + 1)])
     with pytest.raises(ValueError):
         bad.validate(grid64)
 
@@ -53,15 +57,15 @@ def test_both_bump_profiles(grid64):
     # the spline bump is the default datum; the C-infinity bump (the damping
     # data) is admissible initial data too
     data = default_initial_data(grid64, 2)
-    assert np.array_equal(data.omega_in[1].values, spline_initial_bump(grid64.nodes) / 2.0)
-    gevrey = InitialData({1: ModeField(1, gevrey_bump(grid64.nodes))}).validate(grid64)
-    assert l2_norm(grid64, gevrey.omega_in[1]) > 0
+    assert np.array_equal(data.omega[1], spline_initial_bump(grid64.nodes) / 2.0)
+    gevrey = InitialData((1,), [gevrey_bump(grid64.nodes)]).validate(grid64)
+    assert l2_norm(grid64, gevrey.omega[0]) > 0
 
 
 def test_manufactured_solution_accuracy(grid64):
     nu = 1e-3
     st = march(grid64, nu, 1e-3, 1.0)
-    err = np.max(np.abs(st.omega[1].values - exact_mms(grid64, st.t)))
+    err = np.max(np.abs(st.omega[0] - exact_mms(grid64, st.t)))
     assert err < 1e-6
 
 
@@ -70,7 +74,7 @@ def test_dt_convergence_order(grid64):
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
         st = march(grid64, nu, dt, 0.5)
-        errs.append(np.max(np.abs(st.omega[1].values - exact_mms(grid64, st.t))))
+        errs.append(np.max(np.abs(st.omega[0] - exact_mms(grid64, st.t))))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for o in orders:
         assert abs(o - 2.0) < 0.2
@@ -81,8 +85,8 @@ def test_walls_exactly_zero(grid64):
     st = initial_state(grid64, 1e-3, data)
     for _ in range(10):
         st = step_scalar(st, 5e-3)
-        for f in st.omega.values():
-            assert f.values[0] == 0.0 and f.values[-1] == 0.0
+        for f in st.omega:
+            assert f[0] == 0.0 and f[-1] == 0.0
 
 
 def test_stability_guard(grid64):
@@ -98,20 +102,19 @@ def test_free_transport_exact(grid64):
     data = default_initial_data(grid64, 3)
     st = initial_state(grid64, 0.0, data)
     dt = default_dt(3)
-    n0 = {k: l2_norm(grid64, f) for k, f in st.omega.items()}
+    n0 = st.l2_norms()
     for _ in range(400):
         st = step_scalar(st, dt)
-    for k, f in st.omega.items():
+    for k, f, f0 in zip(st.ks, st.omega, data.omega):
         assert abs(l2_norm(grid64, f) - n0[k]) < 1e-9
-        oracle = exact_transport(data.omega_in[k], k, st.t, grid64)
-        assert np.max(np.abs(f.values - oracle.values)) < 1e-6
+        oracle = exact_transport(f0, k, st.t, grid64)
+        assert np.max(np.abs(f - oracle)) < 1e-6
 
 
 def test_exact_transport_props(grid64):
-    f = ModeField(2, gevrey_bump(grid64.nodes).astype(complex))
-    assert np.array_equal(exact_transport(f, 2, 0.0, grid64).values, f.values)
-    f0 = ModeField(0, f.values)
-    assert np.array_equal(exact_transport(f0, 0, 7.0, grid64).values, f.values)
+    f = gevrey_bump(grid64.nodes).astype(complex)
+    assert np.array_equal(exact_transport(f, 2, 0.0, grid64), f)
+    assert np.array_equal(exact_transport(f, 0, 7.0, grid64), f)
     assert l2_norm(grid64, exact_transport(f, 2, 13.0, grid64)) == pytest.approx(
         l2_norm(grid64, f), rel=1e-14
     )
@@ -121,14 +124,14 @@ def test_energy_dissipation_identity(grid64):
     # d/dt ||w||^2 = -2 nu ||grad_k w||^2 within O(dt^2) per step
     nu, k, dt = 1e-2, 1, 1e-3
     vals = np.sin(np.pi * grid64.nodes) + 0.3 * np.sin(2 * np.pi * grid64.nodes)
-    st = initial_state(grid64, nu, InitialData({k: ModeField(k, vals * 0.0)}))
-    st.omega[k] = ModeField(k, vals.astype(complex))
+    st = initial_state(grid64, nu, InitialData((k,), [vals * 0.0]))
+    st.omega[0] = vals
     for _ in range(5):  # settle multistep history
         st = step_scalar(st, dt)
-    before = l2_norm(grid64, st.omega[k]) ** 2
+    before = l2_norm(grid64, st.omega[0]) ** 2
     st2 = step_scalar(st, dt)
-    after = l2_norm(grid64, st2.omega[k]) ** 2
-    mid = 0.5 * (st.omega[k].values + st2.omega[k].values)
+    after = l2_norm(grid64, st2.omega[0]) ** 2
+    mid = 0.5 * (st.omega[0] + st2.omega[0])
     grad_sq = (
         l2_norm(grid64, grid64.d1 @ mid) ** 2 + k * k * l2_norm(grid64, mid) ** 2
     )
@@ -163,10 +166,10 @@ def test_support_spreading_budget():
     while st.t < t_final:
         st = step_scalar(st, dt)
     total = 0.0
-    for k, f in st.omega.items():
+    for k, f in zip(st.ks, st.omega):
         w = np.exp(eval_W(st.t, grid.nodes, nu, params))
         weight = 1.0 if k == 0 else 2.0
-        total += weight * l2_norm(grid, f.values * w) ** 2
+        total += weight * l2_norm(grid, f * w) ** 2
     assert np.sqrt(total) <= budget
 
 
@@ -174,19 +177,19 @@ def test_wall_second_derivative_decays(grid96):
     # smooth wall-compatible analytic data: the trace d_yy w(+-1) stays ~ 0
     nu = 1e-3
     vals = np.sin(np.pi * grid96.nodes) * (1 - grid96.nodes**2) ** 2
-    st = initial_state(grid96, nu, InitialData({1: ModeField(1, vals.astype(complex))}))
+    st = initial_state(grid96, nu, InitialData((1,), [vals.astype(complex)]))
     dt = default_dt(2)
     while st.t < 1.0:
         st = step_scalar(st, dt)
-    dyy = grid96.d2 @ st.omega[1].values
+    dyy = grid96.d2 @ st.omega[0]
     assert max(abs(dyy[0]), abs(dyy[-1])) < 1e-6
 
 
 def test_zero_forcing_zero_state(grid64):
-    st = initial_state(grid64, 1e-3, InitialData({1: ModeField(1, np.zeros(grid64.ny + 1))}))
+    st = initial_state(grid64, 1e-3, InitialData((1,), [np.zeros(grid64.ny + 1)]))
     for _ in range(20):
         st = step_scalar(st, 1e-2)
-    assert np.max(np.abs(st.omega[1].values)) == 0.0
+    assert np.max(np.abs(st.omega[0])) == 0.0
 
 
 def test_hermitian_symmetry_convention(grid64):
@@ -216,18 +219,19 @@ def test_sbdf2_amplification_margin():
 
 
 def _oracle_cases(grid):
-    data4 = default_initial_data(grid, 4).omega_in
-    mms_modes = {k: ModeField(k, exact_mms(grid, 0.0, k)) for k in (0, 1, 2)}
-    forced = {k: mms_forcing(grid, 1e-3, k) for k in (1, 2)}
+    data4 = default_initial_data(grid, 4)
+    mms_ks = (0, 1, 2)
+    mms_modes = [exact_mms(grid, 0.0, k) for k in mms_ks]
 
     def forcing(t):
-        return {k: f(t)[k] for k, f in forced.items()}
+        # modes 1 and 2 are forced, mode 0 is not
+        return np.array([mms_row(grid, 1e-3, t, k) if k else np.zeros(grid.ny + 1) for k in mms_ks])
 
     return {
-        "zero_profile": (data4, zero_profile(), None),
-        "quartic_profile": (data4, quartic_profile(), None),
-        "mms_forcing": (mms_modes, zero_profile(), forcing),
-        "modes_1_3": ({k: data4[k] for k in (1, 3)}, zero_profile(), None),
+        "zero_profile": (data4.ks, data4.omega, zero_profile(), None),
+        "quartic_profile": (data4.ks, data4.omega, quartic_profile(), None),
+        "mms_forcing": (mms_ks, mms_modes, zero_profile(), forcing),
+        "modes_1_3": ((1, 3), data4.omega[[1, 3]], zero_profile(), None),
     }
 
 
@@ -239,18 +243,18 @@ ORACLE_CASES = ["zero_profile", "quartic_profile", "mms_forcing", "modes_1_3"]
                          + [pytest.param(c, 95, id=f"{c}-ny95") for c in ORACLE_CASES])
 def test_batched_step_matches_per_mode_oracle(case, ny):
     grid = ChannelGrid(ny, kmax=8)
-    omega, profile, forcing = _oracle_cases(grid)[case]
+    ks, omega, profile, forcing = _oracle_cases(grid)[case]
     nu = 1e-3
-    st = initial_state(grid, nu, InitialData(omega))
-    ref = LoopScalarStepper(grid, nu, omega)
-    peak = max(np.max(np.abs(f.values)) for f in omega.values())
+    st = initial_state(grid, nu, InitialData(ks, omega))
+    ref = LoopScalarStepper(grid, nu, ks, omega)
+    peak = max(np.max(np.abs(f)) for f in omega)
     for i in range(200):
         dt = 1e-2 if i < 100 else 8e-3  # the dt change reruns the restart step
         st = step_scalar(st, dt, profile, forcing)
         ref.step(dt, profile, forcing)
     assert st.t == pytest.approx(ref.t, abs=1e-14)
-    assert st.modes() == sorted(ref.omega)
-    worst = max(np.max(np.abs(st.omega[k].values - ref.omega[k])) for k in st.modes())
+    assert list(st.ks) == sorted(ref.omega)
+    worst = max(np.max(np.abs(f - ref.omega[k])) for k, f in zip(st.ks, st.omega))
     assert worst <= 1e-12 * peak
 
 
@@ -270,14 +274,28 @@ def test_batched_step_noise_floor():
     odd = np.sin(np.pi * y) * np.exp(-16.0 * y * y)
     even = np.cos(np.pi * y) * (1.0 - y * y) * np.exp(-16.0 * y * y)
     for bump in (odd, even):
-        data = InitialData({k: ModeField(k, bump / (1.0 + k * k)) for k in range(9)})
+        data = InitialData(range(9), [bump / (1.0 + k * k) for k in range(9)])
         st = initial_state(grid, nu, data)
-        ref = LoopScalarStepper(grid, nu, data.omega_in)
+        ref = LoopScalarStepper(grid, nu, data.ks, data.omega)
         dt = default_dt(8)
         for _ in range(300):
             st = step_scalar(st, dt)
             ref.step(dt, zero_profile())
-        batched = np.median([grid.spectral_tail(st.omega[k].values) for k in st.modes()])
+        batched = np.median([grid.spectral_tail(f) for f in st.omega])
         oracle = np.median([grid.spectral_tail(v) for v in ref.omega.values()])
         assert oracle < 1e-13  # the comparison is made at the roundoff floor
         assert batched <= 3.0 * oracle
+
+
+def test_steps_never_write_earlier_states(grid64):
+    # a new state's SBDF2 history is the previous state's omega array itself,
+    # so no step may write into an array it was given
+    st0 = initial_state(grid64, 1e-3, default_initial_data(grid64, 2))
+    before0 = st0.omega.copy()
+    st1 = step_scalar(st0, 5e-3)
+    before1 = st1.omega.copy()
+    st2 = step_scalar(st1, 5e-3)
+    assert st2._prev is st1.omega
+    assert np.array_equal(st0.omega, before0) and np.array_equal(st1.omega, before1)
+    assert not np.shares_memory(st0.omega, st1.omega)
+    assert not np.shares_memory(st1.omega, st2.omega)

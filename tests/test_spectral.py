@@ -6,7 +6,6 @@ from oracles import loop_clenshaw_curtis_weights, loop_green_solve, loop_interpo
 
 from couette_gevrey.spectral import (
     ChannelGrid,
-    ModeField,
     SingularSolveError,
     clenshaw_curtis_weights,
     green_eval,
@@ -54,11 +53,11 @@ def test_norm_homogeneity(re, im):
 
 def test_helmholtz_manufactured(grid64):
     k = 1
-    rhs = ModeField(k, (np.pi**2 + k**2) * np.sin(np.pi * grid64.nodes))
-    psi = helmholtz_solve(grid64, rhs)
-    assert np.max(np.abs(psi.values - np.sin(np.pi * grid64.nodes))) < 1e-12
-    zero = helmholtz_solve(grid64, ModeField(1, np.zeros(grid64.ny + 1)))
-    assert np.max(np.abs(zero.values)) == 0.0
+    rhs = (np.pi**2 + k**2) * np.sin(np.pi * grid64.nodes)
+    psi = helmholtz_solve(grid64, rhs, k)
+    assert np.max(np.abs(psi - np.sin(np.pi * grid64.nodes))) < 1e-12
+    zero = helmholtz_solve(grid64, np.zeros(grid64.ny + 1), 1)
+    assert np.max(np.abs(zero)) == 0.0
 
 
 @pytest.mark.parametrize("ny", [64, 65])
@@ -84,9 +83,9 @@ def test_helmholtz_spectral_convergence():
     errs = []
     for ny in (16, 32, 64):
         g = ChannelGrid(ny)
-        rhs = ModeField(2, (16 * np.pi**2 + 4.0) * np.sin(4 * np.pi * g.nodes))
-        psi = helmholtz_solve(g, rhs)
-        errs.append(np.max(np.abs(psi.values - np.sin(4 * np.pi * g.nodes))))
+        rhs = (16 * np.pi**2 + 4.0) * np.sin(4 * np.pi * g.nodes)
+        psi = helmholtz_solve(g, rhs, 2)
+        errs.append(np.max(np.abs(psi - np.sin(4 * np.pi * g.nodes))))
     assert errs[2] <= errs[1] <= errs[0]
     assert errs[2] < 1e-10
 
@@ -94,22 +93,22 @@ def test_helmholtz_spectral_convergence():
 def test_helmholtz_neumann(grid64):
     # -psi'' + k^2 psi = (pi^2 + k^2) cos(pi y) has Neumann-compatible rhs
     k = 2
-    rhs = ModeField(k, (np.pi**2 + k**2) * np.cos(np.pi * grid64.nodes))
-    psi = helmholtz_solve(grid64, rhs, bc="neumann")
-    assert np.max(np.abs(psi.values - np.cos(np.pi * grid64.nodes))) < 1e-10
+    rhs = (np.pi**2 + k**2) * np.cos(np.pi * grid64.nodes)
+    psi = helmholtz_solve(grid64, rhs, k, bc="neumann")
+    assert np.max(np.abs(psi - np.cos(np.pi * grid64.nodes))) < 1e-10
 
 
 def test_helmholtz_k0_neumann_compatibility(grid64):
     # the k = 0 Neumann problem is singular: rejected whether or not the
     # data satisfy the compatibility condition
     with pytest.raises(SingularSolveError):
-        helmholtz_solve(grid64, ModeField(0, np.ones(grid64.ny + 1)), bc="neumann")
-    compatible = ModeField(0, np.pi**2 * np.cos(np.pi * grid64.nodes))
+        helmholtz_solve(grid64, np.ones(grid64.ny + 1), 0, bc="neumann")
+    compatible = np.pi**2 * np.cos(np.pi * grid64.nodes)
     with pytest.raises(SingularSolveError):
-        helmholtz_solve(grid64, compatible, bc="neumann")
+        helmholtz_solve(grid64, compatible, 0, bc="neumann")
     # k = 0 with Dirichlet walls is regular
-    psi = helmholtz_solve(grid64, ModeField(0, np.pi**2 * np.sin(np.pi * grid64.nodes)))
-    assert np.max(np.abs(psi.values - np.sin(np.pi * grid64.nodes))) < 1e-10
+    psi = helmholtz_solve(grid64, np.pi**2 * np.sin(np.pi * grid64.nodes), 0)
+    assert np.max(np.abs(psi - np.sin(np.pi * grid64.nodes))) < 1e-10
 
 
 def test_maximal_regularity_constant(grid64, rng):
@@ -122,11 +121,11 @@ def test_maximal_regularity_constant(grid64, rng):
         coef = rng.normal(size=12) * np.exp(-0.4 * np.arange(12))
         f = sum(c * np.cos(j * theta) for j, c in enumerate(coef))
         bc = "dirichlet" if trial % 2 == 0 else "neumann"
-        psi = helmholtz_solve(grid64, ModeField(k, f), bc=bc)
+        psi = helmholtz_solve(grid64, f, k, bc=bc)
         num = (
-            l2_norm(grid64, grid64.d2 @ psi.values)
-            + k * l2_norm(grid64, grid64.d1 @ psi.values)
-            + k * k * l2_norm(grid64, psi.values)
+            l2_norm(grid64, grid64.d2 @ psi)
+            + k * l2_norm(grid64, grid64.d1 @ psi)
+            + k * k * l2_norm(grid64, psi)
         )
         worst = max(worst, num / l2_norm(grid64, f))
     assert worst <= bound + 1e-9
@@ -164,10 +163,10 @@ def test_green_solve_cross_validation(grid96, rng):
         k = int(rng.integers(1, 7))
         coef = rng.normal(size=10) * np.exp(-0.5 * np.arange(10))
         f = sum(c * np.cos(j * theta) for j, c in enumerate(coef)) * (1 + 0.3j)
-        direct = helmholtz_solve(grid96, ModeField(k, -f))
-        viagreen = green_solve(grid96, ModeField(k, f), k=k)
-        num = l2_norm(grid96, viagreen.values - direct.values)
-        worst = max(worst, num / l2_norm(grid96, direct.values))
+        direct = helmholtz_solve(grid96, -f, k)
+        viagreen = green_solve(grid96, f, k)
+        num = l2_norm(grid96, viagreen - direct)
+        worst = max(worst, num / l2_norm(grid96, direct))
     assert worst < 1e-8
 
 
@@ -176,7 +175,7 @@ def test_green_solve_cross_validation(grid96, rng):
 def test_green_solve_matches_loop_oracle(grid96, rng, k, domain):
     f = rng.normal(size=grid96.ny + 1) + 1j * rng.normal(size=grid96.ny + 1)
     ref = loop_green_solve(grid96, f, k, domain)
-    out = green_solve(grid96, ModeField(k, f), domain=domain).values
+    out = green_solve(grid96, f, k, domain=domain)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -190,8 +189,8 @@ def test_interpolation_matrix_matches_loop_oracle(grid64, rng):
 
 
 def test_green_solve_zero(grid96):
-    out = green_solve(grid96, ModeField(2, np.zeros(grid96.ny + 1)))
-    assert np.max(np.abs(out.values)) == 0.0
+    out = green_solve(grid96, np.zeros(grid96.ny + 1), 2)
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_green_interior_smoothing(grid96):
@@ -224,7 +223,7 @@ def test_green_interior_smoothing(grid96):
 
 def test_poisson_k0_rejected(grid64):
     with pytest.raises(SingularSolveError):
-        poisson_mode_solve(grid64, ModeField(0, np.ones(grid64.ny + 1)))
+        poisson_mode_solve(grid64, np.ones(grid64.ny + 1), 0)
 
 
 def test_spectral_tail_indicator(grid64):
