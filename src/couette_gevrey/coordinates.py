@@ -185,12 +185,8 @@ def monitor_assumptions(state: CoordinateState, profile: ShearProfile, grid: Cha
     dyu0 = np.max(np.abs(profile.dy_u0(state.t, y)))
     w_inf = np.max(np.abs(state.w))
     vy_inv = np.max(np.abs(1.0 / state.v_y))
-    h = state.v_y - 1.0
-    h3 = 0.0
-    cur = h
-    for _ in range(4):
-        h3 += float(np.real(grid.integrate(np.abs(cur) ** 2)))
-        cur = grid.d1 @ cur
+    h3 = sum(float(np.real(grid.integrate(np.abs(d) ** 2)))
+             for d in gamma_ladder(grid.d1, state.v_y - 1.0, 1.0, 3))
     h3 = float(np.sqrt(h3))
     checks = {
         "dy_u0_inf": (dyu0, 1.0 / 16.0),

@@ -29,43 +29,21 @@ from .spectral import (
     l2_norm,
     poisson_mode_solve,
 )
-from .weights import smoothstep
+from .weights import cutoff_transition
 
 
 class NonContractionError(RuntimeError):
     """The coordinate defect is too large for the interior fixed point."""
 
 
-@dataclass(frozen=True)
-class EllipticCutoffs:
-    """The fattened cutoff chi~_1 and the buffer cutoff chi_*.
-
-    chi_* rises strictly between supp(chi~_1^c) (|xi| < 3/8 - 1/80) and
-    the region where the cascade cutoffs live (|xi| >= 3/8 shifted by at
-    most the coordinate distortion 1/160); the realized support gap is
-    reported by ``chi_star_gap``.
-    """
-
-    star_lo: float = 0.364
-    star_hi: float = 0.3685
-
-    def chi_tilde1(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        lo = 3.0 / 8.0 - 1.0 / 40.0
-        hi = 3.0 / 8.0 - 1.0 / 80.0
-        return smoothstep((np.abs(xi) - lo) / (hi - lo))
-
-    def chi_tilde1_c(self, xi) -> np.ndarray:
-        return 1.0 - self.chi_tilde1(xi)
-
-    def chi_star(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        return smoothstep((np.abs(xi) - self.star_lo) / (self.star_hi - self.star_lo))
-
-    @property
-    def chi_star_gap(self) -> float:
-        # supp chi~_1^c ends at |xi| = 3/8 - 1/80, chi_star starts at star_lo
-        return self.star_lo - (3.0 / 8.0 - 1.0 / 80.0)
+# The fattened cutoff chi~_1 = 1 - chi~_1^c and the buffer cutoff chi_*, as
+# (lo, hi) of their transitions in |xi|.  chi_* rises strictly between
+# supp(chi~_1^c) (|xi| < 3/8 - 1/80) and the region where the cascade
+# cutoffs live (|xi| >= 3/8 shifted by at most the coordinate distortion
+# 1/160); CHI_STAR_GAP is the realized support gap.
+CHI_TILDE1 = (3.0 / 8.0 - 1.0 / 40.0, 3.0 / 8.0 - 1.0 / 80.0)
+CHI_STAR = (0.364, 0.3685)
+CHI_STAR_GAP = CHI_STAR[0] - CHI_TILDE1[1]
 
 
 @dataclass
@@ -120,7 +98,6 @@ def decompose_phi(
     k: int,
     coord: CoordinateState,
     grid: ChannelGrid,
-    cutoffs: EllipticCutoffs | None = None,
     tol: float = 1e-10,
 ) -> PhiDecomposition:
     """Split the stream function of mode k into interior and exterior parts.
@@ -132,8 +109,6 @@ def decompose_phi(
     """
     if k == 0:
         raise ValueError("k = 0 is outside the elliptic layer")
-    if cutoffs is None:
-        cutoffs = EllipticCutoffs()
     domain = (float(coord.v[0]), float(coord.v[-1]))
     mid = 0.5 * (domain[0] + domain[1])
     half = 0.5 * (domain[1] - domain[0])
@@ -144,7 +119,7 @@ def decompose_phi(
     w_at_v = grid.interpolate(omega_k, y_at_v)
     vy_at_v = grid.interpolate(coord.v_y, y_at_v).real
     z_at_v = vy_at_v**2 - 1.0
-    chic = cutoffs.chi_tilde1_c(v_nodes)
+    chic = 1.0 - cutoff_transition(v_nodes, *CHI_TILDE1)
     coupling = float(np.max(np.abs(chic * z_at_v)))
     if coupling >= 0.5:
         raise NonContractionError(
@@ -178,7 +153,7 @@ def decompose_phi(
     int_res_norm = float(np.max(np.abs(int_res)) / max(np.max(np.abs(rhs)), 1e-300))
 
     # exterior forcing on the y-grid, including the interior defect
-    chi1_y = cutoffs.chi_tilde1(coord.v)
+    chi1_y = cutoff_transition(coord.v, *CHI_TILDE1)
     corr_y = grid.interpolate(corr_v, _to_reference(coord.v, domain))
     rhs_e = chi1_y * omega_k + chi1_y * corr_y
     phi_e = poisson_mode_solve(grid, rhs_e, k)
@@ -258,7 +233,6 @@ def damping_diagnostic(
     grid: ChannelGrid,
     k: int,
     n_gamma: int = 0,
-    cutoffs: EllipticCutoffs | None = None,
 ) -> dict:
     """Least-squares decay exponent of mode k's interior stream function,
     sampled as (t, phi_I(t)) pairs.
@@ -271,10 +245,8 @@ def damping_diagnostic(
     """
     if len(history) < 8:
         raise ValueError("need at least 8 time samples to fit a decay exponent")
-    if cutoffs is None:
-        cutoffs = EllipticCutoffs()
     ts, amps = [], []
-    star = cutoffs.chi_star(grid.nodes)
+    star = cutoff_transition(grid.nodes, *CHI_STAR)
     for t, phi in history:
         if t <= 0:
             continue

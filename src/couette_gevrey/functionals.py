@@ -248,10 +248,7 @@ def _coord_functionals(state: CoordinateState, ctx: EvalContext, i_io: int, M: i
     )
 
     def d_y(vals, j):
-        out = vals
-        for _ in range(j):
-            out = grid.d1 @ out
-        return out
+        return gamma_ladder(grid.d1, vals, 1.0, j)[-1]
 
     out: dict[str, float] = {}
     # Hbar family

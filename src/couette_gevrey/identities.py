@@ -25,7 +25,16 @@ from scipy.special import gammaln
 
 from .coordinates import CoordinateState, gamma_ladder, shell_pairs
 from .spectral import ChannelGrid
-from .weights import GevreyCoeffTable, WeightParams, eval_q, theta_weights
+from .weights import (
+    GevreyCoeffTable,
+    WeightParams,
+    eval_q,
+    jet_div,
+    jet_mul,
+    jet_pow,
+    q_jet,
+    theta_weights,
+)
 
 
 @dataclass
@@ -162,11 +171,8 @@ def check_commutator_relations(
     d1, d2 = grid.d1, grid.d2
     vy = coord.v_y
     vyy = d1 @ vy
-    q = eval_q(grid.nodes)
-    qp = eval_q(grid.nodes, 1)
-    qpp = eval_q(grid.nodes, 2)
+    q, qp, qpp = q_jet(grid.nodes, 2)
     fp = d1 @ f
-    qn = q**n
 
     def dvb(g):
         return (d1 @ g) / vy
@@ -180,7 +186,6 @@ def check_commutator_relations(
     mask = np.ones(grid.ny + 1, dtype=bool)
     h = vy - 1.0
     zero = np.zeros_like(f)
-    dy_qnf = n * q ** max(n - 1, 0) * qp * f + qn * fp  # d_y(q^n f), n >= 1
 
     def comm_dy(g):  # [d_y, Gamma] g, closed form
         return -dvb(h) * dvb(g)
@@ -223,13 +228,13 @@ def check_commutator_relations(
         # with closed-form test data instead of spectral collocation.
         order = 2 if which in ("cm_pyy_qn", "cm_pvv_qn", "cm_pvv_q") else 1
         fj = analytic_test_jet(grid.nodes, order)
-        qj = q_jet(grid.nodes, order)
-        vyj = [vy] + [np.linalg.matrix_power(d1, r) @ vy for r in range(1, order + 1)]
+        qj = [q, qp, qpp][: order + 1]
+        vyj = gamma_ladder(d1, vy, 1.0, order)
         f = fj[0]
         fp = fj[1]
         n_eff = 1 if which == "cm_pvv_q" else n
-        qnj = _jet_pow(qj, n_eff, order)
-        prod = _jet_mul(qnj, fj, order)
+        qnj = jet_pow(qj, n_eff)
+        prod = jet_mul(qnj, fj)
         if which == "cm_py_qn":
             lhs = prod[1] - qnj[0] * fj[1]
             rhs = n * qp * q ** max(n - 1, 0) * f if n >= 1 else zero
@@ -380,9 +385,7 @@ def c_q_collected(grid: ChannelGrid, nu: float, n: int, gam_n: np.ndarray) -> np
     """
     if n == 0:
         return np.zeros_like(gam_n)
-    q = eval_q(grid.nodes)
-    qp = eval_q(grid.nodes, 1)
-    qpp = eval_q(grid.nodes, 2)
+    q, qp, qpp = q_jet(grid.nodes, 2)
     out = -2.0 * nu * n * qp * q ** (n - 1) * (grid.d1 @ gam_n)
     out -= nu * n * qpp * q ** (n - 1) * gam_n
     if n >= 2:
@@ -459,10 +462,7 @@ def check_mode_equation(
 
 def upsilon_coefficients(grid: ChannelGrid, n: int):
     """(Ups1, Ups2, Ups3): the collected coefficients of d_y C_q."""
-    q = eval_q(grid.nodes)
-    qp = eval_q(grid.nodes, 1)
-    qpp = eval_q(grid.nodes, 2)
-    qppp = eval_q(grid.nodes, 3)
+    q, qp, qpp, qppp = q_jet(grid.nodes, 3)
     ups1 = -2.0 * qp
     ups2 = (n + 3.0) / n * qp**2 - 3.0 / n * qpp * q
     ups3 = (
@@ -491,18 +491,14 @@ def check_upsilon_identity(
     y = grid.nodes
     hj = analytic_test_jet(y, 3, freq=1.7, phase=0.9)
     h, hp, hpp = hj[0], hj[1], hj[2]
-    q = eval_q(y)
-    qp = eval_q(y, 1)
-    qpp = eval_q(y, 2)
+    q, qp, qpp, qppp = q_jet(y, 3)
     # d_y C_q by jet differentiation of the collected three-term form
-    qj = q_jet(y, 1)
-    qpj = [eval_q(y, 1), eval_q(y, 2)]
-    qppj = [eval_q(y, 2), eval_q(y, 3)]
+    qj, qpj, qppj = [q, qp], [qp, qpp], [qpp, qppp]
     hj1 = hj[:2]
     hpj = hj[1:3]
-    term1 = _jet_mul(_jet_mul(qpj, qpj, 1), _jet_mul(_jet_pow(qj, n - 2, 1), hj1, 1), 1) if n >= 2 else [np.zeros_like(h)] * 2
-    term2 = _jet_mul(qpj, _jet_mul(_jet_pow(qj, n - 1, 1), hpj, 1), 1)
-    term3 = _jet_mul(qppj, _jet_mul(_jet_pow(qj, n - 1, 1), hj1, 1), 1)
+    term1 = jet_mul(jet_mul(qpj, qpj), jet_mul(jet_pow(qj, n - 2), hj1))
+    term2 = jet_mul(qpj, jet_mul(jet_pow(qj, n - 1), hpj))
+    term3 = jet_mul(qppj, jet_mul(jet_pow(qj, n - 1), hj1))
     lhs = -nu * (n * (n - 1) * term1[1] + 2.0 * n * term2[1] + n * term3[1])
     ups1, ups2, ups3 = upsilon_coefficients(grid, n)
     mask = np.ones(grid.ny + 1, dtype=bool)
@@ -534,47 +530,12 @@ def check_upsilon_identity(
 
 
 # ---------------------------------------------------------------------------
-# Faa di Bruno representation of dv-bar^j(q^n), via degree-4 Taylor jets
-
-
-def _jet_mul(a: list[np.ndarray], b: list[np.ndarray], order: int) -> list[np.ndarray]:
-    return [
-        sum(math.comb(i, r) * a[r] * b[i - r] for r in range(i + 1)) for i in range(order + 1)
-    ]
-
-
-def _jet_recip(a: list[np.ndarray], order: int) -> list[np.ndarray]:
-    out = [1.0 / a[0]]
-    for i in range(1, order + 1):
-        acc = np.zeros_like(a[0])
-        for r in range(1, i + 1):
-            acc = acc + math.comb(i, r) * a[r] * out[i - r]
-        out.append(-acc / a[0])
-    return out
-
-
-def _jet_pow(a: list[np.ndarray], n: int, order: int) -> list[np.ndarray]:
-    out = [np.ones_like(a[0])] + [np.zeros_like(a[0]) for _ in range(order)]
-    base = a
-    e = n
-    while e > 0:
-        if e & 1:
-            out = _jet_mul(out, base, order)
-        e >>= 1
-        if e:
-            base = _jet_mul(base, base, order)
-    return out
-
-
-def q_jet(y: np.ndarray, order: int = 4) -> list[np.ndarray]:
-    return [eval_q(y, j) for j in range(order + 1)]
+# Faa di Bruno representation of dv-bar^j(q^n), via the Taylor jets of weights
 
 
 def dvbar_jet(f_jet: list[np.ndarray], vy_jet: list[np.ndarray]) -> list[np.ndarray]:
-    """dv-bar f as a jet one order lower: (1/v_y) f'."""
-    order = len(f_jet) - 2
-    shifted = f_jet[1:]
-    return _jet_mul(_jet_recip(vy_jet[: order + 1], order), shifted, order)
+    """dv-bar f as a jet one order lower: f' / v_y."""
+    return jet_div(f_jet[1:], vy_jet)
 
 
 def dvbar_pow_pointwise(f_jet, vy_jet, count: int) -> np.ndarray:
@@ -600,8 +561,8 @@ def q_tilde(n: int, j: int, y: np.ndarray, vy_jet: list[np.ndarray]) -> np.ndarr
     """
     if not 1 <= j <= 4:
         raise ValueError("1 <= j <= 4")
-    qj = q_jet(y, order=j)
-    dvq = [None] + [dvbar_pow_pointwise(q_jet(y, order=j), vy_jet[: j + 1], ell) for ell in range(1, j + 1)]
+    qj = q_jet(y, j)
+    dvq = [None] + [dvbar_pow_pointwise(qj, vy_jet[: j + 1], ell) for ell in range(1, j + 1)]
     q0 = qj[0]
     out = np.zeros_like(q0)
     for part in _PARTITIONS[j]:
@@ -639,17 +600,13 @@ def check_faa_di_bruno(
     if not 1 <= j <= 4:
         raise ValueError("1 <= j <= 4")
     y = grid.nodes[1:-1]
-    vy = coord.v_y
-    vy_jet = [vy[1:-1]] + [(np.linalg.matrix_power(grid.d1, r) @ vy)[1:-1] for r in range(1, 5)]
-    lhs = dvbar_pow_pointwise(_jet_pow(q_jet(y, 4), n, 4), vy_jet, j)
+    vy_jet = [d[1:-1] for d in gamma_ladder(grid.d1, coord.v_y, 1.0, 4)]
+    lhs = dvbar_pow_pointwise(jet_pow(q_jet(y, 4), n), vy_jet, j)
     qt = q_tilde(n, j, y, vy_jet)
     rhs = qt * float(n) ** j * eval_q(y) ** max(n - j, 0)
     scale = max(float(np.max(np.abs(lhs))), 1e-300)
     res = float(np.max(np.abs(lhs - rhs)) / scale)
-    sup_sweep = {
-        nn: float(np.max(np.abs(q_tilde(nn, min(j, 2) if j >= 2 else 2, y, vy_jet))))
-        for nn in n_sup_sweep
-    }
+    sup_sweep = {nn: float(np.max(np.abs(q_tilde(nn, 2, y, vy_jet)))) for nn in n_sup_sweep}
     return IdentityReport(
         f"faa_di_bruno_n{n}_j{j}",
         res,
@@ -674,20 +631,12 @@ def check_faa_commutator(
     if not 1 <= j <= 3:
         raise ValueError("1 <= j <= 3")
     y = grid.nodes
-    vy = coord.v_y
-    vy_jet = [vy] + [np.linalg.matrix_power(grid.d1, r) @ vy for r in range(1, j + 2)]
+    vy_jet = gamma_ladder(grid.d1, coord.v_y, 1.0, j + 1)
     fj = analytic_test_jet(y, j, freq=1.9, phase=1.3)
     qj = q_jet(y, j)
-    qnj = _jet_pow(qj, n, j)
-    prod = _jet_mul(qnj, fj, j)
-
-    def dvb_val(jet, count):
-        cur = [c.copy() for c in jet]
-        for _ in range(count):
-            cur = dvbar_jet(cur, vy_jet)
-        return cur[0]
-
-    lhs = dvb_val(prod, j) - qnj[0] * dvb_val(fj, j)
+    qnj = jet_pow(qj, n)
+    prod = jet_mul(qnj, fj)
+    lhs = dvbar_pow_pointwise(prod, vy_jet, j) - qnj[0] * dvbar_pow_pointwise(fj, vy_jet, j)
     rhs = np.zeros_like(lhs)
     q = qj[0]
     for ell in range(1, j + 1):
@@ -697,7 +646,7 @@ def check_faa_commutator(
             * qt
             * float(n) ** ell
             * q ** max(n - ell, 0)
-            * dvb_val(fj, j - ell)
+            * dvbar_pow_pointwise(fj, vy_jet, j - ell)
         )
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(fj[0]))), 1e-300)
     res = float(np.max(np.abs(lhs - rhs)) / scale)
@@ -719,9 +668,7 @@ def check_boundary_lemma(stack, grid: ChannelGrid, tolerance: float = 1e-8) -> I
     reflects the solver's boundary compatibility.  The n = 1 value is
     finite and reported against the |d_y ring_{m,0}|^2 wall bound shape.
     """
-    q = eval_q(grid.nodes)
-    qp = eval_q(grid.nodes, 1)
-    qpp = eval_q(grid.nodes, 2)
+    q, qp, qpp = q_jet(grid.nodes, 2)
     worst = 0.0
     details = {}
     scale = 1e-300
@@ -902,7 +849,7 @@ def find_theta_params(
     """
     if b_target <= 1.0:
         raise ValueError("b_target must exceed 1")
-    if lambda_s * 1.0 >= 0.5:
+    if lambda_s >= 0.5:
         raise ValueError("outside the smallness regime lambda^s < 1/2")
     target = 1.0 / b_target
     best = None
@@ -915,11 +862,7 @@ def find_theta_params(
         if best:
             break
     if best is None:
-        tight = min(
-            theta_inequality_worst_ratio(d, ns, sigma, lambda_s, frak_c, n_max)
-            for d in (0.03125,)
-            for ns in (40,)
-        )
+        tight = theta_inequality_worst_ratio(0.03125, 40, sigma, lambda_s, frak_c, n_max)
         return {
             "delta_drop": None,
             "n_star": None,

@@ -15,48 +15,65 @@ import numpy as np
 from scipy.special import gammaln, zeta
 
 # ---------------------------------------------------------------------------
-# degree-3 Taylor jets, used to get exact derivatives of the bump smoothstep
+# Taylor jets: [f, f', ..., f^(d)] as lists of arrays, any degree d.  Every
+# exact derivative the package takes (the cutoff transitions, q, the Faa di
+# Bruno checks) is built from these four recurrences (Griewank & Walther,
+# Evaluating Derivatives, 2nd ed., ch. 13).
 
 
-def _jet_var(x):
-    x = np.asarray(x, dtype=float)
-    z = np.zeros_like(x)
-    return [x, np.ones_like(x), z.copy(), z.copy()]
+def jet_mul(a, b):
+    """Leibniz rule for a b, to the lower degree of the two."""
+    out = []
+    for i in range(min(len(a), len(b))):
+        acc = a[i] * b[0]
+        for r in range(i - 1, -1, -1):
+            acc = acc + math.comb(i, r) * a[r] * b[i - r]
+        out.append(acc)
+    return out
 
 
-def _jet_mul(a, b):
-    return [
-        a[0] * b[0],
-        a[1] * b[0] + a[0] * b[1],
-        a[2] * b[0] + 2 * a[1] * b[1] + a[0] * b[2],
-        a[3] * b[0] + 3 * a[2] * b[1] + 3 * a[1] * b[2] + a[0] * b[3],
-    ]
+def jet_div(a, b):
+    """a / b, solving b out = a order by order, to the lower degree of the two."""
+    out = []
+    for i in range(min(len(a), len(b))):
+        acc = a[i]
+        for r in range(i):
+            acc = acc - math.comb(i, r) * out[r] * b[i - r]
+        out.append(acc / b[0])
+    return out
 
 
-def _jet_div(a, b):
-    q0 = a[0] / b[0]
-    q1 = (a[1] - q0 * b[1]) / b[0]
-    q2 = (a[2] - q0 * b[2] - 2 * q1 * b[1]) / b[0]
-    q3 = (a[3] - q0 * b[3] - 3 * q1 * b[2] - 3 * q2 * b[1]) / b[0]
-    return [q0, q1, q2, q3]
+def jet_exp(a):
+    """exp(a) from (e^a)' = a' e^a."""
+    out = [np.exp(a[0])]
+    for i in range(1, len(a)):
+        acc = out[0] * a[i]
+        for r in range(1, i):
+            acc = acc + math.comb(i - 1, r) * out[r] * a[i - r]
+        out.append(acc)
+    return out
 
 
-def _jet_exp(a):
-    e = np.exp(a[0])
-    d1 = e * a[1]
-    d2 = e * (a[2] + a[1] ** 2)
-    d3 = e * (a[3] + 3 * a[1] * a[2] + a[1] ** 3)
-    return [e, d1, d2, d3]
+def jet_pow(a, n: int):
+    """a^n for an integer n >= 0, by repeated squaring."""
+    out = [np.ones_like(a[0])] + [np.zeros_like(a[0]) for _ in a[1:]]
+    while n > 0:
+        if n & 1:
+            out = jet_mul(out, a)
+        n >>= 1
+        if n:
+            a = jet_mul(a, a)
+    return out
 
 
 def _bump_jet(tau):
-    """exp(-1/tau) for tau > 0 (0 otherwise), with y-derivatives 1..3."""
+    """exp(-1/tau) for tau > 0 (0 otherwise), with tau-derivatives 1..3."""
     tau = np.asarray(tau, dtype=float)
     safe = tau > 1e-2  # below this exp(-1/tau) is under 1e-43
     t = np.where(safe, tau, 1.0)
-    j = _jet_var(t)
-    inv = _jet_div([-np.ones_like(t), *([np.zeros_like(t)] * 3)], j)
-    out = _jet_exp(inv)
+    z = np.zeros_like(t)
+    inv = jet_div([-np.ones_like(t), z, z, z], [t, np.ones_like(t), z, z])
+    out = jet_exp(inv)
     mask = safe.astype(float)
     return [c * mask for c in out]
 
@@ -80,13 +97,27 @@ def smoothstep_jet(tau):
     if np.any(mid):
         den_safe = [np.where(mid, c, 1.0) for c in den]
         a_safe = [np.where(mid, c, 0.0) for c in a]
-        s = _jet_div(a_safe, den_safe)
+        s = jet_div(a_safe, den_safe)
         out = [np.where(mid, s[i], out[i]) for i in range(4)]
     return out
 
 
 def smoothstep(tau):
     return smoothstep_jet(tau)[0]
+
+
+def cutoff_transition(y, lo: float, hi: float, order: int = 0):
+    """S((|y| - lo) / (hi - lo)), 0 for |y| <= lo and 1 for |y| >= hi, or its
+    y-derivative of the given order (up to 3)."""
+    if order not in (0, 1, 2, 3):
+        raise ValueError("derivatives only up to order 3")
+    y = np.asarray(y, dtype=float)
+    width = hi - lo
+    jets = smoothstep_jet((np.abs(y) - lo) / width)
+    if order == 0:
+        return jets[0]
+    # |y| has zero higher derivatives away from y=0, where S' vanishes
+    return jets[order] * (np.sign(y) / width) ** order
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +222,7 @@ class CutoffCascade:
             return np.ones_like(y) if order == 0 else np.zeros_like(y)
         if n < 0 or n > self.n_max:
             raise ValueError(f"chi_{n} outside built range 0..{self.n_max}")
-        xn, yn = self.x[n - 1], self.y[n - 1]
-        width = yn - xn
-        tau = (np.abs(y) - xn) / width
-        jets = smoothstep_jet(tau)
-        if order == 0:
-            return jets[0]
-        sgn = np.sign(y)
-        # |y| has zero higher derivatives away from y=0, where S' vanishes
-        return jets[order] * (sgn / width) ** order
+        return cutoff_transition(y, self.x[n - 1], self.y[n - 1], order)
 
 
 def build_cascade(params: WeightParams, n_max: int) -> CutoffCascade:
@@ -232,39 +255,47 @@ def _q_profile_integral(w):
     return out
 
 
-def eval_q(y, order: int = 0):
+def eval_q(y):
     """Co-normal weight: 99(y+1) / 1 / 99(1-y) with smooth monotone joins.
 
     The exact branches force the connecting profile to turn over inside a
-    thin layer of width 0.01 * 2/99 next to y = +-(1 - 1/100); q and its
-    derivatives (up to order 4) are analytic there and consistent to
-    machine precision.
+    thin layer of width 0.01 * 2/99 next to y = +-(1 - 1/100); q is
+    analytic there and its derivatives come from ``q_jet``.
     """
     y = np.asarray(y, dtype=float)
-    if order not in (0, 1, 2, 3, 4):
-        raise ValueError("derivatives only up to order 4")
     a = -np.abs(y)  # reduce to the left half by evenness
     out = np.zeros_like(a)
     lin = a <= _Q_EDGE
-    flat_cut = _Q_EDGE + 0.01 * _Q_BETA
-    flat = a >= flat_cut
+    flat = a >= _Q_EDGE + 0.01 * _Q_BETA
     zone = ~(lin | flat)
-    w = (a - _Q_EDGE) * _Q_SCALE
-    if order == 0:
-        out[lin] = 99.0 * (a[lin] + 1.0)
-        out[flat] = 1.0
-        if np.any(zone):
-            out[zone] = 0.99 + 0.02 * _q_profile_integral(w[zone])
-    else:
-        sgn = np.where(y > 0, -1.0, 1.0)  # d a / d y
-        jets = smoothstep_jet(np.clip(w, -1.0, 2.0))
-        if order == 1:
-            out[lin] = 99.0
-            out[zone] = 99.0 * (1.0 - jets[0][zone])
-        else:
-            out[zone] = -99.0 * jets[order - 1][zone] * _Q_SCALE ** (order - 1)
-        out = out * sgn**order
+    out[lin] = 99.0 * (a[lin] + 1.0)
+    out[flat] = 1.0
+    if np.any(zone):
+        out[zone] = 0.99 + 0.02 * _q_profile_integral((a[zone] - _Q_EDGE) * _Q_SCALE)
     return out if out.shape else float(out)
+
+
+def q_jet(y, order: int) -> list[np.ndarray]:
+    """[q, q', ..., q^(order)] for order <= 4, every derivative from one
+    ``smoothstep_jet`` call; consistent to machine precision in the layer."""
+    if order not in (0, 1, 2, 3, 4):
+        raise ValueError("derivatives only up to order 4")
+    y = np.asarray(y, dtype=float)
+    a = -np.abs(y)
+    lin = a <= _Q_EDGE
+    zone = ~lin & (a < _Q_EDGE + 0.01 * _Q_BETA)
+    sgn = np.where(y > 0, -1.0, 1.0)  # d a / d y
+    s = smoothstep_jet(np.clip((a - _Q_EDGE) * _Q_SCALE, -1.0, 2.0))
+    out = [eval_q(y)]
+    for j in range(1, order + 1):
+        d = np.zeros_like(a)
+        if j == 1:
+            d[lin] = 99.0
+            d[zone] = 99.0 * (1.0 - s[0][zone])
+        else:
+            d[zone] = -99.0 * s[j - 1][zone] * _Q_SCALE ** (j - 1)
+        out.append(d * sgn**j)
+    return out
 
 
 # ---------------------------------------------------------------------------

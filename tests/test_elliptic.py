@@ -14,7 +14,9 @@ from couette_gevrey.coordinates import (
     step_coordinates,
 )
 from couette_gevrey.elliptic import (
-    EllipticCutoffs,
+    CHI_STAR,
+    CHI_STAR_GAP,
+    CHI_TILDE1,
     NonContractionError,
     PhiDecomposition,
     composite_values,
@@ -26,6 +28,7 @@ from couette_gevrey.elliptic import (
 )
 from couette_gevrey.scalar import gevrey_bump, spline_initial_bump
 from couette_gevrey.spectral import ChannelGrid, l2_norm, poisson_mode_solve
+from couette_gevrey.weights import cutoff_transition
 
 
 def interior_field(grid, rng):
@@ -43,14 +46,13 @@ def sheared_coordinate(profile, grid, steps, dt=0.02):
 
 
 def test_cutoff_shapes():
-    cut = EllipticCutoffs()
     xi = np.linspace(-1, 1, 4001)
-    ct = cut.chi_tilde1(xi)
+    ct = cutoff_transition(xi, *CHI_TILDE1)
     assert np.all(ct[np.abs(xi) >= 3 / 8 - 1 / 80] == 1.0)
     assert np.all(ct[np.abs(xi) <= 3 / 8 - 1 / 40] == 0.0)
-    assert cut.chi_star_gap > 0.0
+    assert CHI_STAR_GAP > 0.0
     # chi_star is 1 wherever the cascade cutoffs live, even under distortion
-    assert np.all(cut.chi_star(xi[np.abs(xi) >= 0.375 - 1 / 160]) == 1.0)
+    assert np.all(cutoff_transition(xi[np.abs(xi) >= 0.375 - 1 / 160], *CHI_STAR) == 1.0)
 
 
 def test_solve_stream_manufactured(grid96):
@@ -196,8 +198,7 @@ def test_damping_k_scaling(grid96):
     # by about 2^{2n}; the fitted amplitude of the norm drops by ~ 2^{-n}
     times = np.geomspace(5, 50, 10)
     level = 2
-    cut = EllipticCutoffs()
-    star = cut.chi_star(grid96.nodes)
+    star = cutoff_transition(grid96.nodes, *CHI_STAR)
     norms = {}
     for k in (1, 2):
         data = lambda v, m=level: spline_bump(v, m)

@@ -114,16 +114,14 @@ def test_c_q_collected_equals_commutator(grid):
     # C_q = -nu [d_yy, q^n] G pointwise, by exact jet differentiation
     nu, n = 1e-2, 3
     gj = idn.analytic_test_jet(grid.nodes, 2, freq=2.1, phase=0.2)
-    qj = idn.q_jet(grid.nodes, 2)
-    prod = idn._jet_mul(idn._jet_pow(qj, n, 2), gj, 2)
+    from couette_gevrey.weights import jet_mul, jet_pow, q_jet
+
+    qj = q_jet(grid.nodes, 2)
+    prod = jet_mul(jet_pow(qj, n), gj)
     comm = prod[2] - qj[0] ** n * gj[2]
     lhs = idn.c_q_collected(grid, nu, n, gj[0].astype(complex))
     # replace the spectral d_y G inside c_q_collected by the exact one
-    from couette_gevrey.weights import eval_q
-
-    q = eval_q(grid.nodes)
-    qp = eval_q(grid.nodes, 1)
-    qpp = eval_q(grid.nodes, 2)
+    q, qp, qpp = qj
     exact = (
         -nu * n * (n - 1) * qp**2 * q ** (n - 2) * gj[0]
         - 2.0 * nu * n * qp * q ** (n - 1) * gj[1]
@@ -143,13 +141,13 @@ def test_faa_di_bruno(grid, coord):
 
 def test_faa_flat_j1_is_qprime(grid):
     # flat coordinates, j = 1: q~_{n,1} = q' for every n
-    from couette_gevrey.weights import eval_q
+    from couette_gevrey.weights import q_jet
 
     y = grid.nodes[1:-1]
     vy_jet = [np.ones_like(y)] + [np.zeros_like(y)] * 4
     for n in (1, 5, 40):
         qt = idn.q_tilde(n, 1, y, vy_jet)
-        assert np.max(np.abs(qt - eval_q(y, 1))) < 1e-12
+        assert np.max(np.abs(qt - q_jet(y, 1)[1])) < 1e-12
 
 
 def test_faa_sup_bound_stable(grid, coord):

@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the package is reached.
+"""Every public top-level function and class, and every private top-level
+function, of the package is reached.
 
 A name counts as reached when it appears as a word anywhere other than on
 its own definition line: elsewhere in the package (``__init__.py`` excluded,
@@ -16,11 +17,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "couette_gevrey"
 
 
-def _public_definitions():
+def _definitions(private: bool):
+    kinds = (ast.FunctionDef,) if private else (ast.FunctionDef, ast.ClassDef)
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if isinstance(node, kinds) and node.name.startswith("_") == private:
                 yield path, node.name, node.lineno
 
 
@@ -33,14 +35,24 @@ def _reaching_lines():
             yield path, lineno, line
 
 
-def test_every_public_definition_is_reached():
+def _unreached(private: bool):
     lines = list(_reaching_lines())
     unreached = []
-    for path, name, def_line in _public_definitions():
+    for path, name, def_line in _definitions(private):
         word = re.compile(rf"\b{re.escape(name)}\b")
         if not any(word.search(line) and (p, n) != (path, def_line) for p, n, line in lines):
             unreached.append(f"{path.stem}.{name}")
+    return unreached
+
+
+def test_every_public_definition_is_reached():
+    unreached = _unreached(private=False)
     assert not unreached, f"reached only by their own unit tests: {unreached}"
+
+
+def test_every_private_function_is_reached():
+    unreached = _unreached(private=True)
+    assert not unreached, f"private functions nothing calls: {unreached}"
 
 
 def test_readme_module_references_resolve():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,11 @@ from couette_gevrey.weights import (
     eval_q,
     eval_W,
     eval_W_derivatives,
+    jet_div,
+    jet_exp,
+    jet_mul,
+    jet_pow,
+    q_jet,
     smoothstep,
 )
 
@@ -119,16 +126,43 @@ def test_q_monotone_and_smooth():
     left = np.linspace(-1.0, -0.9, 200001)
     q = eval_q(left)
     assert np.all(np.diff(q) >= -1e-13)
-    # C^3 consistency against finite differences away from machine limits
+    # C^4 consistency against finite differences away from machine limits
     pts = np.array([-0.995, -0.99 + 1e-4, -0.5, 0.2, 0.985])
+    qj = q_jet(pts, 4)
     h = 1e-7
     fd1 = (eval_q(pts + h) - eval_q(pts - h)) / (2 * h)
-    scale = np.maximum(np.abs(eval_q(pts, 1)), 1.0)
-    assert np.max(np.abs(fd1 - eval_q(pts, 1)) / scale) < 1e-4
+    scale = np.maximum(np.abs(qj[1]), 1.0)
+    assert np.max(np.abs(fd1 - qj[1]) / scale) < 1e-4
     h = 1e-9
-    fd3 = (eval_q(pts + h, 2) - eval_q(pts - h, 2)) / (2 * h)
-    scale = np.maximum(np.abs(eval_q(pts, 3)), 1.0)
-    assert np.max(np.abs(fd3 - eval_q(pts, 3)) / scale) < 1e-4
+    for j in (3, 4):
+        fd = (q_jet(pts + h, j - 1)[-1] - q_jet(pts - h, j - 1)[-1]) / (2 * h)
+        scale = np.maximum(np.abs(qj[j]), 1.0)
+        assert np.max(np.abs(fd - qj[j]) / scale) < 1e-4
+
+
+def test_jets_match_closed_forms_at_degree_6():
+    deg = 6
+    y = np.linspace(0.3, 2.5, 23)
+    zero = np.zeros_like(y)
+    var = [y, np.ones_like(y)] + [zero] * (deg - 1)
+    one = [np.ones_like(y)] + [zero] * deg
+
+    def close(jet, exact):
+        assert len(jet) == deg + 1
+        for got, want in zip(jet, exact):
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+
+    for n in range(9):  # d^i y^n = n (n-1) ... (n-i+1) y^(n-i)
+        falling = [math.perm(n, i) for i in range(deg + 1)]
+        close(jet_pow(var, n), [f * y ** max(n - i, 0) for i, f in enumerate(falling)])
+    close(jet_div(one, var), [(-1) ** i * math.factorial(i) / y ** (i + 1) for i in range(deg + 1)])
+    for c in (-1.7, 0.5, 2.0):
+        close(jet_exp([c * y, np.full_like(y, c)] + [zero] * (deg - 1)),
+              [c**i * np.exp(c * y) for i in range(deg + 1)])
+    rng = np.random.default_rng(7)
+    a = [2.0 + np.abs(rng.normal(size=y.size))] + [rng.normal(size=y.size) for _ in range(deg)]
+    b = [rng.normal(size=y.size) for _ in range(deg + 1)]
+    close(jet_mul(a, jet_div(b, a)), b)
 
 
 def test_w_values(params):
