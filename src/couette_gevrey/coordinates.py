@@ -208,8 +208,10 @@ def gamma_ladder(d1: np.ndarray, values: np.ndarray, v_y, n: int,
     With k = None, X is dv-bar = v_y^{-1} d1 (k = 0 keeps the i k t term,
     which then only adds zeros).  Each level is (d1 @ f) / v_y + 1j k t f,
     evaluated in that order, and ``values`` is used as given, so the dtype
-    and the rounding are the caller's.
+    and the rounding are the caller's.  A real d1 meets complex values as
+    its complex copy, made once here rather than by every product.
     """
+    d1 = np.asarray(d1, dtype=np.result_type(d1, values))
     out = [values]
     for _ in range(n):
         nxt = (d1 @ out[-1]) / v_y
@@ -227,7 +229,7 @@ class GammaStack:
     t: float
     M: int
     grid: ChannelGrid
-    gamma_pows: list[np.ndarray]  # Gamma^n omega, n = 0..M
+    gamma_pows: np.ndarray  # Gamma^n omega, n = 0..M, shape (M+1, ny+1)
     q_pows: np.ndarray  # q(y)^n, n = 0..M, shape (M+1, ny+1)
     tails: np.ndarray  # spectral tail per n
     tail_tol: float = 1e-4
@@ -239,14 +241,6 @@ class GammaStack:
 
     def trusted(self, n: int) -> bool:
         return bool(self.tails[n] <= self.tail_tol)
-
-    def noise(self, n: int) -> float:
-        """Measured spectral-noise level of level n, for floor calibration."""
-        return float(self.tails[n])
-
-    def noise_dy(self, n: int) -> float:
-        """Noise level after one more differentiation of level n."""
-        return float(max(self.tails[n], self.tails[min(n + 1, self.M)]))
 
 
 def shell_pairs(M: int) -> list[tuple[int, int]]:
@@ -268,10 +262,13 @@ def build_gamma_stack(
         raise ValueError("M must be nonnegative")
     if t is None:
         t = state.t
-    gamma_pows = gamma_ladder(grid.d1, np.array(omega_k, dtype=complex), state.v_y, M, k, t)
-    q = eval_q(grid.nodes)
-    q_pows = np.array([q**n for n in range(M + 1)])
-    tails = grid.spectral_tail(np.array(gamma_pows))
+    gamma_pows = np.array(gamma_ladder(grid.d1, np.array(omega_k, dtype=complex), state.v_y, M, k, t))
+    q_pows = grid.cache.get(("q_pows", M))
+    if q_pows is None:  # one read-only table per (grid, M), shared by its stacks
+        q = eval_q(grid.nodes)
+        q_pows = grid.cache[("q_pows", M)] = np.array([q**n for n in range(M + 1)])
+        q_pows.flags.writeable = False
+    tails = grid.spectral_tail(gamma_pows)
     return GammaStack(
         k=k,
         t=t,

@@ -47,6 +47,7 @@ class EvalContext:
     nu: float
     floor_rel: float = 0.0
     tail_multiplier: float = 10.0
+    floored_points: int = 0  # points zeroed by ``floor_rows`` so far
     table: GevreyCoeffTable = field(init=False)
     q: np.ndarray = field(init=False, repr=False)  # the co-normal weight on the nodes
     _cache: dict = field(default_factory=dict, repr=False)
@@ -83,28 +84,33 @@ class EvalContext:
             self._cache[key] = np.concatenate([rho, self.sqrt_neg_wt(t) ** 2 * rho]).T
         return self._cache[key]
 
-    def floored(self, values: np.ndarray, tail: float = 0.0) -> np.ndarray:
-        """Zero the sub-resolution part of a field before weighting.
+    def shell_factors(self, t: float, M: int) -> tuple[np.ndarray, np.ndarray]:
+        """theta_n^2 and a_{m,n}(t)^2 (zero where n > j) on the (n, j = m + n) grid."""
+        key = ("shell", round(t, 12), M)
+        if key not in self._cache:
+            n, j = np.indices((M + 1, M + 1))
+            a2 = np.where(n <= j, self.table.a(np.maximum(j - n, 0), n, t) ** 2, 0.0)
+            self._cache[key] = (self.table.theta(n) ** 2, a2)
+        return self._cache[key]
+
+    def floor_rows(self, rows: np.ndarray, tails=0.0) -> np.ndarray:
+        """Zero, in place, the sub-resolution part of each row of magnitudes.
 
         The exponential localization weight reaches e^100 near the walls at
         early times, so any numeric leakage there must be removed before it
-        is weighted.  The threshold is relative to the field's peak and is
-        calibrated by the field's own measured spectral tail (the trust
-        score): genuinely resolved content sits far above it.
+        is weighted.  Row r's threshold, max(floor_rel, tail_multiplier *
+        tails[r]) times its own peak, is calibrated by its measured spectral
+        tail (the trust score); ``floored_points`` counts the zeroed points.
         """
-        thresh = max(self.floor_rel, self.tail_multiplier * tail)
-        if thresh <= 0.0:
-            return values
-        peak = float(np.max(np.abs(values)))
-        if peak == 0.0:
-            return values
-        out = values.copy()
-        out[np.abs(out) < thresh * peak] = 0.0
-        return out
+        thresh = np.maximum(self.floor_rel, self.tail_multiplier * np.asarray(tails))
+        mask = rows < thresh[..., None] * rows.max(axis=-1, keepdims=True)
+        rows[mask] = 0.0
+        self.floored_points += int(np.count_nonzero(mask))
+        return rows
 
     def wsq(self, values: np.ndarray, weight: np.ndarray) -> float:
         """Quadrature of |values|^2 weight^2."""
-        integ = self.grid.integrate(np.abs(self.floored(values)) ** 2 * weight**2)
+        integ = self.grid.integrate(self.floor_rows(np.abs(values)) ** 2 * weight**2)
         return float(np.real(integ))
 
 
@@ -131,10 +137,14 @@ def norm_table(stack: GammaStack, ctx: EvalContext) -> np.ndarray:
     f0 = _level_columns(stack)
     f1 = _dy_columns(ctx.grid, f0)
     f2 = _dy_columns(ctx.grid, f1)
-    rows = [np.abs(ctx.floored(f0[:, n], stack.noise(n))) ** 2 for n in range(M + 1)]
-    for fd in (f1, f2):
-        rows += [np.abs(ctx.floored(fd[:, n], stack.noise_dy(n))) ** 2 for n in range(M + 1)]
-    table = np.array(rows) @ ctx.norm_columns(stack.t, M)
+    rows = np.empty((3, M + 1, ctx.grid.ny + 1))
+    for fd, out in zip((f0, f1, f2), rows):
+        np.abs(fd.T, out=out)
+    # a row's floor reads its level's tail; after d_y, the worse of n and n + 1
+    tails = np.asarray(stack.tails, dtype=float)
+    dy_tails = np.maximum(tails, np.append(tails[1:], tails[-1]))
+    rows = ctx.floor_rows(rows.reshape(3 * (M + 1), -1), np.concatenate([tails, dy_tails, dy_tails]))
+    table = (rows**2) @ ctx.norm_columns(stack.t, M)
     return table.reshape(3, M + 1, 2, M + 1).transpose(0, 2, 1, 3)
 
 
@@ -148,19 +158,19 @@ def _family_norms(table: np.ndarray, nu: float, k2: float) -> dict:
     }
 
 
-def _shell_coefficients(stack: GammaStack, tab: GevreyCoeffTable) -> np.ndarray:
+def _shell_coefficients(stack: GammaStack, ctx: EvalContext) -> np.ndarray:
     """theta_n^2 a_{m,n}(t)^2 |k|^{2m} on the (n, j = m + n) grid, zero where n > j."""
-    n, j = np.indices((stack.M + 1, stack.M + 1))
-    m = np.maximum(j - n, 0)
+    theta2, a2 = ctx.shell_factors(stack.t, stack.M)
+    m = np.maximum(np.arange(stack.M + 1) - np.arange(stack.M + 1)[:, None], 0)
     k_pow = float(abs(stack.k)) ** (2 * m)  # 0.0 ** 0 == 1: k = 0 keeps m = 0 only
-    return tab.theta(n) ** 2 * np.where(n <= j, tab.a(m, n, stack.t) ** 2 * k_pow, 0.0)
+    return theta2 * (a2 * k_pow)
 
 
 def stack_values(stack: GammaStack, ctx: EvalContext) -> dict:
     """Energy shells, dissipation and CK values of every family, one stack."""
     t, tab = stack.t, ctx.table
     n, j = np.indices((stack.M + 1, stack.M + 1))
-    coef = _shell_coefficients(stack, tab)
+    coef = _shell_coefficients(stack, ctx)
     phi_rate = abs(tab.phi_dot(t)) / tab.phi(t)
     lam_rate = abs(tab.lam_dot(t)) / tab.lam(t)
     out = {}
@@ -401,7 +411,7 @@ def eval_sources(stack_f: GammaStack, stack_omega: GammaStack, family: str, ctx:
         f, o = _dy_columns(ctx.grid, f), _dy_columns(ctx.grid, o)
     M = stack_omega.M
     pairs = np.real(f * np.conj(o)).T @ ctx.norm_columns(stack_omega.t, M)[:, : M + 1]
-    return scale * float((_shell_coefficients(stack_omega, ctx.table) * pairs).sum())
+    return scale * float((_shell_coefficients(stack_omega, ctx) * pairs).sum())
 
 
 def full_report(

@@ -273,6 +273,8 @@ def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = No
                 "steps": steps,
                 "samples": len(series),
                 "lu_factor_pairs": sum(len(pairs) for pairs in state._facts.values()),
+                "restarts": state.restarts,
+                "floored_points": ctx.floored_points,
             },
             "times": {
                 "stepping_s": stepping,

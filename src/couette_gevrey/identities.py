@@ -553,17 +553,21 @@ _PARTITIONS = {
 }
 
 
-def q_tilde(n: int, j: int, y: np.ndarray, vy_jet: list[np.ndarray]) -> np.ndarray:
+def dvbar_q_powers(j: int, y: np.ndarray, vy_jet: list[np.ndarray]) -> list[np.ndarray]:
+    """[q, dv-bar q, ..., dv-bar^j q] at y by jet arithmetic, for ``q_tilde``."""
+    qj = q_jet(y, j)
+    return [qj[0]] + [dvbar_pow_pointwise(qj, vy_jet[: j + 1], ell) for ell in range(1, j + 1)]
+
+
+def q_tilde(n: int, j: int, dvq: list[np.ndarray]) -> np.ndarray:
     """The bounded coefficient in dv-bar^j(q^n) = q~_{n,j} n^j q^{(n-j)_+}.
 
-    Built from the multivariate chain rule over the partitions of j, with
-    dv-bar^l q computed by jet arithmetic; bounded uniformly in n.
+    Built from the multivariate chain rule over the partitions of j from
+    ``dvq = dvbar_q_powers(j, y, vy_jet)``, shared by every n; bounded in n.
     """
     if not 1 <= j <= 4:
         raise ValueError("1 <= j <= 4")
-    qj = q_jet(y, j)
-    dvq = [None] + [dvbar_pow_pointwise(qj, vy_jet[: j + 1], ell) for ell in range(1, j + 1)]
-    q0 = qj[0]
+    q0 = dvq[0]
     out = np.zeros_like(q0)
     for part in _PARTITIONS[j]:
         msum = sum(part)
@@ -602,11 +606,12 @@ def check_faa_di_bruno(
     y = grid.nodes[1:-1]
     vy_jet = [d[1:-1] for d in gamma_ladder(grid.d1, coord.v_y, 1.0, 4)]
     lhs = dvbar_pow_pointwise(jet_pow(q_jet(y, 4), n), vy_jet, j)
-    qt = q_tilde(n, j, y, vy_jet)
+    qt = q_tilde(n, j, dvbar_q_powers(j, y, vy_jet))
     rhs = qt * float(n) ** j * eval_q(y) ** max(n - j, 0)
     scale = max(float(np.max(np.abs(lhs))), 1e-300)
     res = float(np.max(np.abs(lhs - rhs)) / scale)
-    sup_sweep = {nn: float(np.max(np.abs(q_tilde(nn, 2, y, vy_jet)))) for nn in n_sup_sweep}
+    dvq2 = dvbar_q_powers(2, y, vy_jet)
+    sup_sweep = {nn: float(np.max(np.abs(q_tilde(nn, 2, dvq2)))) for nn in n_sup_sweep}
     return IdentityReport(
         f"faa_di_bruno_n{n}_j{j}",
         res,
@@ -640,7 +645,7 @@ def check_faa_commutator(
     rhs = np.zeros_like(lhs)
     q = qj[0]
     for ell in range(1, j + 1):
-        qt = q_tilde(n, ell, y, vy_jet)
+        qt = q_tilde(n, ell, dvbar_q_powers(ell, y, vy_jet))
         rhs += (
             math.comb(j, ell)
             * qt
@@ -718,8 +723,8 @@ def check_combinatorics(which: str, n_max: int = 2000, zeta: float = 1.0,
     Every kind reads log j! from one table lg[j] = lgG(j+1), j = 0..n_max+1,
     built once per call; log binom(n, l) is lg[n] - lg[l] - lg[n-l].
     comb_boun builds the (m, l) grid of one n at a time with its gathered
-    table terms and runs every t in t_samples over it; only log phi(t),
-    log lambda(t) and log(1+t^2) depend on t.
+    table terms and broadcasts every t in t_samples over it at once; only
+    log phi(t), log lambda(t) and log(1+t^2) depend on t.
     """
     if params is None:
         params = WeightParams()
@@ -762,8 +767,10 @@ def check_combinatorics(which: str, n_max: int = 2000, zeta: float = 1.0,
     if which == "comb_boun":
         tab = GevreyCoeffTable(params)
         s = params.s
-        per_t = [(-0.5 * math.log1p(t * t), math.log(tab.phi(t)), math.log(tab.lam(t)))
-                 for t in t_samples]
+        # log <t>^{-1}, log phi(t), log lambda(t) as (T, 1, 1): every t at once
+        log_jap, log_phi, log_lam = np.array(
+            [(-0.5 * math.log1p(t * t), math.log(tab.phi(t)), math.log(tab.lam(t))) for t in t_samples]
+        ).T[:, :, None, None]
         worst_margin = -np.inf
         count = 0
         for n in range(5, n_max + 1):
@@ -773,12 +780,11 @@ def check_combinatorics(which: str, n_max: int = 2000, zeta: float = 1.0,
             lg_mn, lg_ml, lg_nl = lg[mn], lg[ml], lg[nl]
             log_binom = lg[n] - lg[ll] - lg_nl
             log_rhs = ll * (s - 1.0) * math.log(0.5)
-            for log_jap, log_phi, log_lam in per_t:
-                log_a_mn = s * (mn * log_lam - lg_mn) + (1 + n) * log_phi
-                log_a_ml = s * (ml * log_lam - lg_ml) + (1 + ll) * log_phi
-                log_a_0nl = s * (nl * log_lam - lg_nl) + (1 + nl) * log_phi
-                log_lhs = log_jap + log_a_mn + log_binom - log_a_ml - log_a_0nl
-                worst_margin = max(worst_margin, float(np.max(log_lhs - log_rhs)))
+            log_a_mn = s * (mn * log_lam - lg_mn) + (1 + n) * log_phi
+            log_a_ml = s * (ml * log_lam - lg_ml) + (1 + ll) * log_phi
+            log_a_0nl = s * (nl * log_lam - lg_nl) + (1 + nl) * log_phi
+            log_lhs = log_jap + log_a_mn + log_binom - log_a_ml - log_a_0nl
+            worst_margin = max(worst_margin, float(np.max(log_lhs - log_rhs)))
             count += len(t_samples) * ml.size
         return IdentityReport("comb_boun", max(worst_margin, 0.0), count, 1e-12,
                               details={"worst_log_margin": worst_margin})

@@ -103,6 +103,7 @@ class ScalarState:
     nu: float
     ks: tuple[int, ...]  # ascending wavenumbers, one per row of omega
     omega: np.ndarray  # complex (K, ny+1); no step writes into it
+    restarts: int = 0  # IMEX-SSP2 (re)start steps taken to reach this state
     _prev: np.ndarray | None = None  # the previous state's omega, SBDF2 history
     _prev_ex: np.ndarray | None = None
     _prev_dt: float | None = None
@@ -136,15 +137,12 @@ def _check_stability(state: ScalarState, dt: float, shear: np.ndarray):
 
 
 def _solve(state: ScalarState, ks: tuple[int, ...], alpha: float, rhs: np.ndarray) -> np.ndarray:
-    """Dirichlet Helmholtz solves of the rows of rhs, re/im as two real columns."""
+    """Dirichlet Helmholtz solves of the rows of rhs with the run's cached factors."""
     key = (round(alpha, 12), state.nu, ks)
     factors = state._facts.get(key)
     if factors is None:  # one LU pair per mode, per (alpha, nu) and run
         factors = state._facts[key] = [helmholtz_lu(state.grid, k, alpha, state.nu) for k in ks]
-    parts = np.stack([rhs.real, rhs.imag], axis=1)  # (K, 2, ny+1)
-    parts[:, :, [0, -1]] = 0.0
-    parts = helmholtz_lu_solve(factors, parts)
-    return parts[:, 0] + 1j * parts[:, 1]
+    return helmholtz_lu_solve(factors, rhs)
 
 
 def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = None, forcing=None) -> ScalarState:
@@ -196,10 +194,16 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
             mid[:, 0] = mid[:, -1] = 0.0
             un = u + 0.5 * dt * (ex0 + explicit(mid, t1, shear_at(t1)))
     else:
-        rhs = (2.0 * u - 0.5 * state._prev) / dt + 2.0 * ex0 - state._prev_ex
+        # (2u - prev/2) / dt + 2 ex0 - prev_ex, in place in two arrays
+        rhs, tmp = 2.0 * u, 0.5 * state._prev
+        rhs -= tmp
+        rhs /= dt
+        rhs += np.multiply(ex0, 2.0, out=tmp)
+        rhs -= state._prev_ex
         un = _solve(state, ks, 1.5 / dt, rhs) if nu > 0.0 else rhs * dt / 1.5
-    un[:, [0, -1]] = 0.0
-    return ScalarState(grid, t1, nu, ks, un, _prev=u, _prev_ex=ex0, _prev_dt=dt, _facts=state._facts)
+    un[:, 0] = un[:, -1] = 0.0
+    return ScalarState(grid, t1, nu, ks, un, state.restarts + restart,
+                       _prev=u, _prev_ex=ex0, _prev_dt=dt, _facts=state._facts)
 
 
 def exact_transport(omega_k: np.ndarray, k: int, t: float, grid: ChannelGrid) -> np.ndarray:

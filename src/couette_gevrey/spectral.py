@@ -71,6 +71,7 @@ class ChannelGrid:
     d1: np.ndarray = field(init=False)
     d2: np.ndarray = field(init=False)
     quad_weights: np.ndarray = field(init=False)
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # derived tables
 
     def __post_init__(self):
         if self.ny < 4:
@@ -206,28 +207,36 @@ def helmholtz_lu(grid: ChannelGrid, k: int, alpha: float, nu: float):
     return lu_factor(even), lu_factor(odd)
 
 
-def helmholtz_lu_solve(factors: list, parts: np.ndarray) -> np.ndarray:
-    """Solve the rows of a real (K, 2, ny+1) array with ``helmholtz_lu`` pairs.
+def helmholtz_lu_solve(factors: list, rhs: np.ndarray) -> np.ndarray:
+    """Solve the Dirichlet problems of the rows of a complex (K, ny+1) array
+    with ``helmholtz_lu`` pairs; the wall values of ``rhs`` are ignored.
 
-    ``factors[i]`` is the pair of row i.  The right-hand sides are split into
-    their even and odd halves, each half is solved by one ``dgetrs`` call and
-    the two solutions are joined on the full grid.
+    ``factors[i]`` is the pair of row i.  The real and imaginary parts of
+    each row are split into their even and odd halves, each half is solved
+    by one ``dgetrs`` call with the two parts as columns, and the halves
+    are joined on the full grid of a new complex array.
     """
-    n = parts.shape[-1] - 1
+    rhs = np.ascontiguousarray(rhs, dtype=complex)
+    n = rhs.shape[-1] - 1
     ne, no = _parity_sizes(n)
+    parts = rhs.view(float).reshape(*rhs.shape, 2).swapaxes(-1, -2)  # (K, 2, ny+1) view
     rev = parts[..., ::-1]
-    even = 0.5 * (parts[..., :ne] + rev[..., :ne])
-    odd = 0.5 * (parts[..., :no] - rev[..., :no])
+    even = np.add(parts[..., :ne], rev[..., :ne], out=np.empty(parts.shape[:-1] + (ne,)))
+    odd = np.subtract(parts[..., :no], rev[..., :no], out=np.empty(parts.shape[:-1] + (no,)))
+    even *= 0.5
+    odd *= 0.5
+    even[..., 0] = odd[..., 0] = 0.0  # the Dirichlet rows
     for i, pair in enumerate(factors):
         # half.T is a Fortran-ordered (size, 2) view, solved in place
         for half, (lu, piv) in zip((even[i], odd[i]), pair):
             if dgetrs(lu, piv, half.T, overwrite_b=1)[1] != 0:
                 raise ValueError(f"dgetrs failed for row {i}")
-    out = np.empty_like(parts)
-    out[..., :no] = even[..., :no] + odd
-    out[..., ::-1][..., :no] = even[..., :no] - odd
+    out = np.empty_like(rhs)
+    joined = out.view(float).reshape(*rhs.shape, 2).swapaxes(-1, -2)
+    np.add(even[..., :no], odd, out=joined[..., :no])
+    np.subtract(even[..., :no], odd, out=joined[..., ::-1][..., :no])
     if n % 2 == 0:
-        out[..., no] = even[..., no]
+        joined[..., no] = even[..., no]
     return out
 
 

@@ -9,10 +9,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.fft import dct
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrs
 from scipy.special import gammaln
 
 from couette_gevrey.identities import IdentityReport
-from couette_gevrey.spectral import green_eval
+from couette_gevrey.spectral import _parity_sizes, green_eval
 from couette_gevrey.weights import GevreyCoeffTable, WeightParams, eval_q, eval_W, eval_W_derivatives
 
 
@@ -253,6 +254,69 @@ class LoopScalarStepper:
             un[0] = un[-1] = 0.0
             new[k], prev[k], prev_ex[k] = un, u, ex0
         self.omega, self.prev, self.prev_ex, self.prev_dt, self.t = new, prev, prev_ex, dt, t1
+
+
+def stacked_parity_solve(factors, rhs):
+    """``helmholtz_lu_solve`` staged one copy at a time: the real and
+    imaginary parts stacked into a real (K, 2, ny+1) array, its walls zeroed
+    by a fancy index, the even and odd halves formed from that copy, and the
+    joined real solution turned back into complex as re + 1j * im."""
+    parts = np.stack([rhs.real, rhs.imag], axis=1)
+    parts[:, :, [0, -1]] = 0.0
+    n = parts.shape[-1] - 1
+    ne, no = _parity_sizes(n)
+    rev = parts[..., ::-1]
+    even = 0.5 * (parts[..., :ne] + rev[..., :ne])
+    odd = 0.5 * (parts[..., :no] - rev[..., :no])
+    for i, pair in enumerate(factors):
+        for half, (lu, piv) in zip((even[i], odd[i]), pair):
+            assert dgetrs(lu, piv, half.T, overwrite_b=1)[1] == 0
+    out = np.empty_like(parts)
+    out[..., :no] = even[..., :no] + odd
+    out[..., ::-1][..., :no] = even[..., :no] - odd
+    if n % 2 == 0:
+        out[..., no] = even[..., no]
+    return out[:, 0] + 1j * out[:, 1]
+
+
+def row_floored(values, tail, floor_rel, tail_multiplier):
+    """One row zeroed below max(floor_rel, tail_multiplier * tail) times
+    its peak, the way every row was floored before rows were batched."""
+    thresh = max(floor_rel, tail_multiplier * tail)
+    if thresh <= 0.0:
+        return values
+    peak = float(np.max(np.abs(values)))
+    if peak == 0.0:
+        return values
+    out = values.copy()
+    out[np.abs(out) < thresh * peak] = 0.0
+    return out
+
+
+def per_row_norm_table(stack, ctx):
+    """``functionals.norm_table`` with one ``row_floored`` call per row:
+    level n reads tail n, its y-derivatives the worse of n and n + 1."""
+    M = stack.M
+    f0 = (stack.q_pows * np.asarray(stack.gamma_pows, dtype=complex)).T
+    f1 = (ctx.grid.d1 @ np.ascontiguousarray(f0).view(float)).view(complex)
+    f2 = (ctx.grid.d1 @ np.ascontiguousarray(f1).view(float)).view(complex)
+    tails, dy_tails = level_tails(stack)
+    rows = []
+    for fd, tl in ((f0, tails), (f1, dy_tails), (f2, dy_tails)):
+        rows += [np.abs(row_floored(fd[:, n], tl[n], ctx.floor_rel, ctx.tail_multiplier)) ** 2
+                 for n in range(M + 1)]
+    table = np.array(rows) @ ctx.norm_columns(stack.t, M)
+    return table.reshape(3, M + 1, 2, M + 1).transpose(0, 2, 1, 3)
+
+
+def cast_per_level_ladder(d1, values, v_y, n, k=None, t=0.0):
+    """[f, X f, ..., X^n f] for X = v_y^{-1} d1 + i k t, with the real d1
+    cast to the values' dtype by every product."""
+    out = [values]
+    for _ in range(n):
+        nxt = (d1 @ out[-1]) / v_y
+        out.append(nxt if k is None else nxt + 1j * k * t * out[-1])
+    return out
 
 
 def loop_clenshaw_curtis_weights(n):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import loop_spectral_tail, loop_step_coordinates
+from oracles import cast_per_level_ladder, loop_spectral_tail, loop_step_coordinates
 
 from couette_gevrey import coordinates
 from couette_gevrey.coordinates import (
@@ -179,12 +179,10 @@ def test_gamma_ladder_matches_hand_loop(grid64, rng, k):
     real = rng.normal(size=grid64.ny + 1)
     for f in (real, real + 1j * rng.normal(size=grid64.ny + 1)):
         ladder = gamma_ladder(grid64.d1, f, coord.v_y, 4, k, t)
-        cur = f
-        for level in ladder:
+        # the ladder casts d1 once; the oracle casts it in every product
+        for level, cur in zip(ladder, cast_per_level_ladder(grid64.d1, f, coord.v_y, 4, k, t), strict=True):
             assert level.dtype == cur.dtype
             assert np.array_equal(level, cur)
-            nxt = (grid64.d1 @ cur) / coord.v_y
-            cur = nxt if k is None else nxt + 1j * k * t * cur
     # flat v-grid form of the interior ladder: dv @ f + 1j k t f
     dv = grid64.d1 / 0.97
     cur = real.astype(complex)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import make_ctx, random_stack
-from oracles import naive_ck, naive_dissipation, naive_energy, naive_icc, naive_sources
+from oracles import (
+    naive_ck,
+    naive_dissipation,
+    naive_energy,
+    naive_icc,
+    naive_sources,
+    per_row_norm_table,
+    row_floored,
+)
 
 from couette_gevrey.coordinates import (
     build_gamma_stack,
@@ -25,6 +33,7 @@ from couette_gevrey.functionals import (
     eval_sources,
     full_report,
     in_index_set,
+    norm_table,
     truncation_tail,
 )
 from couette_gevrey.scalar import default_dt, default_initial_data, initial_state, spline_initial_bump, step_scalar
@@ -311,8 +320,53 @@ def test_noise_floor_behavior(grid64, params, cascade):
     ctx = EvalContext(grid64, params, cascade, nu=NU, floor_rel=1e-3, tail_multiplier=0.0)
     vals = np.ones(grid64.ny + 1)
     vals[: grid64.ny // 2] = 1e-6  # below the relative floor
-    floored = ctx.floored(vals)
+    floored = ctx.floor_rows(np.abs(vals))
     assert np.all(floored[: grid64.ny // 2] == 0.0)
     assert np.all(floored[grid64.ny // 2:] == 1.0)
     # tail-calibrated floor dominates when the measured tail is larger
-    assert ctx.floored(vals, tail=0.0).sum() == floored.sum()
+    assert ctx.floor_rows(np.abs(vals), tails=0.0).sum() == floored.sum()
+
+
+# (floor_rel, tail_multiplier, tails): no floor at all; the tails alone with
+# floor_rel = 0; tail thresholds above floor_rel; floor_rel above them
+FLOOR_CASES = [
+    (0.0, 0.0, [1e-3] * 6),
+    (0.0, 10.0, [0.0, 1e-6, 1e-4, 1e-3, 0.0, 2e-2]),
+    (1e-8, 10.0, [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2]),
+    (1e-3, 10.0, [0.0, 1e-12, 1e-9, 0.0, 1e-6, 1e-5]),
+]
+
+
+@pytest.mark.parametrize("floor_rel,mult,tails", FLOOR_CASES)
+def test_floor_rows_matches_per_row_oracle(grid64, params, cascade, rng, floor_rel, mult, tails):
+    # every row floored in one pass, each against its own peak and tail,
+    # bit for bit as one row at a time; row 2 is all zero
+    rows = (rng.normal(size=(6, grid64.ny + 1)) + 1j * rng.normal(size=(6, grid64.ny + 1))) \
+        * np.exp(4.0 * rng.normal(size=(6, grid64.ny + 1)))
+    rows[2] = 0.0
+    ctx = EvalContext(grid64, params, cascade, nu=NU, floor_rel=floor_rel, tail_multiplier=mult)
+    got = ctx.floor_rows(np.abs(rows), np.array(tails))
+    pairs = [(r, row_floored(r, tl, floor_rel, mult)) for r, tl in zip(rows, tails)]
+    assert np.array_equal(got, np.abs([f for _, f in pairs]))
+    # the counter sees every point of every row the floor acts on
+    assert ctx.floored_points == sum(np.count_nonzero(f == 0) for r, f in pairs if f is not r)
+    assert (ctx.floored_points > 0) == (floor_rel > 0 or mult > 0)
+
+
+@pytest.mark.parametrize("ny", [64, 65])
+def test_norm_table_matches_per_row_floor(params, cascade, rng, ny):
+    # a stepped stack whose floors bite, and a random one with a zero level
+    from couette_gevrey.spectral import ChannelGrid
+
+    grid = ChannelGrid(ny)
+    state = initial_state(grid, 1e-4, default_initial_data(grid, 2))
+    for _ in range(50):
+        state = step_scalar(state, default_dt(2))
+    stepped = build_gamma_stack(state.omega[2], 2, couette_state(grid, state.t), 6, grid, t=state.t)
+    zero_level = random_stack(grid, rng)
+    zero_level.gamma_pows[2] = np.zeros(ny + 1, dtype=complex)
+    zero_level.tails = np.array([0.0, 1e-3, 0.0, 1e-12, 2e-2])
+    for stack in (stepped, zero_level):
+        for floor_rel, mult in ((1e-8, 10.0), (0.0, 10.0), (0.0, 0.0)):
+            ctx = EvalContext(grid, params, cascade, nu=1e-4, floor_rel=floor_rel, tail_multiplier=mult)
+            assert np.array_equal(norm_table(stack, ctx), per_row_norm_table(stack, ctx))

@@ -131,6 +131,9 @@ def test_run_writes_timings_beside_summary(tmp_path):
     assert counters["steps"] == 20
     # three modes, each with one LU pair for the restart and one for SBDF2
     assert counters["lu_factor_pairs"] == 6
+    assert counters["restarts"] == 1
+    # the bump is exactly zero outside (-1/4, 1/4), so every floor zeroes points
+    assert counters["floored_points"] > 0
     times = timings["times"]
     assert 0.0 < times["stepping_s"] + times["evaluation_s"] <= times["wall_clock_s"]
     size = (tmp_path / "timings_nu1e-02.json").stat().st_size

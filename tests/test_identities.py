@@ -146,7 +146,7 @@ def test_faa_flat_j1_is_qprime(grid):
     y = grid.nodes[1:-1]
     vy_jet = [np.ones_like(y)] + [np.zeros_like(y)] * 4
     for n in (1, 5, 40):
-        qt = idn.q_tilde(n, 1, y, vy_jet)
+        qt = idn.q_tilde(n, 1, idn.dvbar_q_powers(1, y, vy_jet))
         assert np.max(np.abs(qt - q_jet(y, 1)[1])) < 1e-12
 
 

@@ -253,6 +253,7 @@ def test_batched_step_matches_per_mode_oracle(case, ny):
         st = step_scalar(st, dt, profile, forcing)
         ref.step(dt, profile, forcing)
     assert st.t == pytest.approx(ref.t, abs=1e-14)
+    assert st.restarts == 2
     assert list(st.ks) == sorted(ref.omega)
     worst = max(np.max(np.abs(f - ref.omega[k])) for k, f in zip(st.ks, st.omega))
     assert worst <= 1e-12 * peak

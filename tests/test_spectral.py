@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import loop_clenshaw_curtis_weights, loop_green_solve, loop_interpolate
+from oracles import loop_clenshaw_curtis_weights, loop_green_solve, loop_interpolate, stacked_parity_solve
 
 from couette_gevrey.spectral import (
     ChannelGrid,
@@ -70,13 +70,26 @@ def test_helmholtz_parity_solve_matches_dense(ny, k, rng):
     a = alpha * np.eye(ny + 1) - nu * (grid.d2 - float(k * k) * np.eye(ny + 1))
     a[[0, -1], :] = 0.0
     a[0, 0] = a[-1, -1] = 1.0
-    rhs = rng.normal(size=(3, 2, ny + 1))
-    rhs[..., [0, -1]] = 0.0
+    rhs = rng.normal(size=(3, ny + 1)) + 1j * rng.normal(size=(3, ny + 1))
+    rhs[:, [0, -1]] = 0.0
     factors = [helmholtz_lu(grid, k, alpha, nu)] * 3
     out = helmholtz_lu_solve(factors, rhs.copy())
     for got, b in zip(out, rhs):
-        dense = np.linalg.solve(a, b.T).T
+        dense = np.linalg.solve(a, b)
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("ny", [64, 65])
+def test_helmholtz_lu_solve_matches_stacked_oracle(ny, rng):
+    # the complex rows are solved in place of a stacked real copy, bit for
+    # bit; nonzero wall values must be ignored as the copy's zeroing did
+    grid = ChannelGrid(ny)
+    factors = [helmholtz_lu(grid, k, 150.0, 1e-3) for k in range(4)]
+    rhs = rng.normal(size=(4, ny + 1)) + 1j * rng.normal(size=(4, ny + 1))
+    before = rhs.copy()
+    out = helmholtz_lu_solve(factors, rhs)
+    assert np.array_equal(out, stacked_parity_solve(factors, rhs))
+    assert np.array_equal(rhs, before)
 
 
 def test_helmholtz_spectral_convergence():
