@@ -202,7 +202,7 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
         rhs -= state._prev_ex
         un = _solve(state, ks, 1.5 / dt, rhs) if nu > 0.0 else rhs * dt / 1.5
     un[:, 0] = un[:, -1] = 0.0
-    return ScalarState(grid, t1, nu, ks, un, state.restarts + restart,
+    return ScalarState(grid, t1, nu, ks, un, restarts=state.restarts + restart,
                        _prev=u, _prev_ex=ex0, _prev_dt=dt, _facts=state._facts)
 
 
