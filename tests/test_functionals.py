@@ -37,7 +37,7 @@ from couette_gevrey.functionals import (
     truncation_tail,
 )
 from couette_gevrey.scalar import default_dt, default_initial_data, initial_state, spline_initial_bump, step_scalar
-from couette_gevrey.spectral import hermitian_mode_weight
+from couette_gevrey.spectral import ChannelGrid, hermitian_mode_weight
 from couette_gevrey.weights import eval_q, eval_W
 
 NU = 1e-3
@@ -356,8 +356,6 @@ def test_floor_rows_matches_per_row_oracle(grid64, params, cascade, rng, floor_r
 @pytest.mark.parametrize("ny", [64, 65])
 def test_norm_table_matches_per_row_floor(params, cascade, rng, ny):
     # a stepped stack whose floors bite, and a random one with a zero level
-    from couette_gevrey.spectral import ChannelGrid
-
     grid = ChannelGrid(ny)
     state = initial_state(grid, 1e-4, default_initial_data(grid, 2))
     for _ in range(50):
