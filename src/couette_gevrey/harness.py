@@ -272,7 +272,7 @@ def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = No
             "counters": {
                 "steps": steps,
                 "samples": len(series),
-                "lu_factor_pairs": sum(len(pairs) for pairs in state._facts.values()),
+                "inverse_pairs": sum(len(inv.shift) for inv in state._inverses.values()),
                 "restarts": state.restarts,
                 "floored_points": ctx.floored_points,
             },

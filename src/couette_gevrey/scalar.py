@@ -2,11 +2,12 @@
 
 Each Fourier mode solves  d_t w_k + ik(y + U0) w_k = nu Dlt_k w_k + f_k
 with Dirichlet walls; one step advances every mode as a single complex
-(K, ny+1) array.  Diffusion is implicit (cached real LU Helmholtz solves,
-split into even and odd blocks), the advection multiplier and forcing are
-explicit: SBDF2 after an IMEX-SSP2(2,2,2) startup step.  The explicit multiplier is pointwise, so the
-stability constraint is |k (y+U0)| dt below the scheme's imaginary-axis
-limit; the admissible dt is reported by :func:`admissible_dt`.
+(K, ny+1) array.  Diffusion is implicit, one correction from the stage's
+starting state with the run's cached even/odd Helmholtz block inverses
+(``spectral.HelmholtzInverse``, no LAPACK call); the advection multiplier and
+forcing are explicit: SBDF2 after an IMEX-SSP2(2,2,2) startup step.  The
+multiplier is pointwise, so the stability constraint is |k (y+U0)| dt below
+the scheme's imaginary-axis limit, reported by :func:`admissible_dt`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coordinates import ShearProfile, zero_profile
-from .spectral import ChannelGrid, helmholtz_lu, helmholtz_lu_solve, hermitian_mode_weight, l2_norm
+from .spectral import ChannelGrid, HelmholtzInverse, hermitian_mode_weight, l2_norm
 
 # measured imaginary-axis stability margin of the SBDF2 extrapolation
 THETA_ADV = 0.09
@@ -107,7 +108,7 @@ class ScalarState:
     _prev: np.ndarray | None = None  # the previous state's omega, SBDF2 history
     _prev_ex: np.ndarray | None = None
     _prev_dt: float | None = None
-    _facts: dict = field(default_factory=dict, repr=False)
+    _inverses: dict = field(default_factory=dict, repr=False)  # HelmholtzInverse per (scale, dt)
 
     def l2_norms(self) -> dict[int, float]:
         return {k: l2_norm(self.grid, f) for k, f in zip(self.ks, self.omega)}
@@ -136,13 +137,12 @@ def _check_stability(state: ScalarState, dt: float, shear: np.ndarray):
         )
 
 
-def _solve(state: ScalarState, ks: tuple[int, ...], alpha: float, rhs: np.ndarray) -> np.ndarray:
-    """Dirichlet Helmholtz solves of the rows of rhs with the run's cached factors."""
-    key = (round(alpha, 12), state.nu, ks)
-    factors = state._facts.get(key)
-    if factors is None:  # one LU pair per mode, per (alpha, nu) and run
-        factors = state._facts[key] = [helmholtz_lu(state.grid, k, alpha, state.nu) for k in ks]
-    return helmholtz_lu_solve(factors, rhs)
+def _inverse(state: ScalarState, scale: float, dt: float) -> HelmholtzInverse:
+    """The run's parity inverses for alpha = scale/dt, shared by dts within the restart rule's 1e-14."""
+    key = next(((s, d) for s, d in state._inverses if s == scale and abs(d - dt) <= 1e-14), (scale, dt))
+    if key not in state._inverses:
+        state._inverses[key] = HelmholtzInverse(state.grid, state.ks, scale / dt, state.nu)
+    return state._inverses[key]
 
 
 def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = None, forcing=None) -> ScalarState:
@@ -179,12 +179,12 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
     ex0 = explicit(u, t0, shear0)
     if restart:
         if nu > 0.0:
-            alpha = 1.0 / (_SSP_GAMMA * dt)
-            u1 = _solve(state, ks, alpha, u / (_SSP_GAMMA * dt))
+            inverse = _inverse(state, 1.0 / _SSP_GAMMA, dt)
+            u1 = inverse.solve(u / (_SSP_GAMMA * dt), u)
             im1 = diffusion(u1)
             ex1 = explicit(u1, t0, shear0)
             rhs2 = u + dt * (1.0 - 2.0 * _SSP_GAMMA) * im1 + dt * ex1
-            u2 = _solve(state, ks, alpha, rhs2 / (_SSP_GAMMA * dt))
+            u2 = inverse.solve(rhs2 / (_SSP_GAMMA * dt), u1)
             im2 = diffusion(u2)
             ex2 = explicit(u2, t1, shear_at(t1))
             un = u + 0.5 * dt * (im1 + im2) + 0.5 * dt * (ex1 + ex2)
@@ -197,13 +197,13 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
         # (2u - prev/2) / dt + 2 ex0 - prev_ex, in place in two arrays
         rhs, tmp = 2.0 * u, 0.5 * state._prev
         rhs -= tmp
-        rhs /= dt
+        rhs *= 1.0 / dt
         rhs += np.multiply(ex0, 2.0, out=tmp)
         rhs -= state._prev_ex
-        un = _solve(state, ks, 1.5 / dt, rhs) if nu > 0.0 else rhs * dt / 1.5
+        un = _inverse(state, 1.5, dt).solve(rhs, u) if nu > 0.0 else rhs * dt / 1.5
     un[:, 0] = un[:, -1] = 0.0
     return ScalarState(grid, t1, nu, ks, un, restarts=state.restarts + restart,
-                       _prev=u, _prev_ex=ex0, _prev_dt=dt, _facts=state._facts)
+                       _prev=u, _prev_ex=ex0, _prev_dt=dt, _inverses=state._inverses)
 
 
 def exact_transport(omega_k: np.ndarray, k: int, t: float, grid: ChannelGrid) -> np.ndarray:

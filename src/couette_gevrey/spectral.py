@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dct
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrs
 
 
 def chebyshev_lobatto(n: int) -> np.ndarray:
@@ -183,61 +181,83 @@ def _parity_sizes(ny: int) -> tuple[int, int]:
     return ny // 2 + 1, (ny + 1) // 2
 
 
-def helmholtz_lu(grid: ChannelGrid, k: int, alpha: float, nu: float):
-    """Real LU factors of the even and odd blocks of (alpha*I - nu*(d_yy - k^2))
-    with Dirichlet rows.
-
-    On the symmetric Lobatto nodes the matrix A commutes with the reversal J
-    up to roundoff; its symmetrisation (A + JAJ)/2 commutes exactly, so it
-    maps even vectors (Jx = x) to even ones and odd to odd.  Each block is
-    the top rows of the symmetrised matrix acting on the lower half of the
-    nodes: column j of the even block is A[:, j] + A[:, ny - j] (A[:, j]
-    alone for the centre node), of the odd block A[:, j] - A[:, ny - j].
-    """
-    n = grid.ny
-    a = alpha * np.eye(n + 1) - nu * (grid.d2 - float(k * k) * np.eye(n + 1))
-    a = _apply_bc_rows(a, grid, "dirichlet")
-    a = 0.5 * (a + a[::-1, ::-1])
-    ne, no = _parity_sizes(n)
-    top, mirror = a[:ne], a[:ne, ::-1]
-    even = top[:, :ne] + mirror[:, :ne]
-    if n % 2 == 0:
-        even[:, -1] = top[:, ne - 1]  # the centre node is its own mirror
-    odd = top[:no, :no] - mirror[:no, :no]
-    return lu_factor(even), lu_factor(odd)
+def _fold(values: np.ndarray) -> np.ndarray:
+    """The real (2, K, 2, ny//2 + 1) parity halves of a complex (K, ny+1)
+    array: [even, odd] x row x [re, im] x the lower half of the nodes, the
+    odd half zero-padded."""
+    parts = values.view(float).reshape(*values.shape, 2).swapaxes(-1, -2)  # (K, 2, ny+1) view
+    ne, no = _parity_sizes(values.shape[-1] - 1)
+    halves = np.zeros((2,) + parts.shape[:-1] + (ne,))
+    np.add(parts[..., :ne], parts[..., ::-1][..., :ne], out=halves[0])
+    np.subtract(parts[..., :no], parts[..., ::-1][..., :no], out=halves[1, ..., :no])
+    halves *= 0.5
+    return halves
 
 
-def helmholtz_lu_solve(factors: list, rhs: np.ndarray) -> np.ndarray:
-    """Solve the Dirichlet problems of the rows of a complex (K, ny+1) array
-    with ``helmholtz_lu`` pairs; the wall values of ``rhs`` are ignored.
-
-    ``factors[i]`` is the pair of row i.  The real and imaginary parts of
-    each row are split into their even and odd halves, each half is solved
-    by one ``dgetrs`` call with the two parts as columns, and the halves
-    are joined on the full grid of a new complex array.
-    """
-    rhs = np.ascontiguousarray(rhs, dtype=complex)
-    n = rhs.shape[-1] - 1
-    ne, no = _parity_sizes(n)
-    parts = rhs.view(float).reshape(*rhs.shape, 2).swapaxes(-1, -2)  # (K, 2, ny+1) view
-    rev = parts[..., ::-1]
-    even = np.add(parts[..., :ne], rev[..., :ne], out=np.empty(parts.shape[:-1] + (ne,)))
-    odd = np.subtract(parts[..., :no], rev[..., :no], out=np.empty(parts.shape[:-1] + (no,)))
-    even *= 0.5
-    odd *= 0.5
-    even[..., 0] = odd[..., 0] = 0.0  # the Dirichlet rows
-    for i, pair in enumerate(factors):
-        # half.T is a Fortran-ordered (size, 2) view, solved in place
-        for half, (lu, piv) in zip((even[i], odd[i]), pair):
-            if dgetrs(lu, piv, half.T, overwrite_b=1)[1] != 0:
-                raise ValueError(f"dgetrs failed for row {i}")
-    out = np.empty_like(rhs)
-    joined = out.view(float).reshape(*rhs.shape, 2).swapaxes(-1, -2)
+def _unfold(halves: np.ndarray, ny: int) -> np.ndarray:
+    """The complex (K, ny+1) array whose ``_fold`` is ``halves``."""
+    no = _parity_sizes(ny)[1]
+    even, odd = halves[0], halves[1, ..., :no]
+    out = np.empty(halves.shape[1:-2] + (ny + 1,), dtype=complex)
+    joined = out.view(float).reshape(*out.shape, 2).swapaxes(-1, -2)
     np.add(even[..., :no], odd, out=joined[..., :no])
     np.subtract(even[..., :no], odd, out=joined[..., ::-1][..., :no])
-    if n % 2 == 0:
-        joined[..., no] = even[..., no]
+    if ny % 2 == 0:
+        joined[..., no] = even[..., no]  # the centre node is its own mirror
     return out
+
+
+def _folded_d2_t(grid: ChannelGrid) -> np.ndarray:
+    """The even and odd blocks of (d2 + J d2 J)/2, transposed for
+    ``halves @ blocks``: one (2, ne, ne) array in ``grid.cache``, the odd block
+    zero-padded.  The symmetrised matrix commutes exactly with the reversal J,
+    so each block is its top rows on the lower half of the nodes: column j of
+    the even (odd) block is D[:, j] + (-) D[:, ny - j], D[:, j] for the centre."""
+    blocks = grid.cache.get("folded_d2_t")
+    if blocks is None:
+        ne, no = _parity_sizes(grid.ny)
+        d = 0.5 * (grid.d2 + grid.d2[::-1, ::-1]).T
+        left, mirror = d[:, :ne], d[::-1, :ne]
+        blocks = grid.cache["folded_d2_t"] = np.zeros((2, ne, ne))
+        np.add(left[:ne], mirror[:ne], out=blocks[0])
+        if grid.ny % 2 == 0:
+            blocks[0, -1] = left[ne - 1]
+        np.subtract(left[:no, :no], mirror[:no, :no], out=blocks[1, :no, :no])
+    return blocks
+
+
+class HelmholtzInverse:
+    """The symmetrised Dirichlet matrices A_k = alpha*I - nu*(d_yy - k^2) of
+    the modes ``ks``, folded like ``_folded_d2_t`` and inverted once into one
+    real (2, K, ne, ne) array, transposed like it.  ``solve`` corrects a
+    guess g once, x = g + A^{-1}(b - A g), so the product's rounding scales
+    with the update, not with the solution."""
+
+    def __init__(self, grid: ChannelGrid, ks, alpha: float, nu: float):
+        self.grid, self.nu = grid, nu
+        self.shift = (alpha + nu * np.square(np.asarray(ks, dtype=float)))[:, None, None]
+        eye = np.eye(_parity_sizes(grid.ny)[0])
+        self.inverse_t = np.empty((2, len(self.shift)) + eye.shape)
+        for i, shift in enumerate(self.shift):  # per mode: no (2, K, ne, ne) temporaries
+            blocks = shift * eye - nu * _folded_d2_t(grid)
+            blocks[..., 0] = eye[0]  # the Dirichlet rows
+            self.inverse_t[:, i] = np.linalg.inv(blocks)
+        self.inverse_t[..., 0] = eye[0]  # exact, since x_0 = b_0
+
+    def residual(self, rhs: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """b - A g of the complex (K, ny+1) rows of ``rhs`` and the ``_fold``
+        halves g, folded, zero on the Dirichlet rows: one d2 product per parity."""
+        r = _fold(rhs) - self.shift * g
+        r += self.nu * (g.reshape(2, -1, g.shape[-1]) @ _folded_d2_t(self.grid)).reshape(g.shape)
+        r[..., 0] = 0.0
+        return r
+
+    def solve(self, rhs: np.ndarray, guess: np.ndarray) -> np.ndarray:
+        """x = guess + A^{-1}(rhs - A guess) of the complex (K, ny+1) rows, as
+        a new array; x takes the wall values of ``guess``, not of ``rhs``."""
+        g = _fold(guess)
+        g += self.residual(rhs, g) @ self.inverse_t
+        return _unfold(g, self.grid.ny)
 
 
 def _one_minus_exp(x: np.ndarray | float) -> np.ndarray | float:

@@ -256,10 +256,32 @@ class LoopScalarStepper:
         self.omega, self.prev, self.prev_ex, self.prev_dt, self.t = new, prev, prev_ex, dt, t1
 
 
+def parity_lu(grid, k, alpha, nu):
+    """Real LU factors of the even and odd blocks of the symmetrised
+    (A + JAJ)/2, A = alpha*I - nu*(d_yy - k^2) with Dirichlet rows: the
+    per-mode factorization the scalar step used before its blocks were
+    inverted.  Column j of the even block is A[:, j] + A[:, ny - j] (A[:, j]
+    alone for the centre node), of the odd block A[:, j] - A[:, ny - j]."""
+    n = grid.ny
+    a = alpha * np.eye(n + 1) - nu * (grid.d2 - float(k * k) * np.eye(n + 1))
+    a[[0, -1], :] = 0.0
+    a[0, 0] = a[-1, -1] = 1.0
+    a = 0.5 * (a + a[::-1, ::-1])
+    ne, no = _parity_sizes(n)
+    top, mirror = a[:ne], a[:ne, ::-1]
+    even = top[:, :ne] + mirror[:, :ne]
+    if n % 2 == 0:
+        even[:, -1] = top[:, ne - 1]
+    odd = top[:no, :no] - mirror[:no, :no]
+    return lu_factor(even), lu_factor(odd)
+
+
 def stacked_parity_solve(factors, rhs):
-    """``helmholtz_lu_solve`` staged one copy at a time: the real and
+    """The parity-split Dirichlet solve of the rows of a complex (K, ny+1)
+    array with ``parity_lu`` pairs, staged one copy at a time: the real and
     imaginary parts stacked into a real (K, 2, ny+1) array, its walls zeroed
-    by a fancy index, the even and odd halves formed from that copy, and the
+    by a fancy index, the even and odd halves formed from that copy, each
+    half solved by one ``dgetrs`` call with the two parts as columns, and the
     joined real solution turned back into complex as re + 1j * im."""
     parts = np.stack([rhs.real, rhs.imag], axis=1)
     parts[:, :, [0, -1]] = 0.0

@@ -129,8 +129,8 @@ def test_run_writes_timings_beside_summary(tmp_path):
     counters = timings["counters"]
     assert counters["samples"] == len(res["series"])
     assert counters["steps"] == 20
-    # three modes, each with one LU pair for the restart and one for SBDF2
-    assert counters["lu_factor_pairs"] == 6
+    # three modes, each with one inverse pair for the restart and one for SBDF2
+    assert counters["inverse_pairs"] == 6
     assert counters["restarts"] == 1
     # the bump is exactly zero outside (-1/4, 1/4), so every floor zeroes points
     assert counters["floored_points"] > 0
@@ -142,6 +142,17 @@ def test_run_writes_timings_beside_summary(tmp_path):
     summary = json.loads((tmp_path / "summary_nu1e-02.json").read_text())
     (summary_run,) = json.loads((tmp_path / "summary.json").read_text())["runs"]
     assert summary == summary_run and "timings" not in summary
+
+
+def test_roundoff_shortened_last_step_reuses_inverses(tmp_path):
+    # t_final - t of the last step differs from dt = 0.01 by roundoff; that
+    # is no restart, so it reuses the SBDF2 inverses instead of building more
+    cfg = small_config(output_dir=str(tmp_path), t_final_policy="absolute",
+                       t_final_value=0.3, dt=0.01)
+    run(cfg)
+    counters = json.loads((tmp_path / "timings_nu1e-02.json").read_text())["counters"]
+    assert counters["restarts"] == 1
+    assert counters["inverse_pairs"] == 6
 
 
 def test_serial_runs_byte_identical(tmp_path):

@@ -2,16 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import loop_clenshaw_curtis_weights, loop_green_solve, loop_interpolate, stacked_parity_solve
+from oracles import (
+    loop_clenshaw_curtis_weights,
+    loop_green_solve,
+    loop_interpolate,
+    parity_lu,
+    stacked_parity_solve,
+)
 
 from couette_gevrey.spectral import (
     ChannelGrid,
+    HelmholtzInverse,
     SingularSolveError,
+    _fold,
+    _unfold,
     clenshaw_curtis_weights,
     green_eval,
     green_solve,
-    helmholtz_lu,
-    helmholtz_lu_solve,
     helmholtz_solve,
     l2_norm,
     poisson_mode_solve,
@@ -60,36 +67,69 @@ def test_helmholtz_manufactured(grid64):
     assert np.max(np.abs(zero)) == 0.0
 
 
+def dirichlet_matrix(grid, k, alpha, nu):
+    n = grid.ny
+    a = alpha * np.eye(n + 1) - nu * (grid.d2 - float(k * k) * np.eye(n + 1))
+    a[[0, -1], :] = 0.0
+    a[0, 0] = a[-1, -1] = 1.0
+    return a
+
+
 @pytest.mark.parametrize("ny", [64, 65])
 @pytest.mark.parametrize("k", [0, 3])
 def test_helmholtz_parity_solve_matches_dense(ny, k, rng):
-    # the even/odd block solves against one dense solve of the full
-    # Dirichlet matrix; ny = 64 has a centre node, ny = 65 has none
+    # the even/odd block correction against one dense solve of the full
+    # Dirichlet matrix, from a zero guess and from the solution moved by a
+    # smooth tenth of its peak, as a step's starting state is near its end
+    # state; ny = 64 has a centre node, ny = 65 has none
     grid = ChannelGrid(ny)
     alpha, nu = 150.0, 1e-3
-    a = alpha * np.eye(ny + 1) - nu * (grid.d2 - float(k * k) * np.eye(ny + 1))
-    a[[0, -1], :] = 0.0
-    a[0, 0] = a[-1, -1] = 1.0
+    a = dirichlet_matrix(grid, k, alpha, nu)
     rhs = rng.normal(size=(3, ny + 1)) + 1j * rng.normal(size=(3, ny + 1))
     rhs[:, [0, -1]] = 0.0
-    factors = [helmholtz_lu(grid, k, alpha, nu)] * 3
-    out = helmholtz_lu_solve(factors, rhs.copy())
-    for got, b in zip(out, rhs):
-        dense = np.linalg.solve(a, b)
-        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+    dense = np.array([np.linalg.solve(a, b) for b in rhs])
+    y = grid.nodes
+    peak = np.max(np.abs(dense), axis=1, keepdims=True)
+    smooth = dense + 0.1 * peak * (1.0 - y * y) * np.exp(y) * (1.0 + 0.5j)
+    inverse = HelmholtzInverse(grid, (k,) * 3, alpha, nu)
+    for guess in (np.zeros_like(rhs), smooth):
+        out = inverse.solve(rhs.copy(), guess)
+        for got, want in zip(out, dense):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("ny", [64, 65])
-def test_helmholtz_lu_solve_matches_stacked_oracle(ny, rng):
-    # the complex rows are solved in place of a stacked real copy, bit for
-    # bit; nonzero wall values must be ignored as the copy's zeroing did
+def test_helmholtz_inverse_matches_stacked_oracle(ny, rng):
+    # the inverted blocks against the LU solves of the same blocks; nonzero
+    # wall values must be ignored as the oracle's zeroing does, and the
+    # right-hand side must not be written
     grid = ChannelGrid(ny)
-    factors = [helmholtz_lu(grid, k, 150.0, 1e-3) for k in range(4)]
+    ks = range(4)
+    inverse = HelmholtzInverse(grid, ks, 150.0, 1e-3)
     rhs = rng.normal(size=(4, ny + 1)) + 1j * rng.normal(size=(4, ny + 1))
     before = rhs.copy()
-    out = helmholtz_lu_solve(factors, rhs)
-    assert np.array_equal(out, stacked_parity_solve(factors, rhs))
+    out = inverse.solve(rhs, np.zeros_like(rhs))
+    want = stacked_parity_solve([parity_lu(grid, k, 150.0, 1e-3) for k in ks], rhs)
+    assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.array_equal(rhs, before)
+
+
+@pytest.mark.parametrize("ny", [64, 65])
+def test_folded_residual_matches_dense(ny, rng):
+    # b - A g from the shared folded d2 against the dense symmetrised
+    # (A + JAJ)/2 times g on the interior rows, for every k; the bound is a
+    # componentwise multiple of the product's rounding, |A| |g|
+    grid = ChannelGrid(ny)
+    ks = range(5)
+    alpha, nu = 150.0, 1e-3
+    guess = rng.normal(size=(5, ny + 1)) + 1j * rng.normal(size=(5, ny + 1))
+    ag = -_unfold(HelmholtzInverse(grid, ks, alpha, nu).residual(np.zeros_like(guess), _fold(guess)), ny)
+    assert np.all(ag[:, [0, -1]] == 0.0)
+    for k, got, g in zip(ks, ag, guess):
+        a = dirichlet_matrix(grid, k, alpha, nu)
+        a = 0.5 * (a + a[::-1, ::-1])
+        err = np.abs(got - a @ g)[1:-1]
+        assert np.all(err <= 1e-13 * (np.abs(a) @ np.abs(g))[1:-1])
 
 
 def test_helmholtz_spectral_convergence():
