@@ -1,9 +1,10 @@
 """Time integration of the passive scalar equation, all modes at once.
 
 Each Fourier mode solves  d_t w_k + ik(y + U0) w_k = nu Dlt_k w_k + f_k
-with Dirichlet walls; one step advances every mode as a single complex
-(K, ny+1) array.  Diffusion is implicit, one correction from the stage's
-starting state with the run's cached even/odd Helmholtz block inverses
+with Dirichlet walls; steps carry all modes as the real even/odd halves of
+``spectral._fold``, folded once, and ``ScalarState.omega`` unfolds them where
+they are read.  Diffusion is implicit, one correction from the stage's start
+with the run's cached even/odd Helmholtz block inverses
 (``spectral.HelmholtzInverse``, no LAPACK call); the advection multiplier and
 forcing are explicit: SBDF2 after an IMEX-SSP2(2,2,2) startup step.  The
 multiplier is pointwise, so the stability constraint is |k (y+U0)| dt below
@@ -13,11 +14,12 @@ the scheme's imaginary-axis limit, reported by :func:`admissible_dt`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .coordinates import ShearProfile, zero_profile
-from .spectral import ChannelGrid, HelmholtzInverse, hermitian_mode_weight, l2_norm
+from .spectral import ChannelGrid, HelmholtzInverse, _fold, _unfold, _apply_folded_d2, hermitian_mode_weight, l2_norm
 
 # measured imaginary-axis stability margin of the SBDF2 extrapolation
 THETA_ADV = 0.09
@@ -103,12 +105,20 @@ class ScalarState:
     t: float
     nu: float
     ks: tuple[int, ...]  # ascending wavenumbers, one per row of omega
-    omega: np.ndarray  # complex (K, ny+1); no step writes into it
+    halves: np.ndarray  # real (2, K, 2, ny//2 + 1) ``_fold`` of the modes; no step writes into it
     restarts: int = 0  # IMEX-SSP2 (re)start steps taken to reach this state
-    _prev: np.ndarray | None = None  # the previous state's omega, SBDF2 history
+    _prev: np.ndarray | None = None  # the previous state's halves, SBDF2 history
     _prev_ex: np.ndarray | None = None
     _prev_dt: float | None = None
     _inverses: dict = field(default_factory=dict, repr=False)  # HelmholtzInverse per (scale, dt)
+    _ks_tables: tuple = field(default=(), repr=False)  # k^2 and (+k, -k) per row, once per run
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """The complex (K, ny+1) modes, unfolded on the first read; read-only."""
+        omega = _unfold(self.halves, self.grid.ny)
+        omega.flags.writeable = False
+        return omega
 
     def l2_norms(self) -> dict[int, float]:
         return {k: l2_norm(self.grid, f) for k, f in zip(self.ks, self.omega)}
@@ -121,7 +131,8 @@ class ScalarState:
 
 
 def initial_state(grid: ChannelGrid, nu: float, data: InitialData) -> ScalarState:
-    return ScalarState(grid=grid, t=0.0, nu=nu, ks=data.ks, omega=data.omega.copy())
+    k = np.asarray(data.ks, dtype=float)[:, None, None]
+    return ScalarState(grid, 0.0, nu, data.ks, _fold(data.omega), _ks_tables=(k * k, k * [[1.0], [-1.0]]))
 
 
 def _check_stability(state: ScalarState, dt: float, shear: np.ndarray):
@@ -148,9 +159,10 @@ def _inverse(state: ScalarState, scale: float, dt: float) -> HelmholtzInverse:
 def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = None, forcing=None) -> ScalarState:
     """Advance every mode by one IMEX step; walls are exactly zero after.
 
-    All modes move together as one complex (K, ny+1) array in ascending k
-    order: the step reads ``state.omega`` and returns a state holding a new
-    array.  ``forcing(t)``, if given, is the (K, ny+1) forcing at time t.
+    All modes move together as the ``_fold`` halves in ascending k order: the
+    step reads ``state.halves`` and returns a state holding new halves.
+    ``forcing(t)``, if given, is the complex (K, ny+1) forcing at time t,
+    folded as it enters.
     """
     if profile is None:
         profile = zero_profile()
@@ -162,19 +174,20 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
 
     shear0 = shear_at(t0)
     _check_stability(state, dt, shear0)
-    ks = state.ks
-    k_col = np.array(ks, dtype=float)[:, None]
-    u = state.omega
+    k2, signed_k = state._ks_tables
+    u = state.halves
     restart = state._prev is None or state._prev_dt is None or abs(state._prev_dt - dt) > 1e-14
 
     def explicit(values, t, shear):
-        ex = -1j * k_col * shear * values
-        return ex if forcing is None else ex + forcing(t)
+        # -ik (s_e + s_o) w: the odd part s_o swaps parity, -i swaps re and im
+        lower, upper = shear[: u.shape[-1]], shear[::-1][: u.shape[-1]]
+        ex = (signed_k * (0.5 * (lower - upper))) * values[::-1, :, ::-1]
+        if (s_e := 0.5 * (lower + upper)).any():  # zero for the flat and odd profiles
+            ex += (signed_k * s_e) * values[:, :, ::-1]
+        return ex if forcing is None else ex + _fold(np.ascontiguousarray(forcing(t), dtype=complex))
 
     def diffusion(values):
-        # d2 acts on the real (ny+1, 2K) view of the modes as columns
-        d2u = (grid.d2 @ np.ascontiguousarray(values.T).view(float)).view(complex).T
-        return nu * (d2u - k_col * k_col * values)
+        return nu * (_apply_folded_d2(grid, values) - k2 * values)
 
     ex0 = explicit(u, t0, shear0)
     if restart:
@@ -191,7 +204,7 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
         else:
             # Heun step of the pure multiplier problem
             mid = u + dt * ex0
-            mid[:, 0] = mid[:, -1] = 0.0
+            mid[..., 0] = 0.0  # index 0 of each half row is the wall
             un = u + 0.5 * dt * (ex0 + explicit(mid, t1, shear_at(t1)))
     else:
         # (2u - prev/2) / dt + 2 ex0 - prev_ex, in place in two arrays
@@ -201,9 +214,9 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
         rhs += np.multiply(ex0, 2.0, out=tmp)
         rhs -= state._prev_ex
         un = _inverse(state, 1.5, dt).solve(rhs, u) if nu > 0.0 else rhs * dt / 1.5
-    un[:, 0] = un[:, -1] = 0.0
-    return ScalarState(grid, t1, nu, ks, un, restarts=state.restarts + restart,
-                       _prev=u, _prev_ex=ex0, _prev_dt=dt, _inverses=state._inverses)
+    un[..., 0] = 0.0
+    return ScalarState(grid, t1, nu, state.ks, un, restarts=state.restarts + restart, _prev=u, _prev_ex=ex0,
+                       _prev_dt=dt, _inverses=state._inverses, _ks_tables=state._ks_tables)
 
 
 def exact_transport(omega_k: np.ndarray, k: int, t: float, grid: ChannelGrid) -> np.ndarray:

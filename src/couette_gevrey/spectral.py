@@ -2,9 +2,9 @@
 
 The channel T x [-1,1] is discretized with Fourier modes in x and
 Chebyshev-Gauss-Lobatto collocation in y.  A field is one complex
-(K, ny+1) array whose rows are its modes in ascending k; the solves here
-take one row and its wavenumber k.  Boundary conditions are imposed by row
-replacement.
+(K, ny+1) array whose rows are its modes in ascending k, or its real parity
+halves (``_fold``), which ``HelmholtzInverse`` solves on; the other solves
+take one row and its wavenumber k.  Boundary conditions replace rows.
 """
 
 from __future__ import annotations
@@ -226,6 +226,11 @@ def _folded_d2_t(grid: ChannelGrid) -> np.ndarray:
     return blocks
 
 
+def _apply_folded_d2(grid: ChannelGrid, halves: np.ndarray) -> np.ndarray:
+    """(d2 + J d2 J)/2 applied to ``_fold`` halves: one product per parity over all rows."""
+    return (halves.reshape(2, -1, halves.shape[-1]) @ _folded_d2_t(grid)).reshape(halves.shape)
+
+
 class HelmholtzInverse:
     """The symmetrised Dirichlet matrices A_k = alpha*I - nu*(d_yy - k^2) of
     the modes ``ks``, folded like ``_folded_d2_t`` and inverted once into one
@@ -245,19 +250,16 @@ class HelmholtzInverse:
         self.inverse_t[..., 0] = eye[0]  # exact, since x_0 = b_0
 
     def residual(self, rhs: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """b - A g of the complex (K, ny+1) rows of ``rhs`` and the ``_fold``
-        halves g, folded, zero on the Dirichlet rows: one d2 product per parity."""
-        r = _fold(rhs) - self.shift * g
-        r += self.nu * (g.reshape(2, -1, g.shape[-1]) @ _folded_d2_t(self.grid)).reshape(g.shape)
+        """b - A g of the ``_fold`` halves b and g, zero on the Dirichlet rows."""
+        r = rhs - self.shift * g
+        r += self.nu * _apply_folded_d2(self.grid, g)
         r[..., 0] = 0.0
         return r
 
     def solve(self, rhs: np.ndarray, guess: np.ndarray) -> np.ndarray:
-        """x = guess + A^{-1}(rhs - A guess) of the complex (K, ny+1) rows, as
-        a new array; x takes the wall values of ``guess``, not of ``rhs``."""
-        g = _fold(guess)
-        g += self.residual(rhs, g) @ self.inverse_t
-        return _unfold(g, self.grid.ny)
+        """x = guess + A^{-1}(rhs - A guess) of the ``_fold`` halves, as a new
+        array; x takes the wall values of ``guess``, not of ``rhs``."""
+        return guess + self.residual(rhs, guess) @ self.inverse_t
 
 
 def _one_minus_exp(x: np.ndarray | float) -> np.ndarray | float:

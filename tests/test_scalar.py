@@ -3,7 +3,8 @@ import pytest
 
 from oracles import LoopScalarStepper
 
-from couette_gevrey.coordinates import quartic_profile, zero_profile
+from couette_gevrey import scalar
+from couette_gevrey.coordinates import ShearProfile, quartic_profile, sin_quartic_profile, zero_profile
 from couette_gevrey.scalar import (
     InitialData,
     StabilityError,
@@ -16,6 +17,7 @@ from couette_gevrey.scalar import (
     spline_initial_bump,
     step_scalar,
 )
+from couette_gevrey.harness import ExperimentConfig, run_single_nu
 from couette_gevrey.spectral import ChannelGrid, l2_norm
 
 
@@ -124,8 +126,7 @@ def test_energy_dissipation_identity(grid64):
     # d/dt ||w||^2 = -2 nu ||grad_k w||^2 within O(dt^2) per step
     nu, k, dt = 1e-2, 1, 1e-3
     vals = np.sin(np.pi * grid64.nodes) + 0.3 * np.sin(2 * np.pi * grid64.nodes)
-    st = initial_state(grid64, nu, InitialData((k,), [vals * 0.0]))
-    st.omega[0] = vals
+    st = initial_state(grid64, nu, InitialData((k,), [vals]))
     for _ in range(5):  # settle multistep history
         st = step_scalar(st, dt)
     before = l2_norm(grid64, st.omega[0]) ** 2
@@ -218,6 +219,14 @@ def test_sbdf2_amplification_margin():
     assert growth(0.2) > 1.0 + 5e-4
 
 
+def mixed_profile():
+    # an even plus an odd shear, |eps| 1/32 in total: the step's even-shear and
+    # odd-shear advection terms both act
+    even, odd = quartic_profile(1.0 / 64.0), sin_quartic_profile(1.0 / 64.0)
+    return ShearProfile("mixed", lambda t, y: even.u0(t, y) + odd.u0(t, y),
+                        lambda t, y: even.dy_u0(t, y) + odd.dy_u0(t, y))
+
+
 def _oracle_cases(grid):
     data4 = default_initial_data(grid, 4)
     mms_ks = (0, 1, 2)
@@ -230,12 +239,13 @@ def _oracle_cases(grid):
     return {
         "zero_profile": (data4.ks, data4.omega, zero_profile(), None),
         "quartic_profile": (data4.ks, data4.omega, quartic_profile(), None),
+        "mixed_profile": (data4.ks, data4.omega, mixed_profile(), None),
         "mms_forcing": (mms_ks, mms_modes, zero_profile(), forcing),
         "modes_1_3": ((1, 3), data4.omega[[1, 3]], zero_profile(), None),
     }
 
 
-ORACLE_CASES = ["zero_profile", "quartic_profile", "mms_forcing", "modes_1_3"]
+ORACLE_CASES = ["zero_profile", "quartic_profile", "mixed_profile", "mms_forcing", "modes_1_3"]
 
 
 # the parity-split solve has a centre node for even ny and none for odd ny
@@ -289,14 +299,33 @@ def test_batched_step_noise_floor():
 
 
 def test_steps_never_write_earlier_states(grid64):
-    # a new state's SBDF2 history is the previous state's omega array itself,
+    # a new state's SBDF2 history is the previous state's halves array itself,
     # so no step may write into an array it was given
     st0 = initial_state(grid64, 1e-3, default_initial_data(grid64, 2))
-    before0 = st0.omega.copy()
+    before0 = st0.halves.copy()
     st1 = step_scalar(st0, 5e-3)
-    before1 = st1.omega.copy()
+    before1 = st1.halves.copy()
     st2 = step_scalar(st1, 5e-3)
-    assert st2._prev is st1.omega
-    assert np.array_equal(st0.omega, before0) and np.array_equal(st1.omega, before1)
-    assert not np.shares_memory(st0.omega, st1.omega)
-    assert not np.shares_memory(st1.omega, st2.omega)
+    assert st2._prev is st1.halves
+    assert np.array_equal(st0.halves, before0) and np.array_equal(st1.halves, before1)
+    assert not np.shares_memory(st0.halves, st1.halves)
+    assert not np.shares_memory(st1.halves, st2.halves)
+    # omega is unfolded once per state, and callers cannot write through it
+    assert not st2.omega.flags.writeable
+    assert st2.omega is st2.omega
+
+
+def test_run_unfolds_once_per_sample(monkeypatch):
+    # the step carries halves; only a sample reads the complex modes
+    calls = []
+    unfold = scalar._unfold
+
+    def counting(halves, ny):
+        calls.append(ny)
+        return unfold(halves, ny)
+
+    monkeypatch.setattr(scalar, "_unfold", counting)
+    config = ExperimentConfig(ny=32, kmax=2, t_final_policy="absolute", t_final_value=1.0, truncation_m=2)
+    out = run_single_nu(config, 1e-2)
+    counters = out["timings"]["counters"]
+    assert counters["steps"] > counters["samples"] == len(calls) == 5
