@@ -8,9 +8,12 @@ the walls.  Written in w = v - y the singular factor integrates exactly:
 which needs no regularization at t = 0 and reproduces stationary profiles
 exactly when nu = 0.  Dividing the step by t_{j+1} leaves the operator
 (I - nu dt d_y^2) with Neumann rows d_y w = 0 at the walls, independent of
-t, so each run factors it once per (nu, dt) as a real LU
-(``coordinate_lu``), carried forward on ``CoordinateState``, and every step
-is one triangular solve against the right-hand side over t_{j+1}.
+t, so each run builds it and its inverse once per (nu, dt)
+(``coordinate_inverse``), carried forward on ``CoordinateState``.  Every
+step corrects the previous w once against the right-hand side b over
+t_{j+1}, w_{j+1} = w_j + A^{-1}(b - A w_j), so the inverse's rounding
+scales with the update, not with w (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, sec. 12.2).
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrs
 
 from .spectral import ChannelGrid, _apply_bc_rows
 from .weights import eval_q
@@ -100,7 +101,7 @@ class CoordinateState:
     G: np.ndarray
     H: np.ndarray
     Hbar: np.ndarray
-    _facts: dict = field(default_factory=dict, repr=False, compare=False)
+    _inverses: dict = field(default_factory=dict, repr=False, compare=False)  # (A, A^-1) per (nu, dt)
 
     def export_csv(self, grid: ChannelGrid) -> str:
         lines = ["y,v,v_y,G,H,Hbar"]
@@ -113,14 +114,14 @@ class CoordinateState:
 
 
 def _derived_state(grid: ChannelGrid, t: float, w: np.ndarray, g: np.ndarray,
-                   facts: dict | None = None) -> CoordinateState:
+                   inverses: dict | None = None) -> CoordinateState:
     v = grid.nodes + w
     v_y = 1.0 + grid.d1 @ w
     if np.any(v_y <= 0.0):
         raise CoordinateDegeneracyError(f"v_y <= 0 at t={t}")
     return CoordinateState(
         t=t, w=w, v=v, v_y=v_y, G=g, H=v_y - 1.0, Hbar=grid.d1 @ g,
-        _facts={} if facts is None else facts,
+        _inverses={} if inverses is None else inverses,
     )
 
 
@@ -142,9 +143,10 @@ def init_coordinates(profile: ShearProfile, grid: ChannelGrid, nu: float = 0.0) 
     return _derived_state(grid, 0.0, w0, g0)
 
 
-def coordinate_lu(grid: ChannelGrid, nu: float, dt: float):
-    """Real LU factors of (I - nu dt d_yy) with Neumann rows d_y w = 0."""
-    return lu_factor(_apply_bc_rows(np.eye(grid.ny + 1) - nu * dt * grid.d2, grid, "neumann"))
+def coordinate_inverse(grid: ChannelGrid, nu: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """A = (I - nu dt d_yy) with Neumann rows d_y w = 0, and its inverse."""
+    a = _apply_bc_rows(np.eye(grid.ny + 1) - nu * dt * grid.d2, grid, "neumann")
+    return a, np.linalg.inv(a)
 
 
 def step_coordinates(
@@ -167,16 +169,15 @@ def step_coordinates(
     rhs = (t0 * state.w + dt * profile.u0(t0 + 0.5 * dt, y)) / t1
     rhs[0] = rhs[-1] = 0.0  # the Neumann rows
     key = (nu, dt)
-    if key not in state._facts:  # one real LU per (nu, dt) and run
-        state._facts[key] = coordinate_lu(grid, nu, dt)
-    w1, info = dgetrs(*state._facts[key], rhs, overwrite_b=1)
-    if info != 0:
-        raise ValueError("dgetrs failed for the coordinate step")
+    if key not in state._inverses:  # one inverse per (nu, dt) and run
+        state._inverses[key] = coordinate_inverse(grid, nu, dt)
+    a, inverse = state._inverses[key]
+    w1 = state.w + inverse @ (rhs - a @ state.w)
     if t1 >= 10.0 * dt:
         g = (profile.u0(t1, y) - w1) / t1
     else:
         g = (w1 - state.w) / dt - nu * (grid.d2 @ w1)
-    return _derived_state(grid, t1, w1, g, state._facts)
+    return _derived_state(grid, t1, w1, g, state._inverses)
 
 
 def monitor_assumptions(state: CoordinateState, profile: ShearProfile, grid: ChannelGrid) -> dict:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .coordinates import CoordinateState, gamma_ladder, shell_pairs
 from .spectral import ChannelGrid
@@ -32,6 +31,7 @@ from .weights import (
     jet_div,
     jet_mul,
     jet_pow,
+    log_factorial,
     q_jet,
     theta_weights,
 )
@@ -720,15 +720,16 @@ def check_combinatorics(which: str, n_max: int = 2000, zeta: float = 1.0,
     splitting bound <t>^{-1} a_{m,n} binom(n,l) / (a_{m,l} a_{0,n-l})
     <= 2^{-l(s-1)}, swept over the index triangle and ten times.
 
-    Every kind reads log j! from one table lg[j] = lgG(j+1), j = 0..n_max+1,
-    built once per call; log binom(n, l) is lg[n] - lg[l] - lg[n-l].
+    Every kind reads log j! from one table lg[j] = log_factorial(j),
+    j = 0..n_max+1, gathered once per call; log binom(n, l) is
+    lg[n] - lg[l] - lg[n-l].
     comb_boun builds the (m, l) grid of one n at a time with its gathered
     table terms and broadcasts every t in t_samples over it at once; only
     log phi(t), log lambda(t) and log(1+t^2) depend on t.
     """
     if params is None:
         params = WeightParams()
-    lg = gammaln(np.arange(n_max + 2) + 1.0)
+    lg = log_factorial(np.arange(n_max + 2))
     if which == "prod":
         sups = []
         for n in range(1, n_max + 1):
@@ -806,7 +807,7 @@ def theta_coefficient_table(
     """The theta inequality's coefficients and right-hand weights theta_l^2.
 
     coef[m, l] = sum_{n=l+1}^{n_max-m} theta_n^2 a^{n-l}
-    e^{-2 sigma (lgG(m+n+1) - lgG(m+l+1))} with a = (frak_c lambda_s)^2 is
+    e^{-2 sigma (log (m+n)! - log (m+l)!)} with a = (frak_c lambda_s)^2 is
     the weight of entry (m, l) on the left side.  The inner sum is a suffix
     sum over n, taken in log space; entries with l >= n_max - m are 0.
     """
@@ -814,7 +815,7 @@ def theta_coefficient_table(
     ns = np.arange(0, n_max + 1)
     th2 = theta_weights(ns, delta_drop, n_star) ** 2
     mn = np.add.outer(ns, ns)
-    lg = gammaln(mn + 1.0)
+    lg = log_factorial(mn)
     terms = np.log(th2) + ns * log_a - 2.0 * sigma * lg
     terms[mn > n_max] = -np.inf
     suffix = np.full_like(terms, -np.inf)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, zeta
 
 # ---------------------------------------------------------------------------
 # Taylor jets: [f, f', ..., f^(d)] as lists of arrays, any degree d.  Every
@@ -118,6 +117,54 @@ def cutoff_transition(y, lo: float, hi: float, order: int = 0):
         return jets[0]
     # |y| has zero higher derivatives away from y=0, where S' vanishes
     return jets[order] * (np.sign(y) / width) ** order
+
+
+# ---------------------------------------------------------------------------
+# log-factorials and zeta: the two special functions the weights need
+
+_LOG_FACTORIAL = np.zeros(1)  # log(j!) for j = 0..len - 1, grown on demand
+
+
+def log_factorial(n):
+    """log(n!) of a nonnegative integer or integer array, read by index from
+    one module-level table that is regrown with math.lgamma when a larger n
+    is asked for."""
+    global _LOG_FACTORIAL
+    n = np.asarray(n)
+    if n.min(initial=0) < 0:
+        raise ValueError("log_factorial needs n >= 0")
+    top = int(n.max(initial=0))
+    if top >= len(_LOG_FACTORIAL):
+        size = max(top + 1, 2 * len(_LOG_FACTORIAL))
+        _LOG_FACTORIAL = np.array([math.lgamma(j + 1.0) for j in range(size)])
+    return _LOG_FACTORIAL[n]
+
+
+# B_2, B_4, ..., B_20 over (2j)!, the Euler-Maclaurin tail coefficients
+_EM_COEFFS = tuple(
+    b / math.factorial(2 * j)
+    for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                           -3617 / 510, 43867 / 798, -174611 / 330), start=1)
+)
+
+
+def zeta(s: float) -> float:
+    """Riemann zeta of a real s > 1: the first nine terms plus the
+    Euler-Maclaurin tail at N = 10,
+
+        N^{1-s}/(s-1) + N^{-s}/2 + sum_j B_2j/(2j)! s(s+1)...(s+2j-2) N^{1-s-2j},
+
+    through B_20; the first omitted term is below 1e-19 relative for s <= 6."""
+    if not s > 1.0:
+        raise ValueError("zeta needs s > 1")
+    n = 10.0
+    rise = s * n ** (-s - 1.0)  # s (s+1) ... (s+2j-2) N^{1-s-2j} at j = 1
+    tail = 0.0
+    for j, c in enumerate(_EM_COEFFS, start=1):
+        tail += c * rise
+        rise *= (s + 2 * j - 1) * (s + 2 * j) / (n * n)
+    head = sum(k ** -s for k in range(9, 0, -1))  # smallest first
+    return head + (n ** (1.0 - s) / (s - 1.0) + (0.5 * n ** -s + tail))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +401,7 @@ class GevreyCoeffTable:
 
     def log_B(self, m, n, t: float):
         tot = np.asarray(m) + np.asarray(n)
-        return self.params.s * (tot * math.log(self.lam(t)) - gammaln(tot + 1.0))
+        return self.params.s * (tot * math.log(self.lam(t)) - log_factorial(tot))
 
     def log_a(self, m, n, t: float):
         return self.log_B(m, n, t) + (1.0 + np.asarray(n)) * math.log(self.phi(t))
@@ -371,7 +418,7 @@ class GevreyCoeffTable:
 
     def log_B_hat(self, m, n, t: float):
         tot = np.asarray(m) + np.asarray(n)
-        return self.params.s * (tot * math.log(2.0 * self.lam(t)) - gammaln(tot + 1.0))
+        return self.params.s * (tot * math.log(2.0 * self.lam(t)) - log_factorial(tot))
 
     def B_hat(self, m, n, t: float):
         return np.exp(self.log_B_hat(m, n, t))

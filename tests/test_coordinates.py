@@ -79,13 +79,13 @@ def test_zero_profile_stays_couette(grid64):
 @pytest.mark.parametrize("nu", [0.0, 1e-4, 1e-3])
 @pytest.mark.parametrize("ny", [64, 192])
 def test_factored_step_matches_solve_oracle(monkeypatch, name, nu, ny):
-    built, real_lu = [], coordinates.coordinate_lu
+    built, real_inverse = [], coordinates.coordinate_inverse
 
-    def counting_lu(grid, nu_, dt):
+    def counting_inverse(grid, nu_, dt):
         built.append(dt)
-        return real_lu(grid, nu_, dt)
+        return real_inverse(grid, nu_, dt)
 
-    monkeypatch.setattr(coordinates, "coordinate_lu", counting_lu)
+    monkeypatch.setattr(coordinates, "coordinate_inverse", counting_inverse)
     grid = ChannelGrid(ny)
     prof = make_profile(name, 1.0 / 256.0)
     state = init_coordinates(prof, grid, nu)
@@ -97,7 +97,7 @@ def test_factored_step_matches_solve_oracle(monkeypatch, name, nu, ny):
     assert state.t == t_ref
     assert np.max(np.abs(state.w - w_ref)) <= 1e-11 * np.max(np.abs(w_ref))
     assert built == [0.01, 0.0037]
-    assert set(state._facts) == {(nu, 0.01), (nu, 0.0037)}
+    assert set(state._inverses) == {(nu, 0.01), (nu, 0.0037)}
 
 
 def test_hbar_two_formulas(grid64):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -322,3 +325,12 @@ def test_cli_decompose(tmp_path, capsys):
     files = list((tmp_path / "out").glob("decompose_k1_*.csv"))
     assert files
 
+
+def test_import_loads_no_scipy():
+    # the package and its CLI need NumPy only; SciPy is a test-time oracle
+    src = str(Path(harness.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, couette_gevrey, couette_gevrey.harness; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -45,6 +45,22 @@ def test_clenshaw_curtis_weights_match_loop():
         assert np.array_equal(clenshaw_curtis_weights(n), loop_clenshaw_curtis_weights(n))
 
 
+@pytest.mark.parametrize("ny", [64, 65])
+@pytest.mark.parametrize("shape", [(), (3,)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cheb_coeffs_match_scipy_dct(ny, shape, dtype, rng):
+    from scipy.fft import dct
+
+    grid = ChannelGrid(ny)
+    values = rng.normal(size=shape + (ny + 1,)) + (1j * rng.normal(size=shape + (ny + 1,)) if dtype is complex else 0.0)
+    rev = values[..., ::-1]
+    want = (dct(rev.real, type=1, axis=-1) + 1j * dct(rev.imag, type=1, axis=-1)) / ny
+    want[..., [0, -1]] *= 0.5
+    got = grid.cheb_coeffs(values)
+    assert got.shape == values.shape and got.dtype == values.dtype
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_norms(grid64):
     assert l2_norm(grid64, np.ones(grid64.ny + 1)) == pytest.approx(np.sqrt(2.0))
 

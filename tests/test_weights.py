@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from couette_gevrey import weights
 from couette_gevrey.weights import (
     GevreyCoeffTable,
     WeightParams,
@@ -17,8 +18,10 @@ from couette_gevrey.weights import (
     jet_exp,
     jet_mul,
     jet_pow,
+    log_factorial,
     q_jet,
     smoothstep,
+    zeta,
 )
 
 YS = np.linspace(-1.0, 1.0, 10001)
@@ -32,6 +35,33 @@ def test_params_invariants():
     from scipy.special import zeta
 
     assert p.c_sigma * zeta(1 + p.sigma) < 0.125
+
+
+def test_log_factorial_matches_gammaln():
+    from scipy.special import gammaln
+
+    n = np.arange(4003)
+    want = gammaln(n + 1.0)
+    got = log_factorial(n)
+    assert got[0] == got[1] == 0.0
+    assert np.max(np.abs(got[2:] - want[2:]) / want[2:]) <= 1e-15
+    log_factorial(3 * len(weights._LOG_FACTORIAL))  # regrow the table
+    assert np.array_equal(log_factorial(n), got)
+    assert log_factorial(5) == pytest.approx(math.log(120.0), rel=1e-15)
+    with pytest.raises(ValueError):
+        log_factorial([3, -1])
+
+
+@pytest.mark.parametrize("s", [1.001, 1.01, 1.0 + WeightParams().sigma, 1.5, 2.0, 6.0])
+def test_zeta_matches_scipy(s):
+    from scipy.special import zeta as scipy_zeta
+
+    assert abs(zeta(s) - scipy_zeta(s)) <= 1e-15 * scipy_zeta(s)
+
+
+def test_zeta_needs_s_above_one():
+    with pytest.raises(ValueError):
+        zeta(1.0)
 
 
 @pytest.mark.parametrize(
