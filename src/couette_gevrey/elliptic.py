@@ -93,32 +93,38 @@ def _y_of_v(grid: ChannelGrid, coord: CoordinateState, v_targets: np.ndarray) ->
     return y
 
 
-def decompose_phi(
-    omega_k: np.ndarray,
-    k: int,
-    coord: CoordinateState,
-    grid: ChannelGrid,
-    tol: float = 1e-10,
-) -> PhiDecomposition:
-    """Split the stream function of mode k into interior and exterior parts.
+@dataclass
+class InteriorGeometry:
+    """The k-independent part of a decomposition at one time: the interior
+    interval [v(t,-1), v(t,1)] and its nodes, the coordinate coefficients
+    Z = v_y^2 - 1 and d_v Z there, the cutoffs chi~_1^c (v-grid) and chi~_1
+    (y-grid), and the interpolation rows between the two grids."""
 
-    Interior: (d_v^2 - k^2) phi_I = chi~_1^c w(y(v)) + chi~_1^c (-Z d_v^2
-    - (d_v Z)/2 d_v) phi_I with Z = v_y^2 - 1, solved by Picard iteration
-    with the Green kernel.  Exterior: one Dirichlet Helmholtz solve for the
-    remaining forcing.  The sum reproduces the direct stream solve.
+    domain: tuple[float, float]
+    v_nodes: np.ndarray
+    dv: np.ndarray  # d_v on the v-grid
+    at_v: np.ndarray  # rows: y-grid values -> values at y(v_nodes)
+    to_y: np.ndarray  # rows: v-grid values -> values at v(y_nodes)
+    z_at_v: np.ndarray
+    dz: np.ndarray
+    chic: np.ndarray
+    chi1_y: np.ndarray
+    coupling: float
+
+
+def interior_geometry(grid: ChannelGrid, coord: CoordinateState) -> InteriorGeometry:
+    """The geometry every mode's decomposition at ``coord.t`` shares.
+
+    Raises NonContractionError when the coordinate defect is too large for
+    the interior fixed point.
     """
-    if k == 0:
-        raise ValueError("k = 0 is outside the elliptic layer")
     domain = (float(coord.v[0]), float(coord.v[-1]))
     mid = 0.5 * (domain[0] + domain[1])
     half = 0.5 * (domain[1] - domain[0])
     v_nodes = mid + half * grid.nodes
     dv = grid.d1 / half
-
-    y_at_v = _y_of_v(grid, coord, v_nodes)
-    w_at_v = grid.interpolate(omega_k, y_at_v)
-    vy_at_v = grid.interpolate(coord.v_y, y_at_v).real
-    z_at_v = vy_at_v**2 - 1.0
+    at_v = grid.interpolation_matrix(_y_of_v(grid, coord, v_nodes))
+    z_at_v = (at_v @ coord.v_y).real ** 2 - 1.0
     chic = 1.0 - cutoff_transition(v_nodes, *CHI_TILDE1)
     coupling = float(np.max(np.abs(chic * z_at_v)))
     if coupling >= 0.5:
@@ -126,11 +132,50 @@ def decompose_phi(
             f"|chi~_1^c (v_y^2 - 1)| reaches {coupling:.3f} >= 1/2; the interior "
             "fixed point is not a contraction (closeness assumption violated)"
         )
-    dz = dv @ z_at_v
-    base = chic * w_at_v
-    flat = coupling < 1e-14
+    return InteriorGeometry(
+        domain=domain,
+        v_nodes=v_nodes,
+        dv=dv,
+        at_v=at_v,
+        to_y=grid.interpolation_matrix(_to_reference(coord.v, domain)),
+        z_at_v=z_at_v,
+        dz=dv @ z_at_v,
+        chic=chic,
+        chi1_y=cutoff_transition(coord.v, *CHI_TILDE1),
+        coupling=coupling,
+    )
 
-    green = green_matrix(grid, k, domain)
+
+def decompose_phi(
+    omega_k: np.ndarray,
+    k: int,
+    coord: CoordinateState,
+    grid: ChannelGrid,
+    tol: float = 1e-10,
+    geometry: InteriorGeometry | None = None,
+    green: np.ndarray | None = None,
+) -> PhiDecomposition:
+    """Split the stream function of mode k into interior and exterior parts.
+
+    Interior: (d_v^2 - k^2) phi_I = chi~_1^c w(y(v)) + chi~_1^c (-Z d_v^2
+    - (d_v Z)/2 d_v) phi_I with Z = v_y^2 - 1, solved by Picard iteration
+    with the Green kernel.  Exterior: one Dirichlet Helmholtz solve for the
+    remaining forcing.  The sum reproduces the direct stream solve.
+
+    ``geometry`` is ``interior_geometry(grid, coord)`` and ``green`` this
+    mode's slice of ``green_matrix(grid, ks, geometry.domain)``; both are
+    built here when not given, so a caller decomposing every mode at one
+    time builds them once and passes them in.
+    """
+    if k == 0:
+        raise ValueError("k = 0 is outside the elliptic layer")
+    geo = interior_geometry(grid, coord) if geometry is None else geometry
+    if green is None:
+        green = green_matrix(grid, [k], geo.domain)[0]
+    dv, z_at_v, dz, chic = geo.dv, geo.z_at_v, geo.dz, geo.chic
+    base = chic * (geo.at_v @ omega_k)
+    flat = geo.coupling < 1e-14
+
     phi = np.zeros(grid.ny + 1, dtype=complex)
     iterations = 0
     rhs = base.astype(complex)
@@ -153,23 +198,21 @@ def decompose_phi(
     int_res_norm = float(np.max(np.abs(int_res)) / max(np.max(np.abs(rhs)), 1e-300))
 
     # exterior forcing on the y-grid, including the interior defect
-    chi1_y = cutoff_transition(coord.v, *CHI_TILDE1)
-    corr_y = grid.interpolate(corr_v, _to_reference(coord.v, domain))
-    rhs_e = chi1_y * omega_k + chi1_y * corr_y
+    rhs_e = geo.chi1_y * omega_k + geo.chi1_y * (geo.to_y @ corr_v)
     phi_e = poisson_mode_solve(grid, rhs_e, k)
 
     dec = PhiDecomposition(
         k=k,
         t=coord.t,
-        domain=domain,
-        v_nodes=v_nodes,
+        domain=geo.domain,
+        v_nodes=geo.v_nodes,
         phi_i=phi,
         phi_e=phi_e,
         iterations=iterations,
         interior_residual=int_res_norm,
         sum_residual=0.0,
     )
-    comp = composite_values(dec, grid, coord)
+    comp = geo.to_y @ phi + phi_e  # composite_values, on the shared rows
     lap = grid.d2 @ comp - k * k * comp
     dec.sum_residual = float(
         l2_norm(grid, lap - omega_k) / max(l2_norm(grid, omega_k), 1e-300)

@@ -31,6 +31,7 @@ from .elliptic import (
     damping_diagnostic,
     decompose_phi,
     eval_elliptic_functionals,
+    interior_geometry,
     interior_greens_response,
     spline_bump,
 )
@@ -43,7 +44,7 @@ from .scalar import (
     initial_state,
     step_scalar,
 )
-from .spectral import ChannelGrid
+from .spectral import ChannelGrid, green_matrix
 from .weights import WeightParams, build_cascade
 
 
@@ -448,9 +449,18 @@ def decompose_suite(config: ExperimentConfig, nu: float | None = None, t_stop: f
     grid, ctx, profile, state, coord, dt = _setup(config, nu)
     while state.t < t_stop - 1e-12:
         state, coord = _advance(config, state, coord, min(dt, t_stop - state.t), profile)
+    # the steps' cached inverses (5 MB at ny = 192, kmax = 8) are not read
+    # again; freeing them makes room for the Green table below
+    state._inverses.clear()
+    coord._inverses.clear()
     coord = _coord_at(config, state, coord)
-    decomps = {k: decompose_phi(omega_k, k, coord, grid)
-               for k, omega_k in zip(state.ks, state.omega) if k != 0}
+    # every mode shares the time, hence the interior geometry and the
+    # interpolation rows of its Green matrix
+    geometry = interior_geometry(grid, coord)
+    modes = [(k, omega_k) for k, omega_k in zip(state.ks, state.omega) if k != 0]
+    greens = green_matrix(grid, [k for k, _ in modes], geometry.domain)
+    decomps = {k: decompose_phi(omega_k, k, coord, grid, geometry=geometry, green=green)
+               for (k, omega_k), green in zip(modes, greens)}
     funcs = eval_elliptic_functionals(decomps, coord, ctx, M=min(config.truncation_m, 4))
     return {
         "nu": nu,

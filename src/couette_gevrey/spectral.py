@@ -270,7 +270,7 @@ def _one_minus_exp(x: np.ndarray | float) -> np.ndarray | float:
     return -np.expm1(-2.0 * np.asarray(x, dtype=float))
 
 
-def green_eval(k: int, v, vp, domain: tuple[float, float]):
+def green_eval(k: int | np.ndarray, v, vp, domain: tuple[float, float]):
     """Green's kernel of (d_v^2 - k^2) with Dirichlet ends on ``domain``.
 
     Evaluated through exponential differences so that large k|domain| never
@@ -279,11 +279,13 @@ def green_eval(k: int, v, vp, domain: tuple[float, float]):
         G = -exp(-|k| |v-v'|) * E(|k| a) E(|k| b) / (2 |k| E(|k| L)),
 
     E(x) = 1 - exp(-2x).  The kernel is symmetric and vanishes when either
-    argument hits an endpoint.
+    argument hits an endpoint.  ``k`` may be an array, say of shape (K, 1),
+    that broadcasts against the points; each entry gets the same arithmetic
+    as a scalar call with that wavenumber.
     """
-    if k == 0:
+    kk = np.abs(np.asarray(k, dtype=float))
+    if not np.all(kk):
         raise ValueError("k=0 kernel degenerates")
-    kk = abs(float(k))
     vm, vp_dom = float(domain[0]), float(domain[1])
     if vp_dom <= vm:
         raise ValueError("empty domain")
@@ -314,32 +316,39 @@ def _gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
 
 def green_matrix(
     grid: ChannelGrid,
-    k: int,
+    ks,
     domain: tuple[float, float] = (-1.0, 1.0),
     npts: int = 96,
 ) -> np.ndarray:
-    """Kernel-quadrature matrix Q of (d_v^2 - k^2)^{-1} on ``domain``.
+    """Kernel-quadrature matrices Q_k of (d_v^2 - k^2)^{-1} on ``domain``, one
+    real (K, ny+1, ny+1) array for the wavenumbers ``ks``.
 
     The grid is interpreted as Chebyshev nodes mapped affinely onto
     ``domain``.  The kernel has a derivative kink at v = v', so row i splits
     the integral at v_i and integrates each analytic piece with
     Gauss-Legendre quadrature; the data enter through barycentric
-    interpolation, so (Q @ f)_i approximates int G(v_i, v') f(v') dv'.
-    Rows are built one node at a time to keep the interpolation rows small.
+    interpolation, so (Q_k @ f)_i approximates int G_k(v_i, v') f(v') dv'.
+    Only the kernel depends on k: each node's two panels build their
+    interpolation rows once and evaluate the kernel for every k at once.
+    Each mode's row is its own vector-matrix product, which keeps it
+    bitwise equal to a build for that k alone.
     """
     vm, vp = float(domain[0]), float(domain[1])
     mid = 0.5 * (vm + vp)
     half = 0.5 * (vp - vm)
     gl_x, gl_w = _gauss_legendre(npts)
-    q = np.zeros((grid.ny + 1, grid.ny + 1))
+    kcol = np.asarray(ks, dtype=float).reshape(-1, 1)
+    q = np.zeros((len(kcol), grid.ny + 1, grid.ny + 1))
     for i, v in enumerate(mid + half * grid.nodes):
         for lo, hi in ((vm, v), (v, vp)):
             if hi - lo <= 0.0:
                 continue
             pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gl_x
             wts = 0.5 * (hi - lo) * gl_w
-            kernel = wts * green_eval(k, v, pts, domain)
-            q[i] += kernel @ grid.interpolation_matrix((pts - mid) / half)
+            interp = grid.interpolation_matrix((pts - mid) / half)
+            kernel = wts * green_eval(kcol, v, pts, domain)
+            for qk, row in zip(q, kernel):
+                qk[i] += row @ interp
     return q
 
 
@@ -353,12 +362,12 @@ def green_solve(
 ) -> np.ndarray:
     """Solve (d_v^2 - k^2) phi = rhs by quadrature against the Green kernel.
 
-    ``matrix`` is ``green_matrix(grid, k, domain, npts)``, built here when
-    not given; callers solving repeatedly on one (k, domain) pass it in.
+    ``matrix`` is ``green_matrix(grid, [k], domain, npts)[0]``, built here
+    when not given; callers solving repeatedly on one (k, domain) pass it in.
     """
     if k == 0:
         raise SingularSolveError("k=0 not covered by the sinh kernel")
     if matrix is None:
-        matrix = green_matrix(grid, k, domain, npts)
+        matrix = green_matrix(grid, [k], domain, npts)[0]
     out = (matrix @ np.ascontiguousarray(rhs, dtype=complex).view(float).reshape(-1, 2)).view(complex)
     return out.ravel()

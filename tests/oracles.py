@@ -11,7 +11,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgetrs
 
 from couette_gevrey.identities import IdentityReport
-from couette_gevrey.spectral import _parity_sizes, green_eval
+from couette_gevrey.spectral import _gauss_legendre, _parity_sizes, green_eval
 from couette_gevrey.weights import GevreyCoeffTable, WeightParams, eval_q, eval_W, eval_W_derivatives, log_factorial
 
 
@@ -482,6 +482,25 @@ def loop_green_solve(grid, values, k, domain=(-1.0, 1.0), npts=96):
             rvals = loop_interpolate(grid, values, (pts - mid) / half)
             out[i] += np.sum(wts * green_eval(k, v, pts, domain) * rvals)
     return out
+
+
+def loop_green_matrix(grid, k, domain=(-1.0, 1.0), npts=96):
+    """Kernel-quadrature matrix Q of (d_v^2 - k^2)^{-1} on ``domain``, for one
+    k, one node at a time: each panel builds its interpolation rows afresh."""
+    vm, vp = float(domain[0]), float(domain[1])
+    mid = 0.5 * (vm + vp)
+    half = 0.5 * (vp - vm)
+    gl_x, gl_w = _gauss_legendre(npts)
+    q = np.zeros((grid.ny + 1, grid.ny + 1))
+    for i, v in enumerate(mid + half * grid.nodes):
+        for lo, hi in ((vm, v), (v, vp)):
+            if hi - lo <= 0.0:
+                continue
+            pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gl_x
+            wts = 0.5 * (hi - lo) * gl_w
+            kernel = wts * green_eval(k, v, pts, domain)
+            q[i] += kernel @ grid.interpolation_matrix((pts - mid) / half)
+    return q
 
 
 def _loop_log_binom(n, ell):

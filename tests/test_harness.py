@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import yaml
 
-from couette_gevrey import harness
+from couette_gevrey import elliptic, harness
 from couette_gevrey.coordinates import couette_state
+from couette_gevrey.elliptic import decompose_phi, eval_elliptic_functionals
 from couette_gevrey.harness import (
     ConfigError,
     ExperimentConfig,
@@ -23,6 +24,7 @@ from couette_gevrey.harness import (
     run_single_nu,
     sweep,
 )
+from couette_gevrey.spectral import green_matrix
 
 
 def small_config(**kw):
@@ -204,6 +206,34 @@ def test_decompose_suite_flat():
     assert set(out["sum_residuals"]) == {1, 2}
     assert max(out["sum_residuals"].values()) < 1e-6
     assert out["functionals"]["E_ell_I_full"] >= 0.0
+
+
+def test_decompose_suite_builds_green_matrices_once(monkeypatch):
+    built = []
+
+    def counted_green_matrix(grid, ks, *args, **kwargs):
+        built.append(list(ks))
+        return green_matrix(grid, ks, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "green_matrix", counted_green_matrix)
+    monkeypatch.setattr(elliptic, "green_matrix", counted_green_matrix)
+    cfg = small_config(ny=48, kmax=3, truncation_m=4, shear="quartic", eps_u=1.0 / 256.0)
+    out = decompose_suite(cfg, nu=1e-4, t_stop=2.0)
+    assert built == [[1, 2, 3]]
+    monkeypatch.undo()
+
+    # the shared tables change nothing against one decomposition per mode
+    # that builds its own
+    state, coord = out["_state"], out["_coord"]
+    decomps = {k: decompose_phi(omega_k, k, coord, state.grid)
+               for k, omega_k in zip(state.ks, state.omega) if k != 0}
+    assert max(d.iterations for d in decomps.values()) > 1
+    assert out["sum_residuals"] == {k: d.sum_residual for k, d in decomps.items()}
+    assert out["iterations"] == {k: d.iterations for k, d in decomps.items()}
+    ctx = harness._setup(cfg, 1e-4)[1]
+    funcs = eval_elliptic_functionals(decomps, coord, ctx, M=4)
+    for name in ("J_ell_1", "J_ell_2", "J_ell_3"):
+        assert out["functionals"][name] == funcs[name]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

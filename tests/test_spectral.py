@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     loop_clenshaw_curtis_weights,
+    loop_green_matrix,
     loop_green_solve,
     loop_interpolate,
     parity_lu,
@@ -18,6 +19,7 @@ from couette_gevrey.spectral import (
     _unfold,
     clenshaw_curtis_weights,
     green_eval,
+    green_matrix,
     green_solve,
     helmholtz_solve,
     l2_norm,
@@ -220,6 +222,18 @@ def test_green_reciprocity(v, vp, k):
     assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
 
 
+def test_green_eval_array_of_wavenumbers():
+    domain = (-0.97, 1.02)
+    pts = np.linspace(-0.97, 1.02, 57)
+    ks = np.array([1, -3, 8, 40])
+    rows = green_eval(ks[:, None], 0.2, pts, domain)
+    assert rows.shape == (len(ks), len(pts))
+    for row, k in zip(rows, ks):
+        assert np.array_equal(row, green_eval(int(k), 0.2, pts, domain))
+    with pytest.raises(ValueError):
+        green_eval(np.array([[2], [0]]), 0.0, pts, domain)
+
+
 def test_green_large_k_stable():
     # naive sinh ratios overflow near k ~ 400; the exp-difference form must not
     val = green_eval(500, 0.31, 0.3100001, (-1.0, 1.0))
@@ -248,6 +262,18 @@ def test_green_solve_matches_loop_oracle(grid96, rng, k, domain):
     ref = loop_green_solve(grid96, f, k, domain)
     out = green_solve(grid96, f, k, domain=domain)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("domain", [(-1.0, 1.0), (-0.97, 1.02)])
+def test_green_matrix_matches_loop_oracle(grid96, domain):
+    ks = (1, 4, 8)
+    shared = green_matrix(grid96, ks, domain)
+    assert shared.shape == (len(ks), grid96.ny + 1, grid96.ny + 1)
+    for j, k in enumerate(ks):
+        ref = loop_green_matrix(grid96, k, domain)
+        assert np.array_equal(shared[j], ref)
+        # the K = 1 table that green_solve builds
+        assert np.array_equal(green_matrix(grid96, [k], domain)[0], ref)
 
 
 def test_interpolation_matrix_matches_loop_oracle(grid64, rng):
