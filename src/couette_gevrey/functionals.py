@@ -50,24 +50,32 @@ class EvalContext:
     floored_points: int = 0  # points zeroed by ``floor_rows`` so far
     table: GevreyCoeffTable = field(init=False)
     q: np.ndarray = field(init=False, repr=False)  # the co-normal weight on the nodes
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)  # chi_n per n
+    _timed: tuple = field(default=(None, None), repr=False)  # (rounded t, that time's weight tables)
 
     def __post_init__(self):
         self.table = GevreyCoeffTable(self.params)
         self.q = eval_q(self.grid.nodes)
 
+    def _at(self, t: float) -> dict:
+        """The weight tables of time t.  A sample reads only its own time's, so
+        those of any other time are dropped rather than kept for the run."""
+        if self._timed[0] != round(t, 12):
+            self._timed = (round(t, 12), {})
+        return self._timed[1]
+
     def exp_w(self, t: float) -> np.ndarray:
-        key = ("eW", round(t, 12))
-        if key not in self._cache:
-            self._cache[key] = np.exp(eval_W(t, self.grid.nodes, self.nu, self.params))
-        return self._cache[key]
+        cache = self._at(t)
+        if "eW" not in cache:
+            cache["eW"] = np.exp(eval_W(t, self.grid.nodes, self.nu, self.params))
+        return cache["eW"]
 
     def sqrt_neg_wt(self, t: float) -> np.ndarray:
-        key = ("swt", round(t, 12))
-        if key not in self._cache:
+        cache = self._at(t)
+        if "swt" not in cache:
             wt, _, _ = eval_W_derivatives(t, self.grid.nodes, self.nu, self.params)
-            self._cache[key] = np.sqrt(np.maximum(-wt, 0.0))
-        return self._cache[key]
+            cache["swt"] = np.sqrt(np.maximum(-wt, 0.0))
+        return cache["swt"]
 
     def chi(self, n: int) -> np.ndarray:
         key = ("chi", n)
@@ -77,21 +85,21 @@ class EvalContext:
 
     def norm_columns(self, t: float, M: int) -> np.ndarray:
         """(ny+1, 2(M+1)) quadrature weights rho_j = e^{2W} chi_j^2, then (-d_t W) rho_j."""
-        key = ("cols", round(t, 12), M)
-        if key not in self._cache:
+        cache, key = self._at(t), ("cols", M)
+        if key not in cache:
             chi2 = np.array([self.chi(j) for j in range(M + 1)]) ** 2
             rho = self.grid.quad_weights * self.exp_w(t) ** 2 * chi2
-            self._cache[key] = np.concatenate([rho, self.sqrt_neg_wt(t) ** 2 * rho]).T
-        return self._cache[key]
+            cache[key] = np.concatenate([rho, self.sqrt_neg_wt(t) ** 2 * rho]).T
+        return cache[key]
 
     def shell_factors(self, t: float, M: int) -> tuple[np.ndarray, np.ndarray]:
         """theta_n^2 and a_{m,n}(t)^2 (zero where n > j) on the (n, j = m + n) grid."""
-        key = ("shell", round(t, 12), M)
-        if key not in self._cache:
+        cache, key = self._at(t), ("shell", M)
+        if key not in cache:
             n, j = np.indices((M + 1, M + 1))
             a2 = np.where(n <= j, self.table.a(np.maximum(j - n, 0), n, t) ** 2, 0.0)
-            self._cache[key] = (self.table.theta(n) ** 2, a2)
-        return self._cache[key]
+            cache[key] = (self.table.theta(n) ** 2, a2)
+        return cache[key]
 
     def floor_rows(self, rows: np.ndarray, tails=0.0) -> np.ndarray:
         """Zero, in place, the sub-resolution part of each row of magnitudes.

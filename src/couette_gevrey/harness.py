@@ -449,9 +449,10 @@ def decompose_suite(config: ExperimentConfig, nu: float | None = None, t_stop: f
     grid, ctx, profile, state, coord, dt = _setup(config, nu)
     while state.t < t_stop - 1e-12:
         state, coord = _advance(config, state, coord, min(dt, t_stop - state.t), profile)
-    # the steps' cached inverses (5 MB at ny = 192, kmax = 8) are not read
-    # again; freeing them makes room for the Green table below
+    # the steps' cached inverses (5 MB at ny = 192, kmax = 8) and per-run
+    # tables are not read again; freeing them makes room for the Green table below
     state._inverses.clear()
+    state._tables.clear()
     coord._inverses.clear()
     coord = _coord_at(config, state, coord)
     # every mode shares the time, hence the interior geometry and the

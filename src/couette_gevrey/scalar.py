@@ -6,9 +6,12 @@ with Dirichlet walls; steps carry all modes as the real even/odd halves of
 they are read.  Diffusion is implicit, one correction from the stage's start
 with the run's cached even/odd Helmholtz block inverses
 (``spectral.HelmholtzInverse``, no LAPACK call); the advection multiplier and
-forcing are explicit: SBDF2 after an IMEX-SSP2(2,2,2) startup step.  The
-multiplier is pointwise, so the stability constraint is |k (y+U0)| dt below
-the scheme's imaginary-axis limit, reported by :func:`admissible_dt`.
+forcing are explicit: SBDF2 after an IMEX-SSP2(2,2,2) startup step.  SBDF2's
+residual b - A u is formed directly, (u - prev)/(2 dt) - nu k^2 u + nu D2 u +
+2 ex - prev_ex, free of the O(u/dt) terms of b and A that cancel.  The
+advection factors are rebuilt only when the nodal U0 changes.  The multiplier
+is pointwise, so every step checks that |k (y+U0)| dt stays below the
+scheme's imaginary-axis limit, the bound :func:`admissible_dt` reports.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .coordinates import ShearProfile, zero_profile
-from .spectral import ChannelGrid, HelmholtzInverse, _fold, _unfold, _apply_folded_d2, hermitian_mode_weight, l2_norm
+from .spectral import (ChannelGrid, HelmholtzInverse, _apply_blocks, _fold, _folded_d2_t, _unfold,
+                       hermitian_mode_weight, l2_norm)
 
 # measured imaginary-axis stability margin of the SBDF2 extrapolation
 THETA_ADV = 0.09
@@ -111,7 +115,7 @@ class ScalarState:
     _prev_ex: np.ndarray | None = None
     _prev_dt: float | None = None
     _inverses: dict = field(default_factory=dict, repr=False)  # HelmholtzInverse per (scale, dt)
-    _ks_tables: tuple = field(default=(), repr=False)  # k^2 per half entry and (+k, -k) per row, once per run
+    _tables: dict = field(default_factory=dict, repr=False)  # nu D2, nu k^2 and the advection factors, per run
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -124,37 +128,37 @@ class ScalarState:
         return {k: l2_norm(self.grid, f) for k, f in zip(self.ks, self.omega)}
 
     def total_l2(self) -> float:
-        s = 0.0
-        for k, f in zip(self.ks, self.omega):
-            s += hermitian_mode_weight(k) * l2_norm(self.grid, f) ** 2
-        return float(np.sqrt(s))
+        return float(np.sqrt(sum(hermitian_mode_weight(k) * norm**2 for k, norm in self.l2_norms().items())))
 
 
 def initial_state(grid: ChannelGrid, nu: float, data: InitialData) -> ScalarState:
-    halves = _fold(data.omega)
-    k = np.asarray(data.ks, dtype=float)[:, None, None]
-    k2 = np.broadcast_to(k * k, halves.shape[1:]).copy()  # full width: faster than a (K, 1, 1) factor
-    return ScalarState(grid, 0.0, nu, data.ks, halves, _ks_tables=(k2, k * [[1.0], [-1.0]]))
+    halves, k = _fold(data.omega), np.asarray(data.ks, dtype=float)[:, None, None]
+    nu_k2 = np.broadcast_to(nu * (k * k), halves.shape[1:]).copy()  # full width: faster than a (K, 1, 1) factor
+    tables = {"nu_d2": nu * _folded_d2_t(grid), "nu_k2": nu_k2, "signed_k": k * [[1.0], [-1.0]]}
+    return ScalarState(grid, 0.0, nu, data.ks, halves, _tables=tables)
 
 
-def _check_stability(state: ScalarState, dt: float, shear: np.ndarray):
-    """Raise if dt exceeds the advection margin for the shear y + U0(t) on the nodes."""
-    kmax = max(state.ks) or 1
-    bound = float(np.max(np.abs(shear)))
-    theta = dt * kmax * bound
-    if theta > THETA_ADV * (1.0 + 1e-9):
-        raise StabilityError(
-            f"advection multiplier dt*k*max|y+U0| = {theta:.3f} exceeds the "
-            f"stability margin {THETA_ADV}; admissible dt <= "
-            f"{THETA_ADV / (kmax * bound):.3e}"
-        )
+def _advection(state: ScalarState, u0: np.ndarray) -> tuple:
+    """The run's advection factors, rebuilt only when the nodal U0 differs from the last one seen."""
+    if "u0" not in state._tables or not np.array_equal(u0, state._tables["u0"]):
+        state._tables.update(u0=np.array(u0), advection=_advection_factors(state, state.grid.nodes + u0))
+    return state._tables["advection"]
+
+
+def _advection_factors(state: ScalarState, shear: np.ndarray) -> tuple:
+    """(+-k s_o, +-k s_e or None when s_e = 0) per half entry for y + U0 = s_e + s_o, and kmax max|y + U0|."""
+    shape = state.halves.shape
+    lower, upper = shear[: shape[-1]], shear[::-1][: shape[-1]]
+    odd, even = (np.broadcast_to(state._tables["signed_k"] * (0.5 * p), shape).copy()  # full width, like nu_k2
+                 for p in (lower - upper, lower + upper))
+    return odd, even if even.any() else None, (max(state.ks) or 1) * float(np.max(np.abs(shear)))
 
 
 def _inverse(state: ScalarState, scale: float, dt: float) -> HelmholtzInverse:
     """The run's parity inverses for alpha = scale/dt, shared by dts within the restart rule's 1e-14."""
     key = next(((s, d) for s, d in state._inverses if s == scale and abs(d - dt) <= 1e-14), (scale, dt))
     if key not in state._inverses:
-        state._inverses[key] = HelmholtzInverse(state.grid, state.ks, scale / dt, state.nu)
+        state._inverses[key] = HelmholtzInverse(state.grid, state.ks, scale / dt, state.nu, state._tables["nu_d2"])
     return state._inverses[key]
 
 
@@ -166,59 +170,55 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
     ``forcing(t)``, if given, is the complex (K, ny+1) forcing at time t,
     folded as it enters.
     """
-    if profile is None:
-        profile = zero_profile()
-    grid, nu = state.grid, state.nu
-    t0, t1 = state.t, state.t + dt
-
-    def shear_at(t):
-        return grid.nodes + profile.u0(t, grid.nodes)
-
-    shear0 = shear_at(t0)
-    _check_stability(state, dt, shear0)
-    k2, signed_k = state._ks_tables
+    profile = profile or zero_profile()
+    grid, nu, t0, t1 = state.grid, state.nu, state.t, state.t + dt
+    adv0 = _advection(state, profile.u0(t0, grid.nodes))
+    if (theta := dt * adv0[2]) > THETA_ADV * (1.0 + 1e-9):
+        raise StabilityError(f"advection multiplier dt*k*max|y+U0| = {theta:.3f} exceeds the stability margin "
+                             f"{THETA_ADV}; admissible dt <= {THETA_ADV / adv0[2]:.3e}")
     u = state.halves
-    restart = state._prev is None or state._prev_dt is None or abs(state._prev_dt - dt) > 1e-14
+    restart = state._prev is None or abs(state._prev_dt - dt) > 1e-14
 
-    def explicit(values, t, shear):
+    def explicit(values, t, factors):
         # -ik (s_e + s_o) w: the odd part s_o swaps parity, -i swaps re and im
-        lower, upper = shear[: u.shape[-1]], shear[::-1][: u.shape[-1]]
-        ex = (signed_k * (0.5 * (lower - upper))) * values[::-1, :, ::-1]
-        if (s_e := 0.5 * (lower + upper)).any():  # zero for the flat and odd profiles
-            ex += (signed_k * s_e) * values[:, :, ::-1]
+        ex = factors[0] * values[::-1, :, ::-1]
+        if factors[1] is not None:
+            ex += factors[1] * values[:, :, ::-1]
         return ex if forcing is None else ex + _fold(np.ascontiguousarray(forcing(t), dtype=complex))
 
     def diffusion(values):
-        return nu * (_apply_folded_d2(grid, values) - k2 * values)
+        return _apply_blocks(values, state._tables["nu_d2"]) - state._tables["nu_k2"] * values
 
-    ex0 = explicit(u, t0, shear0)
+    ex0 = explicit(u, t0, adv0)
     if restart:
         if nu > 0.0:
             inverse = _inverse(state, 1.0 / _SSP_GAMMA, dt)
             u1 = inverse.solve(u / (_SSP_GAMMA * dt), u)
             im1 = diffusion(u1)
-            ex1 = explicit(u1, t0, shear0)
+            ex1 = explicit(u1, t0, adv0)
             rhs2 = u + dt * (1.0 - 2.0 * _SSP_GAMMA) * im1 + dt * ex1
             u2 = inverse.solve(rhs2 / (_SSP_GAMMA * dt), u1)
             im2 = diffusion(u2)
-            ex2 = explicit(u2, t1, shear_at(t1))
+            ex2 = explicit(u2, t1, _advection(state, profile.u0(t1, grid.nodes)))
             un = u + 0.5 * dt * (im1 + im2) + 0.5 * dt * (ex1 + ex2)
         else:
             # Heun step of the pure multiplier problem
             mid = u + dt * ex0
             mid[..., 0] = 0.0  # index 0 of each half row is the wall
-            un = u + 0.5 * dt * (ex0 + explicit(mid, t1, shear_at(t1)))
+            un = u + 0.5 * dt * (ex0 + explicit(mid, t1, _advection(state, profile.u0(t1, grid.nodes))))
     else:
-        # (2u - prev/2) / dt + 2 ex0 - prev_ex, in place in two arrays
-        rhs, tmp = 2.0 * u, 0.5 * state._prev
-        rhs -= tmp
-        rhs *= 1.0 / dt
-        rhs += np.multiply(ex0, 2.0, out=tmp)
-        rhs -= state._prev_ex
-        un = _inverse(state, 1.5, dt).solve(rhs, u) if nu > 0.0 else rhs * dt / 1.5
+        # r = b - A u of b = (2u - prev/2)/dt + 2 ex0 - prev_ex, A = 1.5/dt + nu (k^2 - D2); un = u + A^{-1} r
+        r = np.subtract(u, state._prev)
+        r *= 0.5 / dt
+        r += ex0
+        r += ex0 - state._prev_ex
+        if nu > 0.0:
+            r += diffusion(u)
+            r[..., 0] = 0.0
+        un = _inverse(state, 1.5, dt).correct(u, r) if nu > 0.0 else u + r * (dt / 1.5)
     un[..., 0] = 0.0
     return ScalarState(grid, t1, nu, state.ks, un, restarts=state.restarts + restart, _prev=u, _prev_ex=ex0,
-                       _prev_dt=dt, _inverses=state._inverses, _ks_tables=state._ks_tables)
+                       _prev_dt=dt, _inverses=state._inverses, _tables=state._tables)
 
 
 def exact_transport(omega_k: np.ndarray, k: int, t: float, grid: ChannelGrid) -> np.ndarray:

@@ -210,26 +210,24 @@ def _unfold(halves: np.ndarray, ny: int) -> np.ndarray:
 
 def _folded_d2_t(grid: ChannelGrid) -> np.ndarray:
     """The even and odd blocks of (d2 + J d2 J)/2, transposed for
-    ``halves @ blocks``: one (2, ne, ne) array in ``grid.cache``, the odd block
-    zero-padded.  The symmetrised matrix commutes exactly with the reversal J,
-    so each block is its top rows on the lower half of the nodes: column j of
-    the even (odd) block is D[:, j] + (-) D[:, ny - j], D[:, j] for the centre."""
-    blocks = grid.cache.get("folded_d2_t")
-    if blocks is None:
-        ne, no = _parity_sizes(grid.ny)
-        d = 0.5 * (grid.d2 + grid.d2[::-1, ::-1]).T
-        left, mirror = d[:, :ne], d[::-1, :ne]
-        blocks = grid.cache["folded_d2_t"] = np.zeros((2, ne, ne))
-        np.add(left[:ne], mirror[:ne], out=blocks[0])
-        if grid.ny % 2 == 0:
-            blocks[0, -1] = left[ne - 1]
-        np.subtract(left[:no, :no], mirror[:no, :no], out=blocks[1, :no, :no])
+    ``halves @ blocks``: one new (2, ne, ne) array, the odd block zero-padded.
+    The symmetrised matrix commutes exactly with the reversal J, so each
+    block is its top rows on the lower half of the nodes: column j of the
+    even (odd) block is D[:, j] + (-) D[:, ny - j], D[:, j] for the centre."""
+    ne, no = _parity_sizes(grid.ny)
+    d = 0.5 * (grid.d2 + grid.d2[::-1, ::-1]).T
+    left, mirror = d[:, :ne], d[::-1, :ne]
+    blocks = np.zeros((2, ne, ne))
+    np.add(left[:ne], mirror[:ne], out=blocks[0])
+    if grid.ny % 2 == 0:
+        blocks[0, -1] = left[ne - 1]
+    np.subtract(left[:no, :no], mirror[:no, :no], out=blocks[1, :no, :no])
     return blocks
 
 
-def _apply_folded_d2(grid: ChannelGrid, halves: np.ndarray) -> np.ndarray:
-    """(d2 + J d2 J)/2 applied to ``_fold`` halves: one product per parity over all rows."""
-    return (halves.reshape(2, -1, halves.shape[-1]) @ _folded_d2_t(grid)).reshape(halves.shape)
+def _apply_blocks(halves: np.ndarray, blocks_t: np.ndarray) -> np.ndarray:
+    """Parity blocks such as ``_folded_d2_t``'s applied to ``_fold`` halves: one product per parity over all rows."""
+    return (halves.reshape(2, -1, halves.shape[-1]) @ blocks_t).reshape(halves.shape)
 
 
 class HelmholtzInverse:
@@ -237,32 +235,42 @@ class HelmholtzInverse:
     the modes ``ks``, folded like ``_folded_d2_t`` and inverted once into one
     real (2, K, ne, ne) array, transposed like it.  ``solve`` corrects a
     guess g once, x = g + A^{-1}(b - A g), so the product's rounding scales
-    with the update, not with the solution."""
+    with the update, not with the solution.  ``nu_d2``, nu times the folded
+    d2, is built here unless the caller holds it already."""
 
-    def __init__(self, grid: ChannelGrid, ks, alpha: float, nu: float):
-        self.grid, self.nu = grid, nu
+    def __init__(self, grid: ChannelGrid, ks, alpha: float, nu: float, nu_d2: np.ndarray | None = None):
+        self.nu_d2 = nu * _folded_d2_t(grid) if nu_d2 is None else nu_d2
         shifts = alpha + nu * np.square(np.asarray(ks, dtype=float))
-        eye = np.eye(_parity_sizes(grid.ny)[0])
+        ne = _parity_sizes(grid.ny)[0]
         # alpha + nu k^2 per (row, re/im, node): a full-width factor multiplies faster than a broadcast one
-        self.shift = np.broadcast_to(shifts[:, None, None], (len(shifts), 2, len(eye))).copy()
-        self.inverse_t = np.empty((2, len(shifts)) + eye.shape)
-        for i, shift in enumerate(shifts):  # per mode: no (2, K, ne, ne) temporaries
-            blocks = shift * eye - nu * _folded_d2_t(grid)
-            blocks[..., 0] = eye[0]  # the Dirichlet rows
-            self.inverse_t[:, i] = np.linalg.inv(blocks)
-        self.inverse_t[..., 0] = eye[0]  # exact, since x_0 = b_0
+        self.shift = np.broadcast_to(shifts[:, None, None], (len(shifts), 2, ne)).copy()
+        self.inverse_t = np.empty((2, len(shifts), ne, ne))
+        block, diagonal = np.empty((ne, ne)), np.arange(ne)
+        for i, shift in enumerate(shifts):  # per block, in one buffer: no (2, K, ne, ne) temporaries
+            for parity in range(2):
+                np.negative(self.nu_d2[parity], out=block)
+                block[diagonal, diagonal] += shift
+                block[:, 0] = diagonal == 0  # the Dirichlet row
+                self.inverse_t[parity, i] = np.linalg.inv(block)
+        self.inverse_t[..., 0] = diagonal == 0  # exact, since x_0 = b_0
 
     def residual(self, rhs: np.ndarray, g: np.ndarray) -> np.ndarray:
         """b - A g of the ``_fold`` halves b and g, zero on the Dirichlet rows."""
         r = rhs - self.shift * g
-        r += self.nu * _apply_folded_d2(self.grid, g)
+        r += _apply_blocks(g, self.nu_d2)
         r[..., 0] = 0.0
         return r
 
     def solve(self, rhs: np.ndarray, guess: np.ndarray) -> np.ndarray:
         """x = guess + A^{-1}(rhs - A guess) of the ``_fold`` halves, as a new
         array; x takes the wall values of ``guess``, not of ``rhs``."""
-        return guess + self.residual(rhs, guess) @ self.inverse_t
+        return self.correct(guess, self.residual(rhs, guess))
+
+    def correct(self, guess: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        """guess + A^{-1} residual as a new array, for a residual that is zero on the Dirichlet rows."""
+        x = residual @ self.inverse_t
+        x += guess
+        return x
 
 
 def _one_minus_exp(x: np.ndarray | float) -> np.ndarray | float:

@@ -97,6 +97,10 @@ def test_stability_guard(grid64):
     with pytest.raises(StabilityError):
         step_scalar(st, 10 * admissible_dt(8))
     assert default_dt(8) <= admissible_dt(8)
+    # a later step reuses the shear's advection factors and is still checked
+    st = step_scalar(step_scalar(st, default_dt(8)), default_dt(8))
+    with pytest.raises(StabilityError):
+        step_scalar(st, 10 * admissible_dt(8))
 
 
 def test_free_transport_exact(grid64):
@@ -227,6 +231,14 @@ def mixed_profile():
                         lambda t, y: even.dy_u0(t, y) + odd.dy_u0(t, y))
 
 
+def pulsing_profile():
+    # U0 = (1 + sin(t)/2) times the quartic: the nodal shear changes every
+    # step, so a step that reused stale advection factors would drift
+    quartic = quartic_profile()
+    return ShearProfile("pulsing", lambda t, y: (1.0 + 0.5 * np.sin(t)) * quartic.u0(t, y),
+                        lambda t, y: (1.0 + 0.5 * np.sin(t)) * quartic.dy_u0(t, y))
+
+
 def _oracle_cases(grid):
     data4 = default_initial_data(grid, 4)
     mms_ks = (0, 1, 2)
@@ -240,12 +252,13 @@ def _oracle_cases(grid):
         "zero_profile": (data4.ks, data4.omega, zero_profile(), None),
         "quartic_profile": (data4.ks, data4.omega, quartic_profile(), None),
         "mixed_profile": (data4.ks, data4.omega, mixed_profile(), None),
+        "pulsing_profile": (data4.ks, data4.omega, pulsing_profile(), None),
         "mms_forcing": (mms_ks, mms_modes, zero_profile(), forcing),
         "modes_1_3": ((1, 3), data4.omega[[1, 3]], zero_profile(), None),
     }
 
 
-ORACLE_CASES = ["zero_profile", "quartic_profile", "mixed_profile", "mms_forcing", "modes_1_3"]
+ORACLE_CASES = ["zero_profile", "quartic_profile", "mixed_profile", "pulsing_profile", "mms_forcing", "modes_1_3"]
 
 
 # the parity-split solve has a centre node for even ny and none for odd ny
@@ -329,3 +342,37 @@ def test_run_unfolds_once_per_sample(monkeypatch):
     out = run_single_nu(config, 1e-2)
     counters = out["timings"]["counters"]
     assert counters["steps"] > counters["samples"] == len(calls) == 5
+
+
+def test_stability_checked_while_shear_grows(grid64):
+    # U0 = t/4 grows past the advection margin mid-run; the step must raise
+    # on the first step whose starting shear is past it, never reusing the
+    # bound of an earlier U0
+    growing = ShearProfile("growing", lambda t, y: 0.25 * t * np.ones_like(y), lambda t, y: np.zeros_like(y))
+    st = initial_state(grid64, 1e-3, default_initial_data(grid64, 8))
+    dt = default_dt(8)
+    for steps in range(100):
+        if dt * 8 * np.max(np.abs(grid64.nodes + growing.u0(st.t, grid64.nodes))) > scalar.THETA_ADV * (1.0 + 1e-9):
+            break
+        st = step_scalar(st, dt, growing)
+    assert steps == 51 and st.t == pytest.approx(0.51)
+    with pytest.raises(StabilityError):
+        step_scalar(st, dt, growing)
+
+
+@pytest.mark.parametrize("profile", [None, quartic_profile()], ids=["zero", "quartic"])
+def test_advection_factors_built_once_for_steady_shear(grid64, monkeypatch, profile):
+    # a steady U0 builds its advection factors on the first step only, even
+    # when the zero profile is made afresh by every step
+    builds = []
+    build = scalar._advection_factors
+
+    def counting(state, shear):
+        builds.append(state.t)
+        return build(state, shear)
+
+    monkeypatch.setattr(scalar, "_advection_factors", counting)
+    st = initial_state(grid64, 1e-3, default_initial_data(grid64, 4))
+    for _ in range(200):
+        st = step_scalar(st, default_dt(4), profile)
+    assert builds == [0.0]
