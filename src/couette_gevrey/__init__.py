@@ -33,10 +33,11 @@ from .scalar import (
 )
 from .spectral import (
     ChannelGrid,
+    dirichlet_eig,
     green_eval,
     green_solve,
-    helmholtz_solve,
     l2_norm,
+    poisson_mode_solve,
 )
 from .weights import (
     CutoffCascade,

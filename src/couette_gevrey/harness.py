@@ -273,7 +273,6 @@ def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = No
             "counters": {
                 "steps": steps,
                 "samples": len(series),
-                "inverse_pairs": sum(len(inv.shift) for inv in state._inverses.values()),
                 "restarts": state.restarts,
                 "floored_points": ctx.floored_points,
             },
@@ -449,9 +448,8 @@ def decompose_suite(config: ExperimentConfig, nu: float | None = None, t_stop: f
     grid, ctx, profile, state, coord, dt = _setup(config, nu)
     while state.t < t_stop - 1e-12:
         state, coord = _advance(config, state, coord, min(dt, t_stop - state.t), profile)
-    # the steps' cached inverses (5 MB at ny = 192, kmax = 8) and per-run
-    # tables are not read again; freeing them makes room for the Green table below
-    state._inverses.clear()
+    # the steps' per-run tables and coordinate inverses (0.8 MB at ny = 192,
+    # kmax = 8) are not read again; freeing them makes room for the Green table below
     state._tables.clear()
     coord._inverses.clear()
     coord = _coord_at(config, state, coord)

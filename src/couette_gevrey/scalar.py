@@ -3,15 +3,17 @@
 Each Fourier mode solves  d_t w_k + ik(y + U0) w_k = nu Dlt_k w_k + f_k
 with Dirichlet walls; steps carry all modes as the real even/odd halves of
 ``spectral._fold``, folded once, and ``ScalarState.omega`` unfolds them where
-they are read.  Diffusion is implicit, one correction from the stage's start
-with the run's cached even/odd Helmholtz block inverses
-(``spectral.HelmholtzInverse``, no LAPACK call); the advection multiplier and
-forcing are explicit: SBDF2 after an IMEX-SSP2(2,2,2) startup step.  SBDF2's
-residual b - A u is formed directly, (u - prev)/(2 dt) - nu k^2 u + nu D2 u +
-2 ex - prev_ex, free of the O(u/dt) terms of b and A that cancel.  The
-advection factors are rebuilt only when the nodal U0 changes.  The multiplier
-is pointwise, so every step checks that |k (y+U0)| dt stays below the
-scheme's imaginary-axis limit, the bound :func:`admissible_dt` reports.
+they are read.  Diffusion is implicit: every stage corrects a guess g once,
+x = g + A^{-1}(b - A g) with A = alpha + nu k^2 - nu D2, its residual formed
+directly and A^{-1} applied through the grid's Dirichlet eigenbasis
+(``spectral.dirichlet_eig``), so a new alpha or dt costs one diagonal, not
+an inversion.  The advection multiplier and forcing are explicit: SBDF2
+after an IMEX-SSP2(2,2,2) startup step.  SBDF2's residual is (u - prev)/(2 dt)
+- nu k^2 u + nu D2 u + 2 ex - prev_ex, free of the O(u/dt) terms of b and A
+that cancel.  The advection factors are rebuilt only when the nodal U0
+changes.  The multiplier is pointwise, so every step checks that
+|k (y+U0)| dt stays below the scheme's imaginary-axis limit, the bound
+:func:`admissible_dt` reports.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .coordinates import ShearProfile, zero_profile
-from .spectral import (ChannelGrid, HelmholtzInverse, _apply_blocks, _fold, _folded_d2_t, _unfold,
+from .spectral import (ChannelGrid, _apply_blocks, _fold, _folded_d2_t, _unfold, dirichlet_eig,
                        hermitian_mode_weight, l2_norm)
 
 # measured imaginary-axis stability margin of the SBDF2 extrapolation
@@ -114,7 +116,6 @@ class ScalarState:
     _prev: np.ndarray | None = None  # the previous state's halves, SBDF2 history
     _prev_ex: np.ndarray | None = None
     _prev_dt: float | None = None
-    _inverses: dict = field(default_factory=dict, repr=False)  # HelmholtzInverse per (scale, dt)
     _tables: dict = field(default_factory=dict, repr=False)  # nu D2, nu k^2 and the advection factors, per run
 
     @cached_property
@@ -154,14 +155,6 @@ def _advection_factors(state: ScalarState, shear: np.ndarray) -> tuple:
     return odd, even if even.any() else None, (max(state.ks) or 1) * float(np.max(np.abs(shear)))
 
 
-def _inverse(state: ScalarState, scale: float, dt: float) -> HelmholtzInverse:
-    """The run's parity inverses for alpha = scale/dt, shared by dts within the restart rule's 1e-14."""
-    key = next(((s, d) for s, d in state._inverses if s == scale and abs(d - dt) <= 1e-14), (scale, dt))
-    if key not in state._inverses:
-        state._inverses[key] = HelmholtzInverse(state.grid, state.ks, scale / dt, state.nu, state._tables["nu_d2"])
-    return state._inverses[key]
-
-
 def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = None, forcing=None) -> ScalarState:
     """Advance every mode by one IMEX step; walls are exactly zero after.
 
@@ -189,15 +182,26 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
     def diffusion(values):
         return _apply_blocks(values, state._tables["nu_d2"]) - state._tables["nu_k2"] * values
 
+    def correct(guess, residual, alpha):
+        # guess + A^{-1} residual, A = alpha + nu k^2 - nu D2; the residual's walls are ignored
+        x = dirichlet_eig(grid).solve(residual, alpha + state._tables["nu_k2"][:, 0, 0], nu)
+        x += guess
+        return x
+
     ex0 = explicit(u, t0, adv0)
     if restart:
         if nu > 0.0:
-            inverse = _inverse(state, 1.0 / _SSP_GAMMA, dt)
-            u1 = inverse.solve(u / (_SSP_GAMMA * dt), u)
+            # the stages solve (alpha - nu Dlt) u_s = b_s, alpha = 1/(g dt), whose residuals at the guesses
+            # u and u1 are nu Dlt u and alpha (u - u1) + ((1 - g) im1 + ex1)/g
+            alpha = 1.0 / (_SSP_GAMMA * dt)
+            u1 = correct(u, diffusion(u), alpha)
             im1 = diffusion(u1)
             ex1 = explicit(u1, t0, adv0)
-            rhs2 = u + dt * (1.0 - 2.0 * _SSP_GAMMA) * im1 + dt * ex1
-            u2 = inverse.solve(rhs2 / (_SSP_GAMMA * dt), u1)
+            r = np.subtract(u, u1)
+            r *= alpha
+            r += ((1.0 - _SSP_GAMMA) / _SSP_GAMMA) * im1
+            r += ex1 / _SSP_GAMMA
+            u2 = correct(u1, r, alpha)
             im2 = diffusion(u2)
             ex2 = explicit(u2, t1, _advection(state, profile.u0(t1, grid.nodes)))
             un = u + 0.5 * dt * (im1 + im2) + 0.5 * dt * (ex1 + ex2)
@@ -214,11 +218,10 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
         r += ex0 - state._prev_ex
         if nu > 0.0:
             r += diffusion(u)
-            r[..., 0] = 0.0
-        un = _inverse(state, 1.5, dt).correct(u, r) if nu > 0.0 else u + r * (dt / 1.5)
+        un = correct(u, r, 1.5 / dt) if nu > 0.0 else u + r * (dt / 1.5)
     un[..., 0] = 0.0
     return ScalarState(grid, t1, nu, state.ks, un, restarts=state.restarts + restart, _prev=u, _prev_ex=ex0,
-                       _prev_dt=dt, _inverses=state._inverses, _tables=state._tables)
+                       _prev_dt=dt, _tables=state._tables)
 
 
 def exact_transport(omega_k: np.ndarray, k: int, t: float, grid: ChannelGrid) -> np.ndarray:

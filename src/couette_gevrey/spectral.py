@@ -3,8 +3,10 @@
 The channel T x [-1,1] is discretized with Fourier modes in x and
 Chebyshev-Gauss-Lobatto collocation in y.  A field is one complex
 (K, ny+1) array whose rows are its modes in ascending k, or its real parity
-halves (``_fold``), which ``HelmholtzInverse`` solves on; the other solves
-take one row and its wavenumber k.  Boundary conditions replace rows.
+halves (``_fold``).  Every collocation solve of the shifted d_yy - k^2 with
+homogeneous Dirichlet walls goes through one eigendecomposition of the
+folded d_yy per grid (``dirichlet_eig``), with one shift per row; the Green
+kernel quadrature solves on a moving interval.
 """
 
 from __future__ import annotations
@@ -141,39 +143,13 @@ class SingularSolveError(ValueError):
     """Raised for the singular k = 0 problems."""
 
 
-def _apply_bc_rows(a: np.ndarray, grid: ChannelGrid, bc_kind: str) -> np.ndarray:
-    a = a.copy()
-    if bc_kind == "dirichlet":
-        a[0, :] = 0.0
-        a[0, 0] = 1.0
-        a[-1, :] = 0.0
-        a[-1, -1] = 1.0
-    elif bc_kind == "neumann":
-        a[0, :] = grid.d1[0, :]
-        a[-1, :] = grid.d1[-1, :]
-    else:
-        raise ValueError(f"unknown bc kind {bc_kind!r}")
-    return a
-
-
-def helmholtz_solve(grid: ChannelGrid, rhs: np.ndarray, k: int, bc: str = "dirichlet") -> np.ndarray:
-    """Solve -psi'' + k^2 psi = F with homogeneous Dirichlet or Neumann data.
-
-    The k = 0 Neumann problem is singular and raises SingularSolveError.
-    """
-    if k == 0 and bc == "neumann":
-        raise SingularSolveError("k=0 Neumann problem is singular")
-    a = _apply_bc_rows(-(grid.d2) + float(k * k) * np.eye(grid.ny + 1), grid, bc)
-    b = np.array(rhs, dtype=complex)
-    b[0] = b[-1] = 0.0
-    return np.linalg.solve(a, b)
-
-
 def poisson_mode_solve(grid: ChannelGrid, rhs: np.ndarray, k: int) -> np.ndarray:
-    """Solve (d_yy - k^2) psi = rhs with homogeneous Dirichlet data, k != 0."""
+    """Solve (d_yy - k^2) psi = rhs with homogeneous Dirichlet data, k != 0;
+    the walls of ``rhs`` are ignored."""
     if k == 0:
         raise SingularSolveError("k=0 stream mode is excluded (Neumann mean mode)")
-    return helmholtz_solve(grid, -np.asarray(rhs), k, bc="dirichlet")
+    halves = _fold(np.ascontiguousarray(rhs, dtype=complex).reshape(1, -1))
+    return -_unfold(dirichlet_eig(grid).solve(halves, [float(k * k)]), grid.ny)[0]
 
 
 def _parity_sizes(ny: int) -> tuple[int, int]:
@@ -230,47 +206,44 @@ def _apply_blocks(halves: np.ndarray, blocks_t: np.ndarray) -> np.ndarray:
     return (halves.reshape(2, -1, halves.shape[-1]) @ blocks_t).reshape(halves.shape)
 
 
-class HelmholtzInverse:
-    """The symmetrised Dirichlet matrices A_k = alpha*I - nu*(d_yy - k^2) of
-    the modes ``ks``, folded like ``_folded_d2_t`` and inverted once into one
-    real (2, K, ne, ne) array, transposed like it.  ``solve`` corrects a
-    guess g once, x = g + A^{-1}(b - A g), so the product's rounding scales
-    with the update, not with the solution.  ``nu_d2``, nu times the folded
-    d2, is built here unless the caller holds it already."""
+class DirichletEig:
+    """The interior blocks of ``_folded_d2_t``, the even and odd Dirichlet
+    d_yy, diagonalised once: B = V diag(lambda) V^{-1} per parity (Haidvogel &
+    Zang, J. Comput. Phys. 30, 1979).  ``vectors_t`` and ``inverse_t`` hold
+    V^T and V^{-T} as real (2, ne, ne) arrays for ``halves @ blocks``, zero on
+    the wall entry 0 and the odd block's padding, so a product ignores the
+    walls of its input and leaves its output's walls zero; ``values`` holds
+    lambda, -1 on those entries, whose coefficients are always zero."""
 
-    def __init__(self, grid: ChannelGrid, ks, alpha: float, nu: float, nu_d2: np.ndarray | None = None):
-        self.nu_d2 = nu * _folded_d2_t(grid) if nu_d2 is None else nu_d2
-        shifts = alpha + nu * np.square(np.asarray(ks, dtype=float))
-        ne = _parity_sizes(grid.ny)[0]
-        # alpha + nu k^2 per (row, re/im, node): a full-width factor multiplies faster than a broadcast one
-        self.shift = np.broadcast_to(shifts[:, None, None], (len(shifts), 2, ne)).copy()
-        self.inverse_t = np.empty((2, len(shifts), ne, ne))
-        block, diagonal = np.empty((ne, ne)), np.arange(ne)
-        for i, shift in enumerate(shifts):  # per block, in one buffer: no (2, K, ne, ne) temporaries
-            for parity in range(2):
-                np.negative(self.nu_d2[parity], out=block)
-                block[diagonal, diagonal] += shift
-                block[:, 0] = diagonal == 0  # the Dirichlet row
-                self.inverse_t[parity, i] = np.linalg.inv(block)
-        self.inverse_t[..., 0] = diagonal == 0  # exact, since x_0 = b_0
+    def __init__(self, grid: ChannelGrid):
+        blocks, sizes = _folded_d2_t(grid), _parity_sizes(grid.ny)
+        ne = sizes[0]
+        self.vectors_t, self.inverse_t = np.zeros((2, ne, ne)), np.zeros((2, ne, ne))
+        self.values = np.full((2, ne), -1.0)
+        for parity, n in enumerate(sizes):
+            values, vectors = np.linalg.eig(blocks[parity, 1:n, 1:n].T)
+            # real, negative and distinct in exact arithmetic (Gottlieb & Lustman, SIAM J. Numer. Anal. 20, 1983)
+            if np.iscomplexobj(values) or np.max(values) >= 0.0:
+                raise ValueError(f"the Dirichlet d_yy block of parity {parity} at ny = {grid.ny} has an "
+                                 "eigenvalue that is complex or not negative")
+            self.values[parity, 1:n] = values
+            self.vectors_t[parity, 1:n, 1:n] = vectors.T
+            self.inverse_t[parity, 1:n, 1:n] = np.linalg.inv(vectors).T
 
-    def residual(self, rhs: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """b - A g of the ``_fold`` halves b and g, zero on the Dirichlet rows."""
-        r = rhs - self.shift * g
-        r += _apply_blocks(g, self.nu_d2)
-        r[..., 0] = 0.0
-        return r
+    def solve(self, halves: np.ndarray, shifts, nu: float = 1.0) -> np.ndarray:
+        """V diag(1/(shift - nu lambda)) V^{-1} applied to ``_fold`` halves,
+        with the row's shift: the solution of (shift - nu d_yy) x = halves
+        with x = 0 on the walls, as a new array."""
+        coef = _apply_blocks(halves, self.inverse_t)
+        coef /= np.asarray(shifts, dtype=float)[:, None, None] - nu * self.values[:, None, None, :]
+        return _apply_blocks(coef, self.vectors_t)
 
-    def solve(self, rhs: np.ndarray, guess: np.ndarray) -> np.ndarray:
-        """x = guess + A^{-1}(rhs - A guess) of the ``_fold`` halves, as a new
-        array; x takes the wall values of ``guess``, not of ``rhs``."""
-        return self.correct(guess, self.residual(rhs, guess))
 
-    def correct(self, guess: np.ndarray, residual: np.ndarray) -> np.ndarray:
-        """guess + A^{-1} residual as a new array, for a residual that is zero on the Dirichlet rows."""
-        x = residual @ self.inverse_t
-        x += guess
-        return x
+def dirichlet_eig(grid: ChannelGrid) -> DirichletEig:
+    """The grid's ``DirichletEig``, built on the first call and kept in ``grid.cache``."""
+    if "dirichlet_eig" not in grid.cache:
+        grid.cache["dirichlet_eig"] = DirichletEig(grid)
+    return grid.cache["dirichlet_eig"]
 
 
 def _one_minus_exp(x: np.ndarray | float) -> np.ndarray | float:

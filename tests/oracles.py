@@ -11,7 +11,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgetrs
 
 from couette_gevrey.identities import IdentityReport
-from couette_gevrey.spectral import _gauss_legendre, _parity_sizes, green_eval
+from couette_gevrey.spectral import SingularSolveError, _gauss_legendre, _parity_sizes, green_eval
 from couette_gevrey.weights import GevreyCoeffTable, WeightParams, eval_q, eval_W, eval_W_derivatives, log_factorial
 
 
@@ -463,6 +463,25 @@ def loop_interpolate(grid, values, targets):
     hit_row, hit_col = np.nonzero(exact)
     out[hit_row] = values[hit_col]
     return out
+
+
+def helmholtz_solve(grid, rhs, k, bc="dirichlet"):
+    """Solve -psi'' + k^2 psi = F with homogeneous Dirichlet or Neumann data by
+    one dense collocation solve, the boundary conditions replacing the wall
+    rows.  The k = 0 Neumann problem is singular and raises SingularSolveError."""
+    if k == 0 and bc == "neumann":
+        raise SingularSolveError("k=0 Neumann problem is singular")
+    a = -grid.d2 + float(k * k) * np.eye(grid.ny + 1)
+    if bc == "dirichlet":
+        a[[0, -1]] = 0.0
+        a[0, 0] = a[-1, -1] = 1.0
+    elif bc == "neumann":
+        a[[0, -1]] = grid.d1[[0, -1]]
+    else:
+        raise ValueError(f"unknown bc kind {bc!r}")
+    b = np.array(rhs, dtype=complex)
+    b[0] = b[-1] = 0.0
+    return np.linalg.solve(a, b)
 
 
 def loop_green_solve(grid, values, k, domain=(-1.0, 1.0), npts=96):

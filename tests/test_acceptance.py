@@ -11,6 +11,7 @@ import pytest
 
 from conftest import make_ctx, random_stack
 from oracles import (
+    helmholtz_solve,
     naive_ck,
     naive_dissipation,
     naive_energy,
@@ -41,7 +42,7 @@ from couette_gevrey.scalar import (
     initial_state,
     step_scalar,
 )
-from couette_gevrey.spectral import ChannelGrid, helmholtz_solve, l2_norm
+from couette_gevrey.spectral import ChannelGrid, l2_norm
 from couette_gevrey.weights import (
     GevreyCoeffTable,
     WeightParams,

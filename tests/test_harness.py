@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from couette_gevrey import elliptic, harness
+from couette_gevrey import elliptic, harness, spectral
 from couette_gevrey.coordinates import couette_state
 from couette_gevrey.elliptic import decompose_phi, eval_elliptic_functionals
 from couette_gevrey.harness import (
@@ -134,8 +134,6 @@ def test_run_writes_timings_beside_summary(tmp_path):
     counters = timings["counters"]
     assert counters["samples"] == len(res["series"])
     assert counters["steps"] == 20
-    # three modes, each with one inverse pair for the restart and one for SBDF2
-    assert counters["inverse_pairs"] == 6
     assert counters["restarts"] == 1
     # the bump is exactly zero outside (-1/4, 1/4), so every floor zeroes points
     assert counters["floored_points"] > 0
@@ -149,15 +147,14 @@ def test_run_writes_timings_beside_summary(tmp_path):
     assert summary == summary_run and "timings" not in summary
 
 
-def test_roundoff_shortened_last_step_reuses_inverses(tmp_path):
+def test_roundoff_shortened_last_step_is_no_restart(tmp_path):
     # t_final - t of the last step differs from dt = 0.01 by roundoff; that
-    # is no restart, so it reuses the SBDF2 inverses instead of building more
+    # is no restart, so the run takes only its first IMEX-SSP2 step
     cfg = small_config(output_dir=str(tmp_path), t_final_policy="absolute",
                        t_final_value=0.3, dt=0.01)
     run(cfg)
     counters = json.loads((tmp_path / "timings_nu1e-02.json").read_text())["counters"]
     assert counters["restarts"] == 1
-    assert counters["inverse_pairs"] == 6
 
 
 def test_serial_runs_byte_identical(tmp_path):
@@ -234,6 +231,23 @@ def test_decompose_suite_builds_green_matrices_once(monkeypatch):
     funcs = eval_elliptic_functionals(decomps, coord, ctx, M=4)
     for name in ("J_ell_1", "J_ell_2", "J_ell_3"):
         assert out["functionals"][name] == funcs[name]
+
+
+def test_dirichlet_eigenbasis_built_once_per_grid(tmp_path, monkeypatch):
+    # every scalar step of a run and every stream solve of a decomposition
+    # share the one eigenbasis of their grid
+    grids, eig_class = [], spectral.DirichletEig
+
+    def counted(grid):
+        grids.append(grid)
+        return eig_class(grid)
+
+    monkeypatch.setattr(spectral, "DirichletEig", counted)
+    (res,) = run(small_config(output_dir=str(tmp_path), t_final_policy="absolute", t_final_value=0.3))["_full"]
+    assert res["timings"]["counters"]["steps"] == 30 and len(grids) == 1
+    out = decompose_suite(small_config(ny=48, kmax=3, shear="quartic", eps_u=1.0 / 256.0), nu=1e-4, t_stop=0.5)
+    assert len(out["sum_residuals"]) == 3
+    assert len(grids) == 2 and grids[1] is out["_state"].grid
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -4,7 +4,8 @@ import pytest
 from oracles import LoopScalarStepper
 
 from couette_gevrey import scalar
-from couette_gevrey.coordinates import ShearProfile, quartic_profile, sin_quartic_profile, zero_profile
+from couette_gevrey.coordinates import (ShearProfile, init_coordinates, quartic_profile, sin_quartic_profile,
+                                        step_coordinates, zero_profile)
 from couette_gevrey.scalar import (
     InitialData,
     StabilityError,
@@ -18,6 +19,7 @@ from couette_gevrey.scalar import (
     step_scalar,
 )
 from couette_gevrey.harness import ExperimentConfig, run_single_nu
+from couette_gevrey.identities import ManufacturedSetup
 from couette_gevrey.spectral import ChannelGrid, l2_norm
 
 
@@ -285,11 +287,12 @@ def test_batched_step_matches_per_mode_oracle(case, ny):
 def test_batched_step_noise_floor():
     # The trust flags read per-level spectral tails of q^n Gamma^n omega, and
     # six Gamma applications amplify white roundoff in omega.  A solver that
-    # ends in a matrix product leaves such noise: an eigenbasis of the
-    # interior D2 measured 19x the oracle's median tail here, and doubled the
-    # untrusted c08 samples.  The parity-split LU solves keep the oracle's
-    # floor (0.86x on the odd datum, 1.02x on the even one, which alone
-    # reaches the even block).  The data are analytic, so the tails sit at
+    # ends in a matrix product leaves such noise: the plain eigenbasis
+    # product x = V diag V^{-1} b of the interior D2 measured 19x the
+    # oracle's median tail here, and doubled the untrusted c08 samples.  The
+    # same product applied as one correction from the state stays under the
+    # oracle's floor (0.091x on the odd datum, 0.068x on the even one, which
+    # alone reaches the even block).  The data are analytic, so the tails sit at
     # roundoff; the C^15 default bump carries a ~1e-11 physical tail at this
     # time, which would hide the noise.
     grid = ChannelGrid(192, kmax=8)
@@ -376,3 +379,29 @@ def test_advection_factors_built_once_for_steady_shear(grid64, monkeypatch, prof
     for _ in range(200):
         st = step_scalar(st, default_dt(4), profile)
     assert builds == [0.0]
+
+
+def test_sheared_manufactured_run_converges():
+    # ManufacturedSetup's closed-form coordinate w = eps rho(t) (1 - y^2)^2
+    # and scalar, with the U0 and forcing that make them exact, run through
+    # the real step_scalar and step_coordinates to T = 1.  omega converges
+    # at second order (errors 6.9e-5, 1.7e-5, 4.4e-6, 1.1e-6); w at first,
+    # since the coordinate step takes nu t_{j+1} d2 w_{j+1} backward-Euler
+    # (1.3e-5, 6.6e-6, 3.3e-6, 1.6e-6)
+    grid = ChannelGrid(64)
+    setup = ManufacturedSetup(grid, k=2, nu=1e-2)
+    profile = ShearProfile("manufactured", lambda t, y: grid.interpolate(setup.u0(t), y).real,
+                           lambda t, y: grid.interpolate(grid.d1 @ setup.u0(t), y).real)
+    forcing = lambda t: setup.forcing(t)[None, :]
+    omega_errs, w_errs = [], []
+    for dt in (0.02, 0.01, 0.005, 0.0025):
+        st = initial_state(grid, setup.nu, InitialData((setup.k,), [setup.omega(0.0)]))
+        coord = init_coordinates(profile, grid, setup.nu)
+        for _ in range(round(1.0 / dt)):
+            st = step_scalar(st, dt, profile, forcing)
+            coord = step_coordinates(coord, dt, setup.nu, profile, grid)
+        assert st.t == pytest.approx(1.0) and coord.t == pytest.approx(1.0)
+        omega_errs.append(np.max(np.abs(st.omega[0] - setup.omega(st.t))))
+        w_errs.append(np.max(np.abs(coord.w - setup.w(coord.t))))
+    assert all(np.log2(a / b) >= 1.9 for a, b in zip(omega_errs, omega_errs[1:]))
+    assert all(np.log2(a / b) >= 0.95 for a, b in zip(w_errs, w_errs[1:]))
