@@ -212,17 +212,12 @@ def decompose_phi(
         interior_residual=int_res_norm,
         sum_residual=0.0,
     )
-    comp = geo.to_y @ phi + phi_e  # composite_values, on the shared rows
+    comp = geo.to_y @ phi + phi_e  # phi_I(v(y)) + phi_E, on the shared rows
     lap = grid.d2 @ comp - k * k * comp
     dec.sum_residual = float(
         l2_norm(grid, lap - omega_k) / max(l2_norm(grid, omega_k), 1e-300)
     )
     return dec
-
-
-def composite_values(decomp: PhiDecomposition, grid: ChannelGrid, coord: CoordinateState) -> np.ndarray:
-    interior = grid.interpolate(decomp.phi_i, _to_reference(coord.v, decomp.domain))
-    return interior + decomp.phi_e
 
 
 # ---------------------------------------------------------------------------

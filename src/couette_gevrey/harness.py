@@ -1,14 +1,16 @@
 """Experiment configuration, orchestration and the command line interface.
 
-Subcommands: run, sweep, verify-identities, damping, decompose, report.
+Subcommands: run, verify-identities, damping, decompose, report.
 Exit codes: 0 all checks pass, 1 an acceptance-tagged check failed,
-2 configuration error, 3 runtime solver error.
+2 configuration error, 3 runtime solver error.  ``run`` exits 1 when a run
+is not monotone or outside its tail budget, or the Theta ratios are not uniform.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -35,7 +37,7 @@ from .elliptic import (
     interior_greens_response,
     spline_bump,
 )
-from .functionals import EvalContext, full_report
+from .functionals import EvalContext, full_report, truncation_tail
 from .scalar import (
     StabilityError,
     default_dt,
@@ -46,6 +48,10 @@ from .scalar import (
 )
 from .spectral import ChannelGrid, green_matrix
 from .weights import WeightParams, build_cascade
+
+
+# criterion c08: the largest Theta(T)/Theta(0) over the smallest, across nu
+UNIFORMITY_LIMIT = 2.0
 
 
 class ConfigError(ValueError):
@@ -73,6 +79,10 @@ class ExperimentConfig:
     monotonicity_slack: float = 0.05
 
     def __post_init__(self):
+        for key in ("schema_version", "ny", "kmax", "truncation_m", "data_power"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"config.{key}: must be an integer, not {value!r}")
         if self.schema_version != 1:
             raise ConfigError("config.schema_version: only version 1 is understood")
         if self.ny < 8:
@@ -208,6 +218,24 @@ def _coord_at(config: ExperimentConfig, state, coord):
     return couette_state(state.grid, state.t) if config.shear == "zero" else coord
 
 
+def _truncation_check(shells, M: int) -> dict | None:
+    """E_gamma and its tail at max(M - 2, 0) and at M, read off one sample's
+    shells (shell j sums the terms with m + n = j); None at M = 0."""
+    if M == 0:
+        return None
+    lo, hi = max(M - 2, 0), M
+    shells = np.asarray(shells)
+    e = {m: float(shells[: m + 1].sum()) for m in (lo, hi)}
+    tail = {m: truncation_tail(shells[: m + 1]) for m in (lo, hi)}
+    budget = (tail[lo] + tail[hi]) * max(e.values()) + 1e-14 * max(e[hi], 1.0)
+    return {
+        "values": [lo, hi],
+        "terminal_E_gamma": {str(m): v for m, v in e.items()},
+        "tail_estimates": {str(m): v for m, v in tail.items()},
+        "within_tail_budget": bool(abs(e[hi] - e[lo]) <= budget),
+    }
+
+
 def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = None) -> dict:
     """Evolve one viscosity, evaluating functionals on the stated cadence."""
     start = time.perf_counter()
@@ -263,6 +291,8 @@ def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = No
         "t_final": t_final,
         "series": series,
         "theta_series": [float(v) for v in theta_series],
+        "theta_ratio": float(theta_series[-1] / theta_series[0]) if theta_series[0] > 0 else 0.0,
+        "truncation_check": _truncation_check(series[-1]["shells_E_gamma"], config.truncation_m),
         "surrogate_monotone": bool(worst_rise <= slack + 1e-300),
         "surrogate_worst_rise_rel": float(worst_rise / theta_series[0]) if theta_series[0] > 0 else 0.0,
         "terminal_e_gamma_ratio": float(e_gamma[-1] / e_gamma[0]) if e_gamma[0] > 0 else 0.0,
@@ -322,66 +352,16 @@ def run(config: ExperimentConfig) -> dict:
         ],
         "all_monotone": all(r["surrogate_monotone"] for r in results),
     }
+    if len(results) > 1:
+        # Theta(T)/Theta(0), not the bare energy ratio with its phi(T)^2
+        # factor, is the theorem's nu-uniform quantity
+        ratios = [r["theta_ratio"] for r in results if r["theta_ratio"] > 0]
+        report["uniformity_ratio"] = max(ratios) / min(ratios) if ratios else float("inf")
+        report["uniform"] = bool(report["uniformity_ratio"] <= UNIFORMITY_LIMIT)
     if "json" in config.formats:
         _json_dump(report, out_dir / "summary.json")
     report["_full"] = results
     return report
-
-
-def sweep(config: ExperimentConfig, over: str = "nu") -> dict:
-    """Comparative report over nu or M; >= 2 values required."""
-    if over == "nu":
-        values = list(config.nu)
-        if len(values) < 2:
-            raise ConfigError("sweep over nu needs at least two viscosities")
-        results = {v: run_single_nu(config, v) for v in values}
-        # the nu-uniform object is the theorem's combination
-        # Theta(T)/Theta(0) = [E + int(D + CK)](T) / E(0); the bare energy
-        # ratio carries the deterministic phi(T)^2 / transient mismatch
-        t_common = min(r["t_final"] for r in results.values())
-        ratios, e_ratios = {}, {}
-        for v, r in results.items():
-            th = r["theta_series"]
-            ratios[v] = float(th[-1] / th[0]) if th[0] > 0 else 0.0
-            ts = np.array([row["t"] for row in r["series"]])
-            es = np.array([row["E_gamma"] for row in r["series"]])
-            idx = int(np.argmin(np.abs(ts - t_common)))
-            e_ratios[v] = float(es[idx] / es[0]) if es[0] > 0 else 0.0
-        vals = [x for x in ratios.values() if x > 0]
-        uniformity = max(vals) / min(vals) if vals else float("inf")
-        return {
-            "over": "nu",
-            "values": values,
-            "t_common": t_common,
-            "terminal_ratio": {f"{v:g}": ratios[v] for v in values},
-            "energy_ratio_common_time": {f"{v:g}": e_ratios[v] for v in values},
-            "uniformity_ratio": uniformity,
-            "uniform": bool(uniformity <= 2.0),
-            "monotone_flags": {f"{v:g}": results[v]["surrogate_monotone"] for v in values},
-        }
-    if over == "M":
-        m_values = sorted({config.truncation_m, max(config.truncation_m - 2, 0)})
-        if len(m_values) < 2:
-            m_values = [4, 6]
-        outs = {}
-        for m in m_values:
-            cfg = ExperimentConfig(**{**config.to_json(), "truncation_m": m})
-            outs[m] = run_single_nu(cfg, config.nu[0])
-        terminals = {m: outs[m]["series"][-1]["E_gamma"] for m in m_values}
-        tails = {m: outs[m]["series"][-1]["tail_E_gamma"] for m in m_values}
-        hi, lo = max(m_values), min(m_values)
-        diff = abs(terminals[hi] - terminals[lo])
-        budget = (tails[lo] + tails[hi]) * max(terminals[hi], terminals[lo]) + 1e-14 * max(
-            terminals[hi], 1.0
-        )
-        return {
-            "over": "M",
-            "values": m_values,
-            "terminal_E_gamma": {str(m): terminals[m] for m in m_values},
-            "tail_estimates": {str(m): tails[m] for m in m_values},
-            "within_tail_budget": bool(diff <= budget),
-        }
-    raise ConfigError(f"sweep over {over!r} not supported (use nu or M)")
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +468,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--nu", type=float, action="append")
     runp.add_argument("--ny", type=int)
     runp.add_argument("--kmax", type=int)
-    sweepp = sub.add_parser("sweep", help="comparative sweep")
-    sweepp.add_argument("--over", choices=("nu", "M"), default="nu")
-    sweepp.add_argument("--nu", type=float, action="append")
     veri = sub.add_parser("verify-identities", help="run the identity battery")
     veri.add_argument("--ny", type=int, default=96)
     veri.add_argument("--quick", action="store_true")
@@ -536,12 +513,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             report = run(config)
             print(json.dumps({k: v for k, v in report.items() if k != "_full"}, sort_keys=True, default=_stable))
-            return 0 if report["all_monotone"] else 1
-        if args.command == "sweep":
-            out = sweep(config, over=args.over)
-            print(json.dumps(out, sort_keys=True))
-            ok = out.get("uniform", out.get("within_tail_budget", False))
-            return 0 if ok else 1
+            truncated = all(r["truncation_check"] is None or r["truncation_check"]["within_tail_budget"]
+                            for r in report["runs"])
+            return 0 if report["all_monotone"] and truncated and report.get("uniform", True) else 1
         if args.command == "damping":
             out = damping_suite(k=args.k, ny=args.ny)
             print(json.dumps(out, sort_keys=True))

@@ -648,6 +648,14 @@ def loop_interior_greens_response(grid, k, t, data_fn, support=(-0.25, 0.25),
     return out
 
 
+def composite_values(decomp, grid, coord):
+    """The decomposition's stream function phi_I(v(y)) + phi_E on the y-grid:
+    phi_I is interpolated at v mapped affinely from its domain onto [-1, 1]."""
+    mid = 0.5 * (decomp.domain[0] + decomp.domain[1])
+    half = 0.5 * (decomp.domain[1] - decomp.domain[0])
+    return grid.interpolate(decomp.phi_i, (coord.v - mid) / half) + decomp.phi_e
+
+
 def loop_elliptic_functionals(decomps, coord, ctx, M=4):
     """``eval_elliptic_functionals`` with every Gamma^n and dv-bar^b written
     as its own loop, the J terms through ``naive_icc``; F_ell on phi_E with

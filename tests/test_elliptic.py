@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_ctx
-from oracles import loop_elliptic_functionals, loop_interior_greens_response
+from oracles import composite_values, loop_elliptic_functionals, loop_interior_greens_response
 
 from couette_gevrey import elliptic, functionals
 from couette_gevrey.coordinates import (
@@ -19,7 +19,6 @@ from couette_gevrey.elliptic import (
     CHI_TILDE1,
     NonContractionError,
     PhiDecomposition,
-    composite_values,
     damping_diagnostic,
     decompose_phi,
     eval_elliptic_functionals,

@@ -22,7 +22,6 @@ from couette_gevrey.harness import (
     main,
     run,
     run_single_nu,
-    sweep,
 )
 from couette_gevrey.spectral import green_matrix
 
@@ -69,6 +68,13 @@ def test_config_validation():
                 dict(monotonicity_slack=-0.5), dict(noise_floor=-1.0), dict(noise_floor=2.0)):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
+    # integer keys take integers: a fraction would fail inside the run, and
+    # YAML's true would run as 1
+    for key in ("schema_version", "ny", "kmax", "truncation_m", "data_power"):
+        for bad in (64.5, 2.5, 1.0, True, "64"):
+            with pytest.raises(ConfigError, match=f"config.{key}"):
+                ExperimentConfig(**{key: bad})
+    assert ExperimentConfig(ny=np.int64(48)).ny == 48
     # the zero profile has no amplitude to bound
     assert ExperimentConfig(shear="zero", eps_u=0.5).eps_u == 0.5
     cfg = ExperimentConfig(weights={"s": 1.5, "lambda0": 0.25})
@@ -117,6 +123,8 @@ def test_run_produces_report_and_files(tmp_path):
                        t_final_value=1.0)
     report = run(cfg)
     assert report["all_monotone"] in (True, False)
+    # one viscosity has no uniformity to judge
+    assert "uniform" not in report and "uniformity_ratio" not in report
     assert (tmp_path / "summary.json").exists()
     assert (tmp_path / "series_nu1e-02.csv").exists()
     header = (tmp_path / "series_nu1e-02.csv").read_text().splitlines()[0]
@@ -173,20 +181,58 @@ def test_surrogate_monotone_small():
     assert res["theta_series"][0] > 0
 
 
-def test_sweep_nu_uniformity():
-    cfg = small_config(ny=96, nu=(1e-2, 3e-3), t_final_policy="absolute", t_final_value=2.0)
-    out = sweep(cfg, over="nu")
-    assert out["uniform"]
-    assert out["uniformity_ratio"] <= 2.0
-    assert set(out["monotone_flags"]) == {"0.01", "0.003"}
-    with pytest.raises(ConfigError):
-        sweep(small_config(nu=(1e-3,)), over="nu")
+def test_run_reports_nu_uniformity(tmp_path):
+    cfg = small_config(ny=96, nu=(1e-2, 3e-3), t_final_policy="absolute", t_final_value=2.0,
+                       output_dir=str(tmp_path))
+    report = run(cfg)
+    assert report["uniform"]
+    assert report["uniformity_ratio"] <= 2.0
+    for res in report["_full"]:
+        assert res["theta_ratio"] == res["theta_series"][-1] / res["theta_series"][0]
+        assert res["truncation_check"]["within_tail_budget"]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["uniform"] and summary["uniformity_ratio"] == report["uniformity_ratio"]
+    assert [r["theta_ratio"] for r in summary["runs"]] == [r["theta_ratio"] for r in report["_full"]]
+    assert all("truncation_check" in r for r in summary["runs"])
 
 
-def test_sweep_m_consistency():
-    cfg = small_config(truncation_m=4, t_final_policy="absolute", t_final_value=1.0)
-    out = sweep(cfg, over="M")
-    assert out["within_tail_budget"]
+def test_run_truncation_check_matches_lower_m():
+    # the last sample's shells at M hold a run at M - 2: the same E_gamma and
+    # tail, bit for bit
+    def last_sample(m):
+        cfg = small_config(truncation_m=m, t_final_policy="absolute", t_final_value=1.0)
+        return run_single_nu(cfg, 1e-2)
+
+    for m in (3, 4, 6):
+        res, lower = last_sample(m), last_sample(m - 2)
+        check = res["truncation_check"]
+        assert check["values"] == [m - 2, m]
+        assert check["terminal_E_gamma"][str(m - 2)] == lower["series"][-1]["E_gamma"]
+        assert check["tail_estimates"][str(m - 2)] == lower["series"][-1]["tail_E_gamma"]
+        assert check["terminal_E_gamma"][str(m)] == res["series"][-1]["E_gamma"]
+        assert check["tail_estimates"][str(m)] == res["series"][-1]["tail_E_gamma"]
+        assert check["within_tail_budget"]
+    # M = 0 has no lower truncation to compare with
+    assert last_sample(0)["truncation_check"] is None
+
+
+def test_cli_run_exit_rule(tmp_path, monkeypatch, capsys):
+    def fake_runs(ratios, within):
+        def fake(config, nu, out_dir=None):
+            i = config.nu.index(nu)
+            check = None if within[i] is None else {"within_tail_budget": within[i]}
+            return {"nu": nu, "theta_ratio": ratios[i], "surrogate_monotone": True,
+                    "truncation_check": check}
+        return fake
+
+    argv = ["--output-dir", str(tmp_path), "run", "--nu", "1e-2", "--nu", "3e-3"]
+    for ratios, within, code in (((1.0, 0.8), (True, None), 0),
+                                 ((1.0, 0.3), (True, True), 1),
+                                 ((1.0, 0.8), (True, False), 1)):
+        monkeypatch.setattr(harness, "run_single_nu", fake_runs(ratios, within))
+        assert main(argv) == code
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["uniformity_ratio"] == max(ratios) / min(ratios)
 
 
 def test_identity_suite_quick():
@@ -302,6 +348,19 @@ def test_cli_negative_dt_is_config_error(tmp_path, capsys):
     }))
     assert main(["--config", str(cfgfile), "run"]) == 2
     assert "config.dt" in capsys.readouterr().err
+
+
+def test_cli_fractional_integer_key_is_config_error(tmp_path, capsys):
+    for key, value in (("ny", 64.5), ("kmax", 2.5), ("truncation_m", 2.5), ("kmax", True)):
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text(yaml.safe_dump({
+            "ny": 48, "kmax": 1, "nu": [1e-2], "truncation_m": 2, key: value,
+            "t_final_policy": "absolute", "t_final_value": 0.4,
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert main(["--config", str(cfgfile), "run"]) == 2
+        assert f"config.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_readme_config_block_matches_config(tmp_path):

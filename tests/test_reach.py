@@ -1,16 +1,19 @@
 """Every public top-level function and class, and every private top-level
 function, of the package is reached.
 
-A name counts as reached when it appears as a word anywhere other than on
-its own definition line: elsewhere in the package (``__init__.py`` excluded,
-since re-exporting is not use), in the acceptance gate, or in the benchmark.
-Code that only its own unit tests call fails this guard.  And every
-`module.name` the README quotes names something the module defines.
+A name counts as reached when it appears as a word in a code token other
+than on its own definition line: elsewhere in the package (``__init__.py``
+excluded, since re-exporting is not use), in the acceptance gate, or in the
+benchmark.  Comments and docstrings are not code, so naming a function there
+reaches nothing.  Code that only its own unit tests call fails this guard.
+And every `module.name` the README quotes names something the module defines.
 """
 
 import ast
 import importlib
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,21 +29,28 @@ def _definitions(private: bool):
                 yield path, node.name, node.lineno
 
 
-def _reaching_lines():
+def _code_tokens():
+    """(path, line, text) of every token that is neither a comment nor a
+    docstring, that is a string expression standing as a statement."""
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     sources += [ROOT / "tests" / "test_acceptance.py"]
     sources += sorted((ROOT / "perfbench").glob("*.py"))
     for path in sources:
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            yield path, lineno, line
+        text = path.read_text()
+        docstrings = {(node.lineno, node.col_offset) for node in ast.walk(ast.parse(text))
+                      if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                      and isinstance(node.value.value, str)}
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type != tokenize.COMMENT and tok.start not in docstrings:
+                yield path, tok.start[0], tok.string
 
 
 def _unreached(private: bool):
-    lines = list(_reaching_lines())
+    tokens = list(_code_tokens())
     unreached = []
     for path, name, def_line in _definitions(private):
         word = re.compile(rf"\b{re.escape(name)}\b")
-        if not any(word.search(line) and (p, n) != (path, def_line) for p, n, line in lines):
+        if not any(word.search(text) and (p, n) != (path, def_line) for p, n, text in tokens):
             unreached.append(f"{path.stem}.{name}")
     return unreached
 
