@@ -5,7 +5,9 @@ nonnegative weighted L^2 norms of stack entries |k|^m q^n Gamma_k^n omega_k.
 Only the level n and the shell m + n enter a norm, so each stack is reduced
 once to a table of weighted norms (rows: level and y-derivative order,
 columns: shell weight) and every family is a contraction of that table
-with coefficient arrays.
+with coefficient arrays.  The coordinate fields Hbar, G and H are reduced
+the same way: one floored table of d_y orders 0-2 per dv-bar level, which
+the gamma and alpha families both read.
 Sign conventions: the decaying factors phi and lambda enter the CK families
 through |phi'|/phi and |lambda'|/lambda so that every CK value is >= 0, and
 the W family uses sqrt(-d_t W) which is real since W decays in time.
@@ -233,93 +235,54 @@ def _bracket(t: float) -> float:
     return math.sqrt(1.0 + t * t)
 
 
-def eval_coord_functionals(
-    state: CoordinateState,
-    ctx: EvalContext,
-    family: str = "gamma",
-    M: int = 6,
-) -> dict[str, float]:
-    """E/D/CK for the coordinate fields G, H, Hbar at the state's time.
+def eval_coord_functionals(state: CoordinateState, ctx: EvalContext, M: int = 6) -> dict[str, float]:
+    """E/D/CK of the coordinate fields Hbar, G and H, gamma and alpha families.
 
-    The n-index stacks are dv-bar^n applications (these are k = 0
-    quantities); i_iota picks up one extra d_y for the alpha family.
-    Flat coordinates (G = H = Hbar = 0) give exactly zero for every value.
+    Each field's dv-bar ladder F_n, n = 0..M (k = 0 quantities), is taken
+    once; the rows |d_y^d F_n|, d = 0, 1, 2, are floored once and reduced
+    against weight columns in one product.  Gamma reads the orders (0, 1),
+    alpha the orders (1, 2) with nu^{1/2} on Hbar and H.  Flat coordinates
+    (G = H = Hbar = 0) give exactly zero for every value.
     """
-    if family not in ("gamma", "alpha"):
-        raise ValueError("coordinate functionals exist for gamma and alpha only")
-    if not (np.any(state.G) or np.any(state.H) or np.any(state.Hbar)):
-        return {f"{q}_{f}": 0.0 for f in ("Hbar", "G", "H") for q in ("E", "D", "CK")}
-    return _coord_functionals(state, ctx, 1 if family == "alpha" else 0, M)
-
-
-def _coord_functionals(state: CoordinateState, ctx: EvalContext, i_io: int, M: int) -> dict[str, float]:
-    t = state.t
-    tab, p = ctx.table, ctx.params
-    grid = ctx.grid
-    ew_half = np.sqrt(ctx.exp_w(t))
-    swt = ctx.sqrt_neg_wt(t)
-    br = _bracket(t)
-    pow_t = br ** (3.0 + 2.0 / p.s)
-    g_stack, h_stack, hb_stack = (
-        gamma_ladder(grid.d1, np.asarray(f, dtype=float), state.v_y, M)
-        for f in (state.G, state.H, state.Hbar)
-    )
-
-    def d_y(vals, j):
-        return gamma_ladder(grid.d1, vals, 1.0, j)[-1]
-
-    out: dict[str, float] = {}
-    # Hbar family
-    e = d = ck = 0.0
-    for n in range(M + 1):
-        th2 = tab.theta(n) ** 2
-        an1 = float(tab.a(0, n + 1, t))
-        an1_dot = float(tab.a_dot(0, n + 1, t))
-        fac = ctx.nu ** (i_io / 2.0) * th2 * (n + 1) ** (2.0 * p.s - 2.0) * pow_t
-        base = d_y(hb_stack[n], i_io)
-        w = ew_half * ctx.chi(n)
-        e += fac * an1**2 * ctx.wsq(base, w)
-        d += ctx.nu * fac * an1**2 * ctx.wsq(d_y(hb_stack[n], 1 + i_io), w)
-        ck += fac * an1**2 * ctx.wsq(base, swt * w)
-        ck += fac * (-an1 * an1_dot) * ctx.wsq(base, w)
-    out["E_Hbar"], out["D_Hbar"], out["CK_Hbar"] = float(e), float(d), float(ck)
-
-    # G family; the n = 0 shell carries the <t>^(4 - 2 K_eps) weight
-    th0 = tab.theta(0) ** 2
-    pow0 = br ** (4.0 - 2.0 * p.K_eps)
-    ones = np.ones_like(grid.nodes)
-    e = th0 * pow0 * ctx.wsq(d_y(g_stack[0], i_io), ones)
-    d = ctx.nu * th0 * pow0 * ctx.wsq(d_y(g_stack[0], 1 + i_io), ones)
-    ck = th0 * abs(4.0 - 2.0 * p.K_eps) * abs(t) * br ** (2.0 - 2.0 * p.K_eps) * ctx.wsq(
-        d_y(g_stack[0], i_io), ones
-    )
-    for n in range(1, M + 1):
-        th2 = tab.theta(n) ** 2
-        an = float(tab.a(0, n, t))
-        an_dot = float(tab.a_dot(0, n, t))
-        base = d_y(g_stack[n], i_io)
-        w = ew_half * ctx.chi(n - 1 + i_io)
-        e += th2 * an**2 * pow_t * ctx.wsq(base, w)
-        d += ctx.nu * th2 * an**2 * pow_t * ctx.wsq(d_y(g_stack[n], 1 + i_io), w)
-        ck += th2 * an**2 * pow_t * ctx.wsq(base, swt * w)
-        ck += th2 * (-an * an_dot) * pow_t * ctx.wsq(base, ctx.chi(n - 1 + i_io))
-    out["E_G"], out["D_G"], out["CK_G"] = float(e), float(d), float(ck)
-
-    # H family
-    e = d = ck = 0.0
-    for n in range(M + 1):
-        th2 = tab.theta(n) ** 2
-        an = float(tab.a(0, n, t))
-        an_dot = float(tab.a_dot(0, n, t))
-        fac = th2 * ctx.nu ** (i_io / 2.0)
-        base = d_y(h_stack[n], i_io)
-        w = ew_half * ctx.chi(n)
-        e += fac * an**2 * ctx.wsq(base, w)
-        d += ctx.nu * fac * an**2 * ctx.wsq(d_y(h_stack[n], 1 + i_io), w)
-        ck += fac * (-an * an_dot) * ctx.wsq(base, w)
-        ck += fac * an**2 * ctx.wsq(base, swt * w)
-    out["E_H"], out["D_H"], out["CK_H"] = float(e), float(d), float(ck)
-    return out
+    fields = {"Hbar": state.Hbar, "G": state.G, "H": state.H}
+    keys = [f"{q}_{f}_{fam}" for fam in ("gamma", "alpha") for f in fields for q in ("E", "D", "CK")]
+    if not any(np.any(f) for f in fields.values()):
+        return dict.fromkeys(keys, 0.0)
+    t, tab, p, grid = state.t, ctx.table, ctx.params, ctx.grid
+    rows = np.empty((3, M + 1, 3, grid.ny + 1))  # [field, n, d, node]
+    for f, out in zip(fields.values(), rows):
+        for level, r in zip(gamma_ladder(grid.d1, np.asarray(f, dtype=float), state.v_y, M), out):
+            r[0], r[1] = level, grid.d1 @ level
+            r[2] = grid.d1 @ r[1]
+    sq = ctx.floor_rows(np.abs(rows).reshape(-1, grid.ny + 1)) ** 2
+    ew, chi2 = ctx.exp_w(t), np.array([ctx.chi(j) for j in range(M + 1)]) ** 2
+    # columns [kind, j]: chi_j^2 times e^W, e^W (-d_t W) and 1 (chi_0 = 1), under the quadrature
+    cols = grid.quad_weights * np.stack([ew * chi2, ew * ctx.sqrt_neg_wt(t) ** 2 * chi2, chi2])
+    table = (sq @ cols.reshape(-1, grid.ny + 1).T).reshape(3, M + 1, 3, 3, M + 1)  # [field, n, d, kind, j]
+    n, br = np.arange(M + 1), _bracket(t)
+    th2, pow_t = tab.theta(n) ** 2, br ** (3.0 + 2.0 / p.s)
+    a, a1 = tab.a(0, n, t), tab.a(0, n + 1, t)
+    aa, aa1 = -a * tab.a_dot(0, n, t), -a1 * tab.a_dot(0, n + 1, t)
+    hb = th2 * (n + 1) ** (2.0 * p.s - 2.0) * pow_t
+    g = th2 * pow_t * (n > 0)
+    # G's n = 0 term: the <t>^(4 - 2 K_eps) weight without cutoff or e^W, its CK from that bracket's rate
+    g0, e0 = table[1, 0, :, 2, 0], th2[0] * br ** (4.0 - 2.0 * p.K_eps)
+    ck0 = th2[0] * abs(4.0 - 2.0 * p.K_eps) * abs(t) * br ** (2.0 - 2.0 * p.K_eps)
+    vals = []
+    for i in (0, 1):
+        nu_i = ctx.nu ** (i / 2.0)
+        # per field: the a^2 and -a a_dot coefficients over n, the cutoff index j(n) and the kind
+        # of the a a_dot column
+        spec = ((nu_i * hb * a1**2, nu_i * hb * aa1, n, 0),
+                (g * a**2, g * aa, np.maximum(n - 1 + i, 0), 2),  # G's a a_dot: chi alone, no e^W
+                (nu_i * th2 * a**2, nu_i * th2 * aa, n, 0))
+        for f, (c, c_dot, j, kind) in enumerate(spec):
+            tf = table[f, n, :, :, j]  # [n, d, kind]
+            e, d, ck = c @ tf[:, i, 0], ctx.nu * (c @ tf[:, i + 1, 0]), c @ tf[:, i, 1] + c_dot @ tf[:, i, kind]
+            if f == 1:
+                e, d, ck = e + e0 * g0[i], d + ctx.nu * e0 * g0[i + 1], ck + ck0 * g0[i]
+            vals += [e, d, ck]
+    return {key: float(v) for key, v in zip(keys, vals)}
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +411,6 @@ def full_report(
         for kind in CK_KINDS:
             report[f"CK_{fam}_{kind}"] = float(total(f"CK_{fam}_{kind}"))
     if coord is not None:
-        for fam in ("gamma", "alpha"):
-            vals = eval_coord_functionals(coord, ctx, fam, M=coord_M)
-            for key, val in vals.items():
-                report[f"coord_{key}_{fam}"] = val
+        for key, val in eval_coord_functionals(coord, ctx, coord_M).items():
+            report[f"coord_{key}"] = val
     return report

@@ -83,6 +83,14 @@ class ExperimentConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"config.{key}: must be an integer, not {value!r}")
+        reals = [("nu", v) for v in self.nu] + [(key, getattr(self, key)) for key in (
+            "t_final_value", "eps_u", "cadence", "noise_floor", "dt", "monotonicity_slack")]
+        for key, value in reals:
+            if value is None and key in ("t_final_value", "dt"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"config.{key}: must be a number, not {value!r}")
+        self.nu = tuple(float(v) for v in self.nu)
         if self.schema_version != 1:
             raise ConfigError("config.schema_version: only version 1 is understood")
         if self.ny < 8:
@@ -145,10 +153,8 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-        if "nu" in raw and isinstance(raw["nu"], (int, float)):
-            raw["nu"] = (float(raw["nu"]),)
-        if "nu" in raw and isinstance(raw["nu"], list):
-            raw["nu"] = tuple(float(v) for v in raw["nu"])
+        if "nu" in raw:
+            raw["nu"] = tuple(raw["nu"]) if isinstance(raw["nu"], (list, tuple)) else (raw["nu"],)
         if "formats" in raw and isinstance(raw["formats"], list):
             raw["formats"] = tuple(raw["formats"])
         try:
@@ -498,6 +504,8 @@ def _load_config(args) -> ExperimentConfig:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed: must be nonnegative")
         if args.command in ("verify-identities", "damping") and args.ny < 8:
             raise ConfigError(f"{args.command} --ny: need at least 8")
         if args.command == "damping" and args.k == 0:

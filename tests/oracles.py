@@ -10,6 +10,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgetrs
 
+from couette_gevrey.coordinates import gamma_ladder
 from couette_gevrey.identities import IdentityReport
 from couette_gevrey.spectral import SingularSolveError, _gauss_legendre, _parity_sizes, green_eval
 from couette_gevrey.weights import GevreyCoeffTable, WeightParams, eval_q, eval_W, eval_W_derivatives, log_factorial
@@ -710,4 +711,76 @@ def loop_elliptic_functionals(decomps, coord, ctx, M=4):
                 coef = math.exp((m + n) * math.log(2.0 * ctx.params.lambda0) - math.lgamma(m + n + 1.0))
                 fld = ctx.chi(m + n) * float(abs(k)) ** m * q**n * gam_e[n]
                 out["F_ell_E"] += wk * coef * ctx.wsq(fld, ones)
+    return out
+
+
+def loop_coord_functionals(state, ctx, i_io, M):
+    """The coordinate fields' E/D/CK for one family (i_io = 0 gamma, 1 alpha),
+    every Hbar, G and H term its own ``ctx.wsq`` quadrature in three loops."""
+    t = state.t
+    tab, p = ctx.table, ctx.params
+    grid = ctx.grid
+    ew_half = np.sqrt(ctx.exp_w(t))
+    swt = ctx.sqrt_neg_wt(t)
+    br = math.sqrt(1.0 + t * t)
+    pow_t = br ** (3.0 + 2.0 / p.s)
+    g_stack, h_stack, hb_stack = (
+        gamma_ladder(grid.d1, np.asarray(f, dtype=float), state.v_y, M)
+        for f in (state.G, state.H, state.Hbar)
+    )
+
+    def d_y(vals, j):
+        return gamma_ladder(grid.d1, vals, 1.0, j)[-1]
+
+    out = {}
+    # Hbar family
+    e = d = ck = 0.0
+    for n in range(M + 1):
+        th2 = tab.theta(n) ** 2
+        an1 = float(tab.a(0, n + 1, t))
+        an1_dot = float(tab.a_dot(0, n + 1, t))
+        fac = ctx.nu ** (i_io / 2.0) * th2 * (n + 1) ** (2.0 * p.s - 2.0) * pow_t
+        base = d_y(hb_stack[n], i_io)
+        w = ew_half * ctx.chi(n)
+        e += fac * an1**2 * ctx.wsq(base, w)
+        d += ctx.nu * fac * an1**2 * ctx.wsq(d_y(hb_stack[n], 1 + i_io), w)
+        ck += fac * an1**2 * ctx.wsq(base, swt * w)
+        ck += fac * (-an1 * an1_dot) * ctx.wsq(base, w)
+    out["E_Hbar"], out["D_Hbar"], out["CK_Hbar"] = float(e), float(d), float(ck)
+
+    # G family; the n = 0 shell carries the <t>^(4 - 2 K_eps) weight
+    th0 = tab.theta(0) ** 2
+    pow0 = br ** (4.0 - 2.0 * p.K_eps)
+    ones = np.ones_like(grid.nodes)
+    e = th0 * pow0 * ctx.wsq(d_y(g_stack[0], i_io), ones)
+    d = ctx.nu * th0 * pow0 * ctx.wsq(d_y(g_stack[0], 1 + i_io), ones)
+    ck = th0 * abs(4.0 - 2.0 * p.K_eps) * abs(t) * br ** (2.0 - 2.0 * p.K_eps) * ctx.wsq(
+        d_y(g_stack[0], i_io), ones
+    )
+    for n in range(1, M + 1):
+        th2 = tab.theta(n) ** 2
+        an = float(tab.a(0, n, t))
+        an_dot = float(tab.a_dot(0, n, t))
+        base = d_y(g_stack[n], i_io)
+        w = ew_half * ctx.chi(n - 1 + i_io)
+        e += th2 * an**2 * pow_t * ctx.wsq(base, w)
+        d += ctx.nu * th2 * an**2 * pow_t * ctx.wsq(d_y(g_stack[n], 1 + i_io), w)
+        ck += th2 * an**2 * pow_t * ctx.wsq(base, swt * w)
+        ck += th2 * (-an * an_dot) * pow_t * ctx.wsq(base, ctx.chi(n - 1 + i_io))
+    out["E_G"], out["D_G"], out["CK_G"] = float(e), float(d), float(ck)
+
+    # H family
+    e = d = ck = 0.0
+    for n in range(M + 1):
+        th2 = tab.theta(n) ** 2
+        an = float(tab.a(0, n, t))
+        an_dot = float(tab.a_dot(0, n, t))
+        fac = th2 * ctx.nu ** (i_io / 2.0)
+        base = d_y(h_stack[n], i_io)
+        w = ew_half * ctx.chi(n)
+        e += fac * an**2 * ctx.wsq(base, w)
+        d += ctx.nu * fac * an**2 * ctx.wsq(d_y(h_stack[n], 1 + i_io), w)
+        ck += fac * (-an * an_dot) * ctx.wsq(base, w)
+        ck += fac * an**2 * ctx.wsq(base, swt * w)
+    out["E_H"], out["D_H"], out["CK_H"] = float(e), float(d), float(ck)
     return out

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_ctx, random_stack
 from oracles import (
+    loop_coord_functionals,
     naive_ck,
     naive_dissipation,
     naive_energy,
@@ -18,11 +19,12 @@ from couette_gevrey.coordinates import (
     build_gamma_stack,
     couette_state,
     init_coordinates,
+    make_profile,
     quartic_profile,
+    step_coordinates,
 )
 from couette_gevrey.functionals import (
     CK_KINDS,
-    _coord_functionals,
     FAMILIES,
     EvalContext,
     eval_ck,
@@ -214,8 +216,8 @@ def test_icc_oracle(grid64, params, cascade, rng, variant):
 def test_coord_functionals_couette_zero(grid64, params, cascade):
     ctx = make_ctx(grid64, params, cascade, NU)
     flat = couette_state(grid64, 1.0)
-    out = eval_coord_functionals(flat, ctx, "gamma", M=4)
-    assert all(v == 0.0 for v in out.values())
+    out = eval_coord_functionals(flat, ctx, M=4)
+    assert len(out) == 18 and all(v == 0.0 for v in out.values())
 
 
 def test_coord_functionals_flat_shortcut(grid64, params, cascade):
@@ -224,13 +226,36 @@ def test_coord_functionals_flat_shortcut(grid64, params, cascade):
     ctx = make_ctx(grid64, params, cascade, NU)
     for t in (0.0, 3.0, 17.0):
         flat = couette_state(grid64, t)
-        for i_io, fam in enumerate(("gamma", "alpha")):
-            fast = eval_coord_functionals(flat, ctx, fam, M=6)
-            full = _coord_functionals(flat, ctx, i_io, 6)
-            assert list(fast) == list(full)
-            for key, val in full.items():
-                assert fast[key] == val == 0.0
-                assert math.copysign(1.0, fast[key]) == math.copysign(1.0, val)
+        fast = eval_coord_functionals(flat, ctx, M=6)
+        full = {f"{key}_{fam}": val for i_io, fam in enumerate(("gamma", "alpha"))
+                for key, val in loop_coord_functionals(flat, ctx, i_io, 6).items()}
+        assert list(fast) == list(full)
+        for key, val in full.items():
+            assert fast[key] == val == 0.0
+            assert math.copysign(1.0, fast[key]) == math.copysign(1.0, val)
+
+
+@pytest.mark.parametrize("ny", [64, 192])
+def test_coord_functionals_match_loop_oracle(ny, params, cascade):
+    # one floored table of d_y orders 0-2 per level gives both families'
+    # values of the per-term loops, in the same key order
+    grid = ChannelGrid(ny, kmax=2)
+    for shear in ("quartic", "sin_quartic"):
+        prof = make_profile(shear, 1 / 64)
+        for nu in (1e-2, 1e-4):
+            state = init_coordinates(prof, grid, nu)
+            for _ in range(20):
+                state = step_coordinates(state, 0.05, nu, prof, grid)
+            for M in (0, 1, 3, 6):
+                for floor in (0.0, 1e-8):
+                    out = eval_coord_functionals(state, make_ctx(grid, params, cascade, nu, floor), M)
+                    ref_ctx = make_ctx(grid, params, cascade, nu, floor)
+                    ref = {f"{key}_{fam}": val for i_io, fam in enumerate(("gamma", "alpha"))
+                           for key, val in loop_coord_functionals(state, ref_ctx, i_io, M).items()}
+                    assert list(out) == list(ref)
+                    for key, val in ref.items():
+                        assert val > 0.0
+                        assert abs(out[key] - val) <= 1e-12 * val, (shear, nu, M, floor, key)
 
 
 def test_coord_functionals_single_term(grid64, params, cascade):
@@ -238,7 +263,7 @@ def test_coord_functionals_single_term(grid64, params, cascade):
     ctx = make_ctx(grid64, params, cascade, NU)
     prof = quartic_profile(1 / 256)
     coord = init_coordinates(prof, grid64, nu=0.0)
-    out = eval_coord_functionals(coord, ctx, "gamma", M=0)
+    out = eval_coord_functionals(coord, ctx, M=0)
     tab = ctx.table
     w_half = np.exp(eval_W(0.0, grid64.nodes, NU, params))
     manual = (
@@ -246,26 +271,23 @@ def test_coord_functionals_single_term(grid64, params, cascade):
         * tab.a(0, 0, 0.0) ** 2
         * float(np.real(grid64.integrate(np.abs(coord.H) ** 2 * w_half)))
     )
-    assert out["E_H"] == pytest.approx(manual, rel=1e-12)
+    assert out["E_H_gamma"] == pytest.approx(manual, rel=1e-12)
     # E_G n = 0 carries the <t>^(4 - 2 K_eps) bracket weight
     t = 2.0
     coord2 = init_coordinates(prof, grid64, nu=0.0)
     coord2 = type(coord2)(
         t=t, w=coord2.w, v=coord2.v, v_y=coord2.v_y, G=coord2.G, H=coord2.H, Hbar=coord2.Hbar
     )
-    out2 = eval_coord_functionals(coord2, ctx, "gamma", M=0)
+    out2 = eval_coord_functionals(coord2, ctx, M=0)
     bracket = np.sqrt(1 + t * t) ** (4.0 - 2.0 * params.K_eps)
     manual_g = (
         tab.theta(0) ** 2
         * bracket
         * float(np.real(grid64.integrate(np.abs(coord2.G) ** 2)))
     )
-    assert out2["E_G"] == pytest.approx(manual_g, rel=1e-12)
-    for fam in ("gamma", "alpha"):
-        vals = eval_coord_functionals(coord2, ctx, fam, M=3)
-        assert all(v >= 0.0 for v in vals.values())
-    with pytest.raises(ValueError):
-        eval_coord_functionals(coord2, ctx, "mu")
+    assert out2["E_G_gamma"] == pytest.approx(manual_g, rel=1e-12)
+    vals = eval_coord_functionals(coord2, ctx, M=3)
+    assert len(vals) == 18 and all(v >= 0.0 for v in vals.values())
 
 
 def test_truncation_tail_and_report(grid64, params, cascade):

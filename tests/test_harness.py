@@ -75,6 +75,17 @@ def test_config_validation():
             with pytest.raises(ConfigError, match=f"config.{key}"):
                 ExperimentConfig(**{key: bad})
     assert ExperimentConfig(ny=np.int64(48)).ny == 48
+    # real-valued keys take numbers: YAML's true would run as 1, and its 1e-2
+    # (read as text) would fail without naming the key
+    for key in ("t_final_value", "eps_u", "cadence", "noise_floor", "dt", "monotonicity_slack"):
+        for bad in (True, False, "1e-2", "0.5"):
+            with pytest.raises(ConfigError, match=f"config.{key}: must be a number"):
+                ExperimentConfig(**{key: bad})
+    for bad in (True, False, "1e-2", None):
+        with pytest.raises(ConfigError, match="config.nu: must be a number"):
+            ExperimentConfig(nu=(1e-3, bad))
+    cfg = ExperimentConfig(nu=(np.float64(1e-3), 1), cadence=1, dt=np.float32(0.5), t_final_value=2)
+    assert cfg.nu == (1e-3, 1.0) and all(type(v) is float for v in cfg.nu)
     # the zero profile has no amplitude to bound
     assert ExperimentConfig(shear="zero", eps_u=0.5).eps_u == 0.5
     cfg = ExperimentConfig(weights={"s": 1.5, "lambda0": 0.25})
@@ -361,6 +372,25 @@ def test_cli_fractional_integer_key_is_config_error(tmp_path, capsys):
         assert main(["--config", str(cfgfile), "run"]) == 2
         assert f"config.{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_cli_non_number_real_key_is_config_error(tmp_path, capsys):
+    # YAML reads true as a bool and 1e-2 (no dot) as text: neither is a number
+    base = {"ny": "48", "kmax": "1", "nu": "[1.0e-2]", "truncation_m": "2", "t_final_policy": "absolute",
+            "t_final_value": "0.4", "output_dir": str(tmp_path / "out")}
+    for key, text in (("nu", "true"), ("nu", "1e-2"), ("nu", "[1.0e-2, 1e-3]"), ("cadence", "true"),
+                      ("noise_floor", "false"), ("monotonicity_slack", "true"), ("dt", "1e-2"),
+                      ("t_final_value", "true"), ("eps_u", "1e-2")):
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text("".join(f"{k}: {v}\n" for k, v in {**base, key: text}.items()))
+        assert main(["--config", str(cfgfile), "run"]) == 2
+        assert f"config.{key}: must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_cli_negative_seed_is_config_error(capsys):
+    assert main(["--seed", "-1", "verify-identities", "--quick"]) == 2
+    assert "--seed: must be nonnegative" in capsys.readouterr().err
 
 
 def test_readme_config_block_matches_config(tmp_path):
