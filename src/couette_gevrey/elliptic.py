@@ -236,33 +236,34 @@ def spline_bump(y: np.ndarray, smoothness: int, half_width: float = 0.25) -> np.
 def interior_greens_response(
     grid: ChannelGrid,
     k: int,
-    t: float,
+    times,
     data_fn,
     support: tuple[float, float] = (-0.25, 0.25),
 ) -> np.ndarray:
     """phi_I(t) of mode k for free-transport forcing e^{-ikvt} g(v), flat coordinates
-    on the whole channel (-1, 1), with 96 Gauss points per panel.
+    on the whole channel (-1, 1), with 96 Gauss points per panel; one row of
+    the returned (len(times), ny+1) array per t in times.
 
     Quadrature panels are split at the evaluation point (kernel kink) and at
     the support edges (data kinks for spline bumps), so each panel has an
     analytic integrand.  Every node has the two panels [lo, c] and [c, hi]
     with c = clip(v, lo, hi); all nodes are evaluated at once, and a panel
-    of zero width gets weight 0.
+    of zero width gets weight 0.  The panels do not depend on t, so the
+    kernel and the data are evaluated once per panel; each t forms its
+    integrand as (G e^{-ikpt}) g, as a single-time evaluation does.
     """
     gl_x, gl_w = _gauss_legendre(96)
     lo, hi = support
     v = grid.nodes[:, None]
     c = np.clip(v, lo, hi)
-    out = np.zeros(grid.ny + 1, dtype=complex)
+    out = np.zeros((len(times), grid.ny + 1), dtype=complex)
     for a, b in ((lo, c), (c, hi)):
         pts = 0.5 * (a + b) + 0.5 * (b - a) * gl_x
         wts = 0.5 * (b - a) * gl_w
-        integrand = (
-            green_eval(k, v, pts, (-1.0, 1.0))
-            * np.exp(-1j * k * pts * t)
-            * data_fn(pts)
-        )
-        out += np.sum(wts * integrand, axis=1)
+        green = green_eval(k, v, pts, (-1.0, 1.0))
+        data = data_fn(pts)
+        for row, t in zip(out, times):
+            row += np.sum(wts * (green * np.exp(-1j * k * pts * t) * data), axis=1)
     return out
 
 

@@ -415,13 +415,11 @@ def damping_suite(k: int = 1, ny: int = 96, t_window: tuple[float, float] = (5.0
     times = np.geomspace(t_window[0], t_window[1], samples)
     out = {"k": k}
     smooth = lambda v: gevrey_bump(v, 0.24)
-    hist = [(t, interior_greens_response(grid, k, t, smooth, support=(-0.24, 0.24)))
-            for t in times]
+    hist = list(zip(times, interior_greens_response(grid, k, times, smooth, support=(-0.24, 0.24))))
     out["smooth_bump"] = damping_diagnostic(hist, grid, k, 0)
     for level in (1, 2, 3):
         data = lambda v, m=level: spline_bump(v, m)
-        hist = [(t, interior_greens_response(grid, k, t, data, support=(-0.25, 0.25)))
-                for t in times]
+        hist = list(zip(times, interior_greens_response(grid, k, times, data, support=(-0.25, 0.25))))
         out[f"spline_level_{level}"] = damping_diagnostic(hist, grid, k, level)
     return out
 

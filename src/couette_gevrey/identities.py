@@ -709,6 +709,57 @@ def check_boundary_lemma(stack, grid: ChannelGrid, tolerance: float = 1e-8) -> I
 # combinatorial lemmas
 
 
+_STRIP = 128    # terms a long row's rough sum reads at each end
+_FLOOR = -60.0  # rough sums skip terms below e^_FLOOR times their row's largest
+_BAND = 1e-12   # rows within this of the rough maximum are summed exactly
+_BLOCK = 64     # rows per rough-sum block
+
+
+def _exact_max(rough, ns, exact):
+    """max of exact(n) over ns, given rough[i] within 2.6e-13 relative of
+    exact(ns[i]) > 0: only the rows within _BAND of max(rough) are summed."""
+    return max(exact(int(n)) for n in ns[rough >= rough.max() * (1.0 - _BAND)])
+
+
+def _screened_maxima(ns, lo, off, log_term, power=0.0):
+    """(max, last-decade max) over n in ns of n^power sum_l exp(log_term(n, l)),
+    l = lo..n-off, each bit-identical to a loop over n summing 1-D rows.
+
+    Rough row sums are taken _BLOCK rows at a time. A row longer than
+    2 _STRIP reads its first and last _STRIP terms only: its terms are
+    log-convex in l (log binom(n, l) is concave, log l! convex), so those
+    between the strips lie below the two next to them, and the row is
+    summed in full unless both are below e^_FLOOR of its largest term.
+    Terms below that floor are skipped, so np.exp never sees an argument
+    below _FLOOR (it is 14-96x slower on denormal results).
+    The band holds: the loop's sum of <= 2001 positive terms is within
+    2000u < 2.3e-13 relative of the exact sum of its terms, a rough sum
+    (<= 256 kept terms, each within 4e-15 of the loop's; skipped terms
+    < 2001 e^-60 together) within 3e-14. So each rough sum is within
+    d < 2.6e-13 of its loop sum, and the row attaining the loop maximum
+    lies within 2d < _BAND of the rough maximum.
+    """
+    exact = lambda n: n**power * np.exp(log_term(n, np.arange(lo, n - off + 1))).sum()
+    rough = np.empty(len(ns))
+    j = np.arange(2 * _STRIP)
+    for b in range(0, len(ns), _BLOCK):
+        n = ns[b:b + _BLOCK, None]
+        hi = n - off
+        long = hi - lo >= 2 * _STRIP
+        valid = j <= hi - lo
+        l = np.where(long & (j >= _STRIP), hi - 2 * _STRIP + 1 + j, lo + j)
+        x = log_term(n, np.where(valid, l, lo))
+        top = x.max(axis=1, keepdims=True)
+        d = x - top
+        kept = (np.exp(np.maximum(d, _FLOOR)) * (valid & (d > _FLOOR))).sum(axis=1)
+        rough[b:b + len(n)] = n[:, 0]**power * np.exp(top[:, 0]) * kept
+        inner = np.clip(np.hstack([np.full_like(n, lo + _STRIP), hi - _STRIP]), lo, hi)
+        for i in np.flatnonzero(long[:, 0] & ((log_term(n, inner) - top).max(axis=1) >= _FLOOR)):
+            rough[b + i] = exact(int(n[i, 0]))
+    head = int(0.9 * len(ns))
+    return _exact_max(rough, ns, exact), _exact_max(rough[head:], ns[head:], exact)
+
+
 def check_combinatorics(which: str, n_max: int = 2000, zeta: float = 1.0,
                         params: WeightParams | None = None,
                         frak_c: float = 2.0,
@@ -723,48 +774,34 @@ def check_combinatorics(which: str, n_max: int = 2000, zeta: float = 1.0,
     Every kind reads log j! from one table lg[j] = log_factorial(j),
     j = 0..n_max+1, gathered once per call; log binom(n, l) is
     lg[n] - lg[l] - lg[n-l].
-    comb_boun builds the (m, l) grid of one n at a time with its gathered
-    table terms and broadcasts every t in t_samples over it at once; only
-    log phi(t), log lambda(t) and log(1+t^2) depend on t.
+    prod, prod2 and sum_comb take their maxima over n (and its last
+    decade) from `_screened_maxima`, bit-identical to a loop over n.
+    comb_boun builds the (m, l) grid of one n at a time, broadcasts every
+    t in t_samples over it and reads s (j log lambda(t) - log j!) from one
+    (T, n_max+1) table; only log phi(t), log lambda(t) and log(1+t^2)
+    depend on t.
     """
     if params is None:
         params = WeightParams()
     lg = log_factorial(np.arange(n_max + 2))
-    if which == "prod":
-        sups = []
-        for n in range(1, n_max + 1):
-            sups.append(np.exp(-zeta * (lg[n] - lg[: n + 1] - lg[n::-1])).sum())
-        sups = np.asarray(sups)
-        last_decade = sups[int(0.9 * len(sups)):]
-        growth = float(last_decade.max() - sups.max())
-        report = IdentityReport("comb_prod", max(growth, 0.0), n_max, 1e-12,
-                                details={"empirical_constant": float(sups.max()), "zeta": zeta})
-        if abs(zeta - 1.0) < 1e-14 and n_max >= 3:
+    inv_binom = lambda n, l: -zeta * (lg[n] - lg[l] - lg[n - l])
+    expo = params.sigma + params.sigma_star
+    rows = {  # report name, first n, first l, n - last l, log of term l, power of n
+        "prod": ("comb_prod", 1, 0, 0, inv_binom, 0.0),
+        "prod2": ("comb_prod2", 2, 1, 1, inv_binom, zeta),
+        "sum_comb": ("comb_sum", 1, 0, 1, lambda n, l: (n - l) * math.log(frak_c) - expo * (lg[n] - lg[l]), 0.0),
+    }
+    if which in rows:
+        name, first, lo, off, log_term, power = rows[which]
+        peak, late = _screened_maxima(np.arange(first, n_max + 1), lo, off, log_term, power)
+        extra = {"frak_c": frak_c} if which == "sum_comb" else {"zeta": zeta}
+        report = IdentityReport(name, max(float(late - peak), 0.0), n_max, 1e-12,
+                                details={"empirical_constant": float(peak), **extra})
+        if which == "prod" and abs(zeta - 1.0) < 1e-14 and n_max >= 3:
             exact = sum(Fraction(1, math.comb(3, j)) for j in range(4))
             report.details["exact_n3"] = float(exact)
             report.details["exact_n3_is_8_3"] = exact == Fraction(8, 3)
         return report
-    if which == "prod2":
-        vals = []
-        for n in range(2, n_max + 1):
-            vals.append(n**zeta * np.exp(-zeta * (lg[n] - lg[1:n] - lg[n - 1:0:-1])).sum())
-        vals = np.asarray(vals)
-        last = vals[int(0.9 * len(vals)):]
-        growth = float(last.max() - vals.max())
-        return IdentityReport("comb_prod2", max(growth, 0.0), n_max, 1e-12,
-                              details={"empirical_constant": float(vals.max()), "zeta": zeta})
-    if which == "sum_comb":
-        expo = params.sigma + params.sigma_star
-        sups = []
-        for n in range(1, n_max + 1):
-            ell = np.arange(0, n)
-            log_term = (n - ell) * math.log(frak_c) - expo * (lg[n] - lg[:n])
-            sups.append(np.exp(log_term).sum())
-        sups = np.asarray(sups)
-        last = sups[int(0.9 * len(sups)):]
-        growth = float(last.max() - sups.max())
-        return IdentityReport("comb_sum", max(growth, 0.0), n_max, 1e-12,
-                              details={"empirical_constant": float(sups.max()), "frak_c": frak_c})
     if which == "comb_boun":
         tab = GevreyCoeffTable(params)
         s = params.s
@@ -772,18 +809,19 @@ def check_combinatorics(which: str, n_max: int = 2000, zeta: float = 1.0,
         log_jap, log_phi, log_lam = np.array(
             [(-0.5 * math.log1p(t * t), math.log(tab.phi(t)), math.log(tab.lam(t))) for t in t_samples]
         ).T[:, :, None, None]
+        # s (j log lambda - log j!) for j = 0..n_max, as (T, n_max+1)
+        s_lam = s * (np.arange(n_max + 1) * log_lam[:, :, 0] - lg[: n_max + 1])
         worst_margin = -np.inf
         count = 0
         for n in range(5, n_max + 1):
             ll = np.arange(0, n // 2 + 1)
             mm = np.arange(0, n_max - n + 1)[:, None]
             mn, ml, nl = mm + n, mm + ll, n - ll
-            lg_mn, lg_ml, lg_nl = lg[mn], lg[ml], lg[nl]
-            log_binom = lg[n] - lg[ll] - lg_nl
+            log_binom = lg[n] - lg[ll] - lg[nl]
             log_rhs = ll * (s - 1.0) * math.log(0.5)
-            log_a_mn = s * (mn * log_lam - lg_mn) + (1 + n) * log_phi
-            log_a_ml = s * (ml * log_lam - lg_ml) + (1 + ll) * log_phi
-            log_a_0nl = s * (nl * log_lam - lg_nl) + (1 + nl) * log_phi
+            log_a_mn = s_lam[:, mn] + (1 + n) * log_phi
+            log_a_ml = s_lam[:, ml] + (1 + ll) * log_phi
+            log_a_0nl = s_lam[:, None, nl] + (1 + nl) * log_phi
             log_lhs = log_jap + log_a_mn + log_binom - log_a_ml - log_a_0nl
             worst_margin = max(worst_margin, float(np.max(log_lhs - log_rhs)))
             count += len(t_samples) * ml.size

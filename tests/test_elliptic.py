@@ -144,7 +144,7 @@ def test_k0_rejected(grid96, rng):
 def test_damping_slope_smooth(grid96):
     times = np.geomspace(5, 50, 12)
     gfun = lambda v: gevrey_bump(v, 0.24)
-    hist = [(t, interior_greens_response(grid96, 1, t, gfun, support=(-0.24, 0.24))) for t in times]
+    hist = list(zip(times, interior_greens_response(grid96, 1, times, gfun, support=(-0.24, 0.24))))
     fit = damping_diagnostic(hist, grid96, 1, 0)
     assert -2.3 <= fit["slope"] <= -1.7
     with pytest.raises(ValueError):
@@ -156,7 +156,7 @@ def test_damping_steepens_with_budget(grid96):
     slopes = []
     for level in (1, 2, 3):
         data = lambda v, m=level: spline_bump(v, m)
-        hist = [(t, interior_greens_response(grid96, 1, t, data, support=(-0.25, 0.25))) for t in times]
+        hist = list(zip(times, interior_greens_response(grid96, 1, times, data, support=(-0.25, 0.25))))
         slopes.append(damping_diagnostic(hist, grid96, 1, level)["slope"])
     assert slopes[0] > slopes[1] > slopes[2]
 
@@ -173,10 +173,12 @@ GREEN_RESPONSE_DATA = {
 @pytest.mark.parametrize("k", [1, 3])
 def test_interior_greens_response_matches_loop_oracle(grid96, name, k):
     data, support = GREEN_RESPONSE_DATA[name]
-    for t in (0.0, 5.0, 17.3, 50.0):
-        out = interior_greens_response(grid96, k, t, data, support=support)
+    times = (0.0, 5.0, 17.3, 50.0)
+    out = interior_greens_response(grid96, k, times, data, support=support)
+    assert out.shape == (len(times), grid96.ny + 1)
+    for row, t in zip(out, times):
         ref = loop_interior_greens_response(grid96, k, t, data, support=support)
-        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(row, ref)
 
 
 def test_interior_greens_response_support_on_nodes():
@@ -185,11 +187,12 @@ def test_interior_greens_response_support_on_nodes():
     edge = float(grid.nodes[10])
     assert -edge == grid.nodes[6]
     data = lambda v: spline_bump(v, 2, edge)
-    for t in (0.0, 3.0, 20.0):
-        out = interior_greens_response(grid, 2, t, data, support=(-edge, edge))
+    times = (0.0, 3.0, 20.0)
+    out = interior_greens_response(grid, 2, times, data, support=(-edge, edge))
+    for row, t in zip(out, times):
         ref = loop_interior_greens_response(grid, 2, t, data, support=(-edge, edge))
-        np.testing.assert_array_equal(out, ref)
-        np.testing.assert_array_equal(np.signbit(out.imag), np.signbit(ref.imag))
+        np.testing.assert_array_equal(row, ref)
+        np.testing.assert_array_equal(np.signbit(row.imag), np.signbit(ref.imag))
 
 
 def test_damping_k_scaling(grid96):
@@ -201,8 +204,7 @@ def test_damping_k_scaling(grid96):
     norms = {}
     for k in (1, 2):
         data = lambda v, m=level: spline_bump(v, m)
-        late = [interior_greens_response(grid96, k, t, data, support=(-0.25, 0.25))
-                for t in times[-4:]]
+        late = interior_greens_response(grid96, k, times[-4:], data, support=(-0.25, 0.25))
         norms[k] = np.mean([np.max(np.abs(star * phi)) for phi in late])
     measured = (norms[2] / norms[1]) ** 2  # squared-functional ratio
     target = 2.0 ** (-2 * level)

@@ -219,6 +219,13 @@ COMBINATORICS_CASES = (
      for n in (200, 2000) for zeta in (0.5, 1.0, 2.0)]
     + [("sum_comb", dict(n_max=n, frak_c=c)) for n in (100, 500) for c in (1.0, 2.0, 4.0)]
     + [("comb_boun", dict(n_max=n)) for n in (60, 200)]
+    # rows crossing the two-strip length (prod rows have n+1 terms, sum_comb
+    # rows n, prod2 rows n-1), and exponents where the strips fall short of
+    # the floor (0.1) or reach it deep inside the denormal range (3.0)
+    + [(which, dict(n_max=n, zeta=zeta)) for which in ("prod", "prod2")
+       for n in (255, 256, 257, 258) for zeta in (0.1, 1.0, 3.0)]
+    + [(which, dict(n_max=2000, zeta=zeta)) for which in ("prod", "prod2") for zeta in (0.1, 3.0)]
+    + [("sum_comb", dict(n_max=n, frak_c=2.0)) for n in (256, 257, 258)]
 )
 
 
@@ -233,6 +240,37 @@ def test_combinatorics_match_loop_oracle(which, kwargs):
     assert rep.max_abs_residual == ref.max_abs_residual
     assert rep.samples == ref.samples
     assert rep.details == ref.details
+
+
+def test_exact_max_resums_rows_within_the_band():
+    # rows 2 and 3 lie within the band of each other on their rough sums;
+    # their exact sums decide, although row 3's rough sum is the smaller
+    rough = np.array([1.0, 2.0, 2.0 * (1 - 4e-13), 1.5])
+    exact = {1: 1.0, 2: 2.0 * (1 - 1e-13), 3: 2.0, 4: 1.5}
+    assert idn._exact_max(rough, np.arange(1, 5), exact.__getitem__) == 2.0
+    # a row outside the band is never summed
+    assert idn._exact_max(np.array([1.0, 2.0]), np.arange(1, 3), {2: 7.0}.__getitem__) == 7.0
+
+
+@pytest.mark.parametrize("zeta, full_rows", [(0.1, set(range(256, 2001))), (1.0, set())])
+def test_screened_maxima_sum_long_rows_in_full_only_where_strips_fall_short(zeta, full_rows):
+    # prod's rows: 0.1 log binom(2000, 128) < 60, so at zeta = 0.1 no strip
+    # reaches e^-60 and every long row is summed in full; at zeta = 1 only
+    # the candidates of the two maxima are
+    lg = idn.log_factorial(np.arange(2002))
+    summed = []
+
+    def inv_binom(n, l):
+        if np.ndim(l) == 1:  # a whole row, summed as the loop sums it
+            summed.append(n)
+        return -zeta * (lg[n] - lg[l] - lg[n - l])
+
+    peak, late = idn._screened_maxima(np.arange(1, 2001), 0, 0, inv_binom)
+    assert full_rows <= set(summed)
+    if not full_rows:
+        assert len(summed) <= 4
+    ref = [np.exp(-zeta * (lg[n] - lg[: n + 1] - lg[n::-1])).sum() for n in range(1, 2001)]
+    assert (peak, late) == (max(ref), max(ref[1800:]))
 
 
 def test_theta_search_verifies():
