@@ -223,6 +223,11 @@ def gamma_ladder(d1: np.ndarray, values: np.ndarray, v_y, n: int,
     return out
 
 
+# the largest top-quarter Chebyshev fraction (``ChannelGrid.spectral_tail``)
+# of a Gamma-stack level that still counts as resolved
+TAIL_TOL = 1e-4
+
+
 @dataclass
 class GammaStack:
     """Table of |k|^m q^n Gamma_k^n omega_k for m + n <= M."""
@@ -234,15 +239,9 @@ class GammaStack:
     gamma_pows: np.ndarray  # Gamma^n omega, n = 0..M, shape (M+1, ny+1)
     q_pows: np.ndarray  # q(y)^n, n = 0..M, shape (M+1, ny+1)
     tails: np.ndarray  # spectral tail per n
-    tail_tol: float = 1e-4
-
-    def entry(self, m: int, n: int) -> np.ndarray:
-        if m < 0 or n < 0 or m + n > self.M:
-            raise KeyError((m, n))
-        return abs(self.k) ** m * self.q_pows[n] * self.gamma_pows[n]
 
     def trusted(self, n: int) -> bool:
-        return bool(self.tails[n] <= self.tail_tol)
+        return bool(self.tails[n] <= TAIL_TOL)
 
 
 def shell_pairs(M: int) -> list[tuple[int, int]]:
@@ -257,9 +256,10 @@ def build_gamma_stack(
     M: int,
     grid: ChannelGrid,
     t: float | None = None,
-    tail_tol: float = 1e-4,
 ) -> GammaStack:
-    """n-fold Gamma_k application to mode k's values, then scaling with q^n |k|^m."""
+    """Gamma_k^n omega_k for n = 0..M, the shared q^n table and the spectral
+    tail of each level; a level is trusted while its tail is at most
+    ``TAIL_TOL``.  The |k|^m factors are applied where the stack is read."""
     if M < 0:
         raise ValueError("M must be nonnegative")
     if t is None:
@@ -279,5 +279,4 @@ def build_gamma_stack(
         gamma_pows=gamma_pows,
         q_pows=q_pows,
         tails=tails,
-        tail_tol=tail_tol,
     )

@@ -224,15 +224,6 @@ def decompose_phi(
 # free transport responses and the damping fit
 
 
-def spline_bump(y: np.ndarray, smoothness: int, half_width: float = 0.25) -> np.ndarray:
-    """(h^2 - y^2)_+^m, a C^{m-1} bump: finite vector-field budget data."""
-    y = np.asarray(y, dtype=float)
-    core = np.maximum(half_width**2 - y * y, 0.0)
-    out = core**smoothness
-    peak = half_width ** (2 * smoothness)
-    return out / peak
-
-
 def interior_greens_response(
     grid: ChannelGrid,
     k: int,
@@ -252,7 +243,7 @@ def interior_greens_response(
     kernel and the data are evaluated once per panel; each t forms its
     integrand as (G e^{-ikpt}) g, as a single-time evaluation does.
     """
-    gl_x, gl_w = _gauss_legendre(96)
+    gl_x, gl_w = _gauss_legendre()
     lo, hi = support
     v = grid.nodes[:, None]
     c = np.clip(v, lo, hi)

@@ -35,7 +35,6 @@ from .elliptic import (
     eval_elliptic_functionals,
     interior_geometry,
     interior_greens_response,
-    spline_bump,
 )
 from .functionals import EvalContext, full_report, truncation_tail
 from .scalar import (
@@ -44,6 +43,7 @@ from .scalar import (
     default_initial_data,
     gevrey_bump,
     initial_state,
+    spline_bump,
     step_scalar,
 )
 from .spectral import ChannelGrid, green_matrix
@@ -52,6 +52,12 @@ from .weights import WeightParams, build_cascade
 
 # criterion c08: the largest Theta(T)/Theta(0) over the smallest, across nu
 UNIFORMITY_LIMIT = 2.0
+# the largest rise of Theta = E + int(D + CK) a monotone run may show, relative to Theta(0)
+MONOTONICITY_SLACK = 0.05
+# `damping` exits 0 when the smooth bump's decay slope lies in this range
+DAMPING_SLOPE_RANGE = (-2.3, -1.7)
+# `decompose` exits 0 when every mode's sum residual is below this
+DECOMPOSE_RESIDUAL_LIMIT = 1e-6
 
 
 class ConfigError(ValueError):
@@ -72,19 +78,16 @@ class ExperimentConfig:
     truncation_m: int = 6
     output_dir: str = "out"
     cadence: float = 0.25
-    formats: tuple[str, ...] = ("csv", "json")
     noise_floor: float = 1e-8
-    data_power: int = 16
     dt: float | None = None
-    monotonicity_slack: float = 0.05
 
     def __post_init__(self):
-        for key in ("schema_version", "ny", "kmax", "truncation_m", "data_power"):
+        for key in ("schema_version", "ny", "kmax", "truncation_m"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"config.{key}: must be an integer, not {value!r}")
         reals = [("nu", v) for v in self.nu] + [(key, getattr(self, key)) for key in (
-            "t_final_value", "eps_u", "cadence", "noise_floor", "dt", "monotonicity_slack")]
+            "t_final_value", "eps_u", "cadence", "noise_floor", "dt")]
         for key, value in reals:
             if value is None and key in ("t_final_value", "dt"):
                 continue
@@ -112,19 +115,12 @@ class ExperimentConfig:
             raise ConfigError("config.dt: must be > 0")
         if not self.cadence > 0.0:
             raise ConfigError("config.cadence: must be > 0")
-        unknown = set(self.formats) - {"csv", "json"}
-        if unknown:
-            raise ConfigError(f"config.formats: unknown formats {sorted(unknown)}")
         try:
             make_profile(self.shear, self.eps_u)
         except ValueError as exc:
             raise ConfigError(f"config.{'eps_u' if self.shear in PROFILES else 'shear'}: {exc}") from exc
         if not 0.0 <= self.noise_floor < 1.0:
             raise ConfigError("config.noise_floor: must lie in [0, 1)")
-        if self.data_power < 1:
-            raise ConfigError("config.data_power: must be at least 1")
-        if not self.monotonicity_slack >= 0.0:
-            raise ConfigError("config.monotonicity_slack: must be >= 0")
         if self.truncation_m < 0 or self.truncation_m > 12:
             raise ConfigError("config.truncation_m: hard cap is 12")
 
@@ -155,8 +151,6 @@ class ExperimentConfig:
             raise ConfigError(f"config: unknown keys {sorted(unknown)}")
         if "nu" in raw:
             raw["nu"] = tuple(raw["nu"]) if isinstance(raw["nu"], (list, tuple)) else (raw["nu"],)
-        if "formats" in raw and isinstance(raw["formats"], list):
-            raw["formats"] = tuple(raw["formats"])
         try:
             return cls(**raw)
         except TypeError as exc:
@@ -165,7 +159,6 @@ class ExperimentConfig:
     def to_json(self) -> dict:
         d = asdict(self)
         d["nu"] = list(self.nu)
-        d["formats"] = list(self.formats)
         return d
 
 
@@ -201,7 +194,7 @@ def _setup(config: ExperimentConfig, nu: float):
     cascade = build_cascade(params, max(config.truncation_m + 2, 8))
     ctx = EvalContext(grid, params, cascade, nu=nu, floor_rel=config.noise_floor)
     profile = make_profile(config.shear, config.eps_u)
-    state = initial_state(grid, nu, default_initial_data(grid, config.kmax, power=config.data_power))
+    state = initial_state(grid, nu, default_initial_data(grid, config.kmax))
     coord = init_coordinates(profile, grid, nu)
     dt = config.dt if config.dt is not None else default_dt(config.kmax)
     return grid, ctx, profile, state, coord, dt
@@ -288,7 +281,7 @@ def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = No
     )
     integral = np.concatenate([[0.0], np.cumsum(np.diff(ts) * 0.5 * (decay_rate[1:] + decay_rate[:-1]))])
     theta_series = e_gamma + integral
-    slack = config.monotonicity_slack * theta_series[0] if theta_series[0] > 0 else 0.0
+    slack = MONOTONICITY_SLACK * theta_series[0] if theta_series[0] > 0 else 0.0
     running_min = np.minimum.accumulate(theta_series)
     worst_rise = float(np.max(theta_series - running_min)) if len(theta_series) else 0.0
     result = {
@@ -320,7 +313,7 @@ def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = No
         },
     }
     if out_dir is not None:
-        _write_run_files(config, grid, coord, result, out_dir)
+        _write_run_files(grid, coord, result, out_dir)
     return result
 
 
@@ -328,23 +321,21 @@ def run_single_nu(config: ExperimentConfig, nu: float, out_dir: Path | None = No
 _UNSUMMARIZED = ("series", "timings")
 
 
-def _write_run_files(config, grid, coord, result, out_dir: Path):
+def _write_run_files(grid, coord, result, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = f"nu{result['nu']:.0e}"
-    if "csv" in config.formats:
-        keys = sorted(
-            k for k, v in result["series"][0].items() if not isinstance(v, list)
-        )
-        lines = [",".join(keys)]
-        for row in result["series"]:
-            lines.append(",".join(repr(_stable(row[k])) for k in keys))
-        (out_dir / f"series_{tag}.csv").write_text("\n".join(lines) + "\n")
-        (out_dir / f"coordinates_{tag}.csv").write_text(coord.export_csv(grid))
-    if "json" in config.formats:
-        summary = {k: v for k, v in result.items() if k not in _UNSUMMARIZED}
-        _json_dump(summary, out_dir / f"summary_{tag}.json")
-        # timings change from run to run: they stay out of the summaries
-        (out_dir / f"timings_{tag}.json").write_text(_timings_json(result["timings"]))
+    keys = sorted(
+        k for k, v in result["series"][0].items() if not isinstance(v, list)
+    )
+    lines = [",".join(keys)]
+    for row in result["series"]:
+        lines.append(",".join(repr(_stable(row[k])) for k in keys))
+    (out_dir / f"series_{tag}.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / f"coordinates_{tag}.csv").write_text(coord.export_csv(grid))
+    summary = {k: v for k, v in result.items() if k not in _UNSUMMARIZED}
+    _json_dump(summary, out_dir / f"summary_{tag}.json")
+    # timings change from run to run: they stay out of the summaries
+    (out_dir / f"timings_{tag}.json").write_text(_timings_json(result["timings"]))
 
 
 def run(config: ExperimentConfig) -> dict:
@@ -364,8 +355,7 @@ def run(config: ExperimentConfig) -> dict:
         ratios = [r["theta_ratio"] for r in results if r["theta_ratio"] > 0]
         report["uniformity_ratio"] = max(ratios) / min(ratios) if ratios else float("inf")
         report["uniform"] = bool(report["uniformity_ratio"] <= UNIFORMITY_LIMIT)
-    if "json" in config.formats:
-        _json_dump(report, out_dir / "summary.json")
+    _json_dump(report, out_dir / "summary.json")
     report["_full"] = results
     return report
 
@@ -409,10 +399,9 @@ def identity_suite(ny: int = 96, seed: int = 0, quick: bool = False) -> list[dic
 # damping and decomposition drivers
 
 
-def damping_suite(k: int = 1, ny: int = 96, t_window: tuple[float, float] = (5.0, 50.0),
-                  samples: int = 16) -> dict:
+def damping_suite(k: int = 1, ny: int = 96) -> dict:
     grid = ChannelGrid(ny)
-    times = np.geomspace(t_window[0], t_window[1], samples)
+    times = np.geomspace(5.0, 50.0, 16)
     out = {"k": k}
     smooth = lambda v: gevrey_bump(v, 0.24)
     hist = list(zip(times, interior_greens_response(grid, k, times, smooth, support=(-0.24, 0.24))))
@@ -525,8 +514,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "damping":
             out = damping_suite(k=args.k, ny=args.ny)
             print(json.dumps(out, sort_keys=True))
-            slope = out["smooth_bump"]["slope"]
-            return 0 if -2.3 <= slope <= -1.7 else 1
+            lo, hi = DAMPING_SLOPE_RANGE
+            return 0 if lo <= out["smooth_bump"]["slope"] <= hi else 1
         if args.command == "decompose":
             out = decompose_suite(config, nu=args.nu, t_stop=args.t)
             printable = {k: v for k, v in out.items() if not k.startswith("_")}
@@ -539,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
                 (out_dir / f"decompose_k{k}_t{out['t']:.3f}.csv").write_text(csv)
             print(json.dumps(printable, sort_keys=True, default=_stable))
             worst = max(out["sum_residuals"].values()) if out["sum_residuals"] else 0.0
-            return 0 if worst < 1e-6 else 1
+            return 0 if worst < DECOMPOSE_RESIDUAL_LIMIT else 1
         if args.command == "report":
             summary = Path(config.output_dir) / "summary.json"
             if not summary.exists():

@@ -55,15 +55,16 @@ def gevrey_bump(y: np.ndarray, half_width: float = 0.125) -> np.ndarray:
     return out
 
 
-def spline_initial_bump(y: np.ndarray, power: int = 16, half_width: float = 0.25) -> np.ndarray:
-    """(1 - (y/h)^2)_+^p: exactly supported in (-h, h), C^{p-1} smooth.
+def spline_bump(y: np.ndarray, power: int = 16, half_width: float = 0.25) -> np.ndarray:
+    """(1 - (y/h)^2)_+^p: exactly supported in (-h, h), C^{p-1} smooth, peak 1.
 
-    The default initial datum.  A compactly supported C-infinity bump of
-    this width is never spectrally resolved at practical grids (its
+    With p = 16 the default initial datum.  A compactly supported C-infinity
+    bump of this width is never spectrally resolved at practical grids (its
     Chebyshev coefficients decay only root-exponentially), which poisons
     the high vector-field stack entries; a finite-smoothness bump of high
     order keeps every Gamma-stack level through M = 6 representable while
-    satisfying the support condition exactly.
+    satisfying the support condition exactly.  With p = 1..3 it is the
+    finite vector-field budget data of the damping fits.
     """
     u = np.asarray(y, dtype=float) / half_width
     return np.maximum(1.0 - u * u, 0.0) ** power
@@ -96,11 +97,9 @@ class InitialData:
         return self
 
 
-def default_initial_data(grid: ChannelGrid, kmax: int | None = None, power: int = 16) -> InitialData:
-    """The spline bump (see ``spline_initial_bump``) over (1 + k^2), k = 0..kmax."""
-    if kmax is None:
-        kmax = grid.kmax
-    bump = spline_initial_bump(grid.nodes, power)
+def default_initial_data(grid: ChannelGrid, kmax: int) -> InitialData:
+    """The degree-16 ``spline_bump`` over (1 + k^2), k = 0..kmax."""
+    bump = spline_bump(grid.nodes)
     ks = range(0, kmax + 1)
     return InitialData(ks, [bump / (1.0 + k * k) for k in ks]).validate(grid)
 

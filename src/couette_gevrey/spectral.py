@@ -11,6 +11,7 @@ kernel quadrature solves on a moving interval.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,28 +287,20 @@ def green_eval(k: int | np.ndarray, v, vp, domain: tuple[float, float]):
     return val if val.shape else float(val)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 96-point Gauss-Legendre rule of every Green panel, built on first use."""
+    return np.polynomial.legendre.leggauss(96)
 
 
-def _gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    if npts not in _GL_CACHE:
-        _GL_CACHE[npts] = np.polynomial.legendre.leggauss(npts)
-    return _GL_CACHE[npts]
-
-
-def green_matrix(
-    grid: ChannelGrid,
-    ks,
-    domain: tuple[float, float] = (-1.0, 1.0),
-    npts: int = 96,
-) -> np.ndarray:
+def green_matrix(grid: ChannelGrid, ks, domain: tuple[float, float] = (-1.0, 1.0)) -> np.ndarray:
     """Kernel-quadrature matrices Q_k of (d_v^2 - k^2)^{-1} on ``domain``, one
     real (K, ny+1, ny+1) array for the wavenumbers ``ks``.
 
     The grid is interpreted as Chebyshev nodes mapped affinely onto
     ``domain``.  The kernel has a derivative kink at v = v', so row i splits
-    the integral at v_i and integrates each analytic piece with
-    Gauss-Legendre quadrature; the data enter through barycentric
+    the integral at v_i and integrates each analytic piece with the 96-point
+    Gauss-Legendre rule; the data enter through barycentric
     interpolation, so (Q_k @ f)_i approximates int G_k(v_i, v') f(v') dv'.
     Only the kernel depends on k: each node's two panels build their
     interpolation rows once and evaluate the kernel for every k at once.
@@ -317,7 +310,7 @@ def green_matrix(
     vm, vp = float(domain[0]), float(domain[1])
     mid = 0.5 * (vm + vp)
     half = 0.5 * (vp - vm)
-    gl_x, gl_w = _gauss_legendre(npts)
+    gl_x, gl_w = _gauss_legendre()
     kcol = np.asarray(ks, dtype=float).reshape(-1, 1)
     q = np.zeros((len(kcol), grid.ny + 1, grid.ny + 1))
     for i, v in enumerate(mid + half * grid.nodes):
@@ -338,17 +331,16 @@ def green_solve(
     rhs: np.ndarray,
     k: int,
     domain: tuple[float, float] = (-1.0, 1.0),
-    npts: int = 96,
     matrix: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve (d_v^2 - k^2) phi = rhs by quadrature against the Green kernel.
 
-    ``matrix`` is ``green_matrix(grid, [k], domain, npts)[0]``, built here
-    when not given; callers solving repeatedly on one (k, domain) pass it in.
+    ``matrix`` is ``green_matrix(grid, [k], domain)[0]``, built here when
+    not given; callers solving repeatedly on one (k, domain) pass it in.
     """
     if k == 0:
         raise SingularSolveError("k=0 not covered by the sinh kernel")
     if matrix is None:
-        matrix = green_matrix(grid, [k], domain, npts)[0]
+        matrix = green_matrix(grid, [k], domain)[0]
     out = (matrix @ np.ascontiguousarray(rhs, dtype=complex).view(float).reshape(-1, 2)).view(complex)
     return out.ravel()

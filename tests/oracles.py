@@ -12,7 +12,7 @@ from scipy.linalg.lapack import dgetrs
 
 from couette_gevrey.coordinates import gamma_ladder
 from couette_gevrey.identities import IdentityReport
-from couette_gevrey.spectral import SingularSolveError, _gauss_legendre, _parity_sizes, green_eval
+from couette_gevrey.spectral import SingularSolveError, _parity_sizes, green_eval
 from couette_gevrey.weights import GevreyCoeffTable, WeightParams, eval_q, eval_W, eval_W_derivatives, log_factorial
 
 
@@ -510,7 +510,7 @@ def loop_green_matrix(grid, k, domain=(-1.0, 1.0), npts=96):
     vm, vp = float(domain[0]), float(domain[1])
     mid = 0.5 * (vm + vp)
     half = 0.5 * (vp - vm)
-    gl_x, gl_w = _gauss_legendre(npts)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(npts)
     q = np.zeros((grid.ny + 1, grid.ny + 1))
     for i, v in enumerate(mid + half * grid.nodes):
         for lo, hi in ((vm, v), (v, vp)):

@@ -21,11 +21,6 @@ from oracles import (
 
 from couette_gevrey import identities as idn
 from couette_gevrey.coordinates import build_gamma_stack, couette_state, quartic_profile, init_coordinates
-from couette_gevrey.elliptic import (
-    damping_diagnostic,
-    interior_greens_response,
-    spline_bump,
-)
 from couette_gevrey.functionals import (
     eval_ck,
     eval_dissipation,
@@ -33,12 +28,18 @@ from couette_gevrey.functionals import (
     eval_icc,
     eval_sources,
 )
-from couette_gevrey.harness import UNIFORMITY_LIMIT, ExperimentConfig, decompose_suite, run_single_nu
+from couette_gevrey.harness import (
+    DAMPING_SLOPE_RANGE,
+    UNIFORMITY_LIMIT,
+    ExperimentConfig,
+    damping_suite,
+    decompose_suite,
+    run_single_nu,
+)
 from couette_gevrey.scalar import (
     InitialData,
     default_dt,
     exact_transport,
-    gevrey_bump,
     initial_state,
     step_scalar,
 )
@@ -267,17 +268,10 @@ def test_c06_free_transport_conservation():
 
 
 def test_c07_inviscid_damping():
-    grid = ChannelGrid(96)
-    times = np.geomspace(5.0, 50.0, 16)
-    data = lambda v: gevrey_bump(v, 0.24)
-    hist = list(zip(times, interior_greens_response(grid, 1, times, data, support=(-0.24, 0.24))))
-    fit = damping_diagnostic(hist, grid, 1, 0)
-    ok = -2.3 <= fit["slope"] <= -1.7
-    slopes = []
-    for level in (1, 2, 3):
-        dfun = lambda v, m=level: spline_bump(v, m)
-        hist = list(zip(times, interior_greens_response(grid, 1, times, dfun, support=(-0.25, 0.25))))
-        slopes.append(damping_diagnostic(hist, grid, 1, level)["slope"])
+    out = damping_suite(k=1, ny=96)
+    fit = out["smooth_bump"]
+    ok = DAMPING_SLOPE_RANGE[0] <= fit["slope"] <= DAMPING_SLOPE_RANGE[1]
+    slopes = [out[f"spline_level_{level}"]["slope"] for level in (1, 2, 3)]
     ok &= slopes[0] > slopes[1] > slopes[2]
     _line(7, "inviscid damping: slope in [-2.3,-1.7], steepening with the budget",
           ok, f"slope={fit['slope']:.2f} levels={['%.2f' % s for s in slopes]}")

@@ -212,16 +212,13 @@ def test_stack_structure(grid64, rng):
     flat = couette_state(grid64, 0.3)
     vals = np.exp(-6 * grid64.nodes**2) * (1 + 0.2j)
     stack = build_gamma_stack(vals, 3, flat, 3, grid64, t=0.3)
-    assert np.array_equal(stack.entry(0, 0), vals)
+    assert np.array_equal(stack.gamma_pows[0], vals)
     q = eval_q(grid64.nodes)
-    expected = 3.0 * q * stack.gamma_pows[1]
-    assert np.allclose(stack.entry(1, 1), expected)
-    # q vanishes at the walls, so n >= 1 entries do too
+    assert np.array_equal(stack.q_pows, [q**n for n in range(4)])
+    # q vanishes at the walls, so the n >= 1 rows do too
     for n in (1, 2, 3):
-        assert stack.entry(0, n)[0] == 0.0
-        assert stack.entry(0, n)[-1] == 0.0
-    with pytest.raises(KeyError):
-        stack.entry(2, 2)
+        assert stack.q_pows[n][0] == 0.0
+        assert stack.q_pows[n][-1] == 0.0
 
 
 def test_stack_trust_flags(grid64):

@@ -23,15 +23,14 @@ from couette_gevrey.elliptic import (
     decompose_phi,
     eval_elliptic_functionals,
     interior_greens_response,
-    spline_bump,
 )
-from couette_gevrey.scalar import gevrey_bump, spline_initial_bump
+from couette_gevrey.scalar import gevrey_bump, spline_bump
 from couette_gevrey.spectral import ChannelGrid, l2_norm, poisson_mode_solve
 from couette_gevrey.weights import cutoff_transition
 
 
 def interior_field(grid, rng):
-    env = spline_initial_bump(grid.nodes, 12, 0.3)
+    env = spline_bump(grid.nodes, 12, 0.3)
     coef = rng.normal(size=5) + 1j * rng.normal(size=5)
     poly = sum(c * grid.nodes**j for j, c in enumerate(coef))
     return env * poly

@@ -57,27 +57,25 @@ def test_config_validation():
     for bad in (dict(dt=-0.01), dict(dt=0.0),
                 dict(t_final_policy="absolute", t_final_value=-1.0),
                 dict(t_final_policy="absolute", t_final_value=0.0),
-                dict(cadence=0.0), dict(cadence=-0.25),
-                dict(formats=("xml",)), dict(formats=("csv", "xml"))):
+                dict(cadence=0.0), dict(cadence=-0.25)):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
     # values the run would only reject, or misread, once it had started
     for bad in (dict(shear="quartic", eps_u=0.5), dict(shear="sin_quartic", eps_u=0.5),
                 dict(shear="quartic", eps_u=-1.0), dict(shear="quartic", eps_u=float("nan")),
-                dict(data_power=0), dict(data_power=-2),
-                dict(monotonicity_slack=-0.5), dict(noise_floor=-1.0), dict(noise_floor=2.0)):
+                dict(noise_floor=-1.0), dict(noise_floor=2.0)):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
     # integer keys take integers: a fraction would fail inside the run, and
     # YAML's true would run as 1
-    for key in ("schema_version", "ny", "kmax", "truncation_m", "data_power"):
+    for key in ("schema_version", "ny", "kmax", "truncation_m"):
         for bad in (64.5, 2.5, 1.0, True, "64"):
             with pytest.raises(ConfigError, match=f"config.{key}"):
                 ExperimentConfig(**{key: bad})
     assert ExperimentConfig(ny=np.int64(48)).ny == 48
     # real-valued keys take numbers: YAML's true would run as 1, and its 1e-2
     # (read as text) would fail without naming the key
-    for key in ("t_final_value", "eps_u", "cadence", "noise_floor", "dt", "monotonicity_slack"):
+    for key in ("t_final_value", "eps_u", "cadence", "noise_floor", "dt"):
         for bad in (True, False, "1e-2", "0.5"):
             with pytest.raises(ConfigError, match=f"config.{key}: must be a number"):
                 ExperimentConfig(**{key: bad})
@@ -106,9 +104,8 @@ def test_config_shear_is_a_registered_profile():
             ExperimentConfig(shear=bad)
 
 
-def test_config_yaml_roundtrip(tmp_path):
-    path = tmp_path / "config.yaml"
-    path.write_text(yaml.safe_dump({
+def test_config_yaml_roundtrip(tmp_path, capsys):
+    keys = {
         "schema_version": 1,
         "ny": 48,
         "kmax": 1,
@@ -117,7 +114,9 @@ def test_config_yaml_roundtrip(tmp_path):
         "t_final_value": 0.5,
         "cadence": 0.25,
         "output_dir": str(tmp_path / "out"),
-    }))
+    }
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(keys))
     cfg = ExperimentConfig.from_yaml(path)
     assert cfg.ny == 48 and cfg.nu == (1e-2,)
     # flags override file keys
@@ -127,6 +126,14 @@ def test_config_yaml_roundtrip(tmp_path):
     bad.write_text("unknown_key: 1\n")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_yaml(bad)
+    # keys that are no longer settings are unknown too, and a run on them writes nothing
+    for key, value in (("formats", ["csv", "json"]), ("data_power", 16), ("monotonicity_slack", 0.05)):
+        bad.write_text(yaml.safe_dump({**keys, key: value}))
+        with pytest.raises(ConfigError, match=f"unknown keys.*{key}"):
+            ExperimentConfig.from_yaml(bad)
+        assert main(["--config", str(bad), "run"]) == 2
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_run_produces_report_and_files(tmp_path):
@@ -379,7 +386,7 @@ def test_cli_non_number_real_key_is_config_error(tmp_path, capsys):
     base = {"ny": "48", "kmax": "1", "nu": "[1.0e-2]", "truncation_m": "2", "t_final_policy": "absolute",
             "t_final_value": "0.4", "output_dir": str(tmp_path / "out")}
     for key, text in (("nu", "true"), ("nu", "1e-2"), ("nu", "[1.0e-2, 1e-3]"), ("cadence", "true"),
-                      ("noise_floor", "false"), ("monotonicity_slack", "true"), ("dt", "1e-2"),
+                      ("noise_floor", "false"), ("dt", "1e-2"),
                       ("t_final_value", "true"), ("eps_u", "1e-2")):
         cfgfile = tmp_path / "c.yaml"
         cfgfile.write_text("".join(f"{k}: {v}\n" for k, v in {**base, key: text}.items()))

@@ -1,5 +1,6 @@
-"""Every public top-level function and class, and every private top-level
-function, of the package is reached.
+"""Every public top-level function and class, every public method of a
+package class, and every private top-level function of the package is
+reached.
 
 A name counts as reached when it appears as a word in a code token other
 than on its own definition line: elsewhere in the package (``__init__.py``
@@ -21,12 +22,17 @@ PACKAGE = ROOT / "src" / "couette_gevrey"
 
 
 def _definitions(private: bool):
+    """(path, label, name, line) of every definition the guard covers."""
     kinds = (ast.FunctionDef,) if private else (ast.FunctionDef, ast.ClassDef)
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, kinds) and node.name.startswith("_") == private:
-                yield path, node.name, node.lineno
+                yield path, node.name, node.name, node.lineno
+            if not private and isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield path, f"{node.name}.{item.name}", item.name, item.lineno
 
 
 def _code_tokens():
@@ -48,10 +54,10 @@ def _code_tokens():
 def _unreached(private: bool):
     tokens = list(_code_tokens())
     unreached = []
-    for path, name, def_line in _definitions(private):
+    for path, label, name, def_line in _definitions(private):
         word = re.compile(rf"\b{re.escape(name)}\b")
         if not any(word.search(text) and (p, n) != (path, def_line) for p, n, text in tokens):
-            unreached.append(f"{path.stem}.{name}")
+            unreached.append(f"{path.stem}.{label}")
     return unreached
 
 

@@ -15,7 +15,7 @@ from couette_gevrey.scalar import (
     exact_transport,
     gevrey_bump,
     initial_state,
-    spline_initial_bump,
+    spline_bump,
     step_scalar,
 )
 from couette_gevrey.harness import ExperimentConfig, run_single_nu
@@ -61,7 +61,7 @@ def test_both_bump_profiles(grid64):
     # the spline bump is the default datum; the C-infinity bump (the damping
     # data) is admissible initial data too
     data = default_initial_data(grid64, 2)
-    assert np.array_equal(data.omega[1], spline_initial_bump(grid64.nodes) / 2.0)
+    assert np.array_equal(data.omega[1], spline_bump(grid64.nodes) / 2.0)
     gevrey = InitialData((1,), [gevrey_bump(grid64.nodes)]).validate(grid64)
     assert l2_norm(grid64, gevrey.omega[0]) > 0
 

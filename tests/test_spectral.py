@@ -339,10 +339,10 @@ def test_green_interior_smoothing(grid96):
     # derivatives away from the support; differentiate the explicit kernel
     import math
 
-    from couette_gevrey.scalar import spline_initial_bump
+    from couette_gevrey.scalar import spline_bump
 
     hw = 0.2
-    rhs_fn = lambda v: spline_initial_bump(v, 12, hw)
+    rhs_fn = lambda v: spline_bump(v, 12, hw)
     base = np.sqrt(np.trapezoid(rhs_fn(np.linspace(-hw, hw, 2000)) ** 2,
                                 np.linspace(-hw, hw, 2000)))
     k, L = 1, 2.0
