@@ -240,8 +240,9 @@ def interior_greens_response(
     analytic integrand.  Every node has the two panels [lo, c] and [c, hi]
     with c = clip(v, lo, hi); all nodes are evaluated at once, and a panel
     of zero width gets weight 0.  The panels do not depend on t, so the
-    kernel and the data are evaluated once per panel; each t forms its
-    integrand as (G e^{-ikpt}) g, as a single-time evaluation does.
+    kernel, the data and the phase -ikp are evaluated once per panel;
+    each t forms its integrand as (G e^{(-ikp)t}) g, as a single-time
+    evaluation's left-to-right -1j * k * p * t does.
     """
     gl_x, gl_w = _gauss_legendre()
     lo, hi = support
@@ -253,8 +254,9 @@ def interior_greens_response(
         wts = 0.5 * (b - a) * gl_w
         green = green_eval(k, v, pts, (-1.0, 1.0))
         data = data_fn(pts)
+        phase = -1j * k * pts
         for row, t in zip(out, times):
-            row += np.sum(wts * (green * np.exp(-1j * k * pts * t) * data), axis=1)
+            row += np.sum(wts * (green * np.exp(phase * t) * data), axis=1)
     return out
 
 

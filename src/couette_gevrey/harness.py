@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import sys
 import time
@@ -93,6 +94,12 @@ class ExperimentConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"config.{key}: must be a number, not {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise ConfigError(f"config.{key}: must be finite, not {value!r}")
         self.nu = tuple(float(v) for v in self.nu)
         if self.schema_version != 1:
             raise ConfigError("config.schema_version: only version 1 is understood")
@@ -416,8 +423,8 @@ def damping_suite(k: int = 1, ny: int = 96) -> dict:
 def decompose_suite(config: ExperimentConfig, nu: float | None = None, t_stop: float | None = None) -> dict:
     nu = nu if nu is not None else config.nu[0]
     t_stop = t_stop if t_stop is not None else config.t_final(nu) / 2.0
-    if t_stop < 0.0:
-        raise ConfigError("decompose --t: must be >= 0")
+    if not 0.0 <= t_stop < math.inf:
+        raise ConfigError("decompose --t: must be finite and >= 0")
     grid, ctx, profile, state, coord, dt = _setup(config, nu)
     while state.t < t_stop - 1e-12:
         state, coord = _advance(config, state, coord, min(dt, t_stop - state.t), profile)

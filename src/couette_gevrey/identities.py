@@ -709,14 +709,15 @@ def check_boundary_lemma(stack, grid: ChannelGrid, tolerance: float = 1e-8) -> I
 # combinatorial lemmas
 
 
-_STRIP = 128    # terms a long row's rough sum reads at each end
-_FLOOR = -60.0  # rough sums skip terms below e^_FLOOR times their row's largest
-_BAND = 1e-12   # rows within this of the rough maximum are summed exactly
-_BLOCK = 64     # rows per rough-sum block
+_STRIP = 64       # terms a long row's rough sum reads at each end
+_FLOOR = -60.0    # rough sums skip terms below e^_FLOOR times their row's largest
+_BAND = 1e-12     # rows within this of the rough maximum are summed exactly
+_BLOCK = 128      # rows per rough-sum block
+_FACE_BLOCK = 32  # n per comb_boun block
 
 
 def _exact_max(rough, ns, exact):
-    """max of exact(n) over ns, given rough[i] within 2.6e-13 relative of
+    """max of exact(n) over ns, given rough[i] within 2.5e-13 relative of
     exact(ns[i]) > 0: only the rows within _BAND of max(rough) are summed."""
     return max(exact(int(n)) for n in ns[rough >= rough.max() * (1.0 - _BAND)])
 
@@ -734,10 +735,10 @@ def _screened_maxima(ns, lo, off, log_term, power=0.0):
     below _FLOOR (it is 14-96x slower on denormal results).
     The band holds: the loop's sum of <= 2001 positive terms is within
     2000u < 2.3e-13 relative of the exact sum of its terms, a rough sum
-    (<= 256 kept terms, each within 4e-15 of the loop's; skipped terms
-    < 2001 e^-60 together) within 3e-14. So each rough sum is within
-    d < 2.6e-13 of its loop sum, and the row attaining the loop maximum
-    lies within 2d < _BAND of the rough maximum.
+    (<= 128 kept terms, each within 4e-15 of the loop's; skipped terms
+    < 2001 e^-60 together) within 127u + 4e-15 < 2e-14. So each rough sum
+    is within d < 2.5e-13 of its loop sum, and the row attaining the loop
+    maximum lies within 2d < _BAND of the rough maximum.
     """
     exact = lambda n: n**power * np.exp(log_term(n, np.arange(lo, n - off + 1))).sum()
     rough = np.empty(len(ns))
@@ -776,10 +777,20 @@ def check_combinatorics(which: str, n_max: int = 2000, zeta: float = 1.0,
     lg[n] - lg[l] - lg[n-l].
     prod, prod2 and sum_comb take their maxima over n (and its last
     decade) from `_screened_maxima`, bit-identical to a loop over n.
-    comb_boun builds the (m, l) grid of one n at a time, broadcasts every
-    t in t_samples over it and reads s (j log lambda(t) - log j!) from one
-    (T, n_max+1) table; only log phi(t), log lambda(t) and log(1+t^2)
-    depend on t.
+    comb_boun reads s (j log lambda(t) - log j!) from one (T, n_max+1)
+    table s_lam; only log phi(t), log lambda(t) and log(1+t^2) depend on
+    t. Its maximum over the index triangle lies on the face m = 0: since
+    s_lam[j+1] - s_lam[j] = s (log lambda - log(j+1)), the margin at
+    (t, m, n, l) exceeds the one at m+1 by s log((m+n+1)/(m+l+1)), and
+    as n - l >= 3 (5 <= n, l <= n/2) and m+n+1 <= n_max+1, that gap is
+    at least s log((n_max+1)/(n_max-2)) > 3s/(n_max+1) (2.3e-2 at
+    s = 1.5, n_max = 200). Each margin is formed in fewer than 40
+    roundings of values below 2^13 (2.7e3 at n_max = 200, 4.3e3 at
+    s = 3), each within 2^-40, so it errs by < 4e-11, far below the gap:
+    the floating-point maximum over m sits at m = 0 too. Only that face is
+    evaluated, _FACE_BLOCK values of n at a time, each element in the
+    full sweep's operation order, so the margin is bit-identical to the
+    sweep's; samples still counts the whole triangle.
     """
     if params is None:
         params = WeightParams()
@@ -812,19 +823,19 @@ def check_combinatorics(which: str, n_max: int = 2000, zeta: float = 1.0,
         # s (j log lambda - log j!) for j = 0..n_max, as (T, n_max+1)
         s_lam = s * (np.arange(n_max + 1) * log_lam[:, :, 0] - lg[: n_max + 1])
         worst_margin = -np.inf
-        count = 0
-        for n in range(5, n_max + 1):
-            ll = np.arange(0, n // 2 + 1)
-            mm = np.arange(0, n_max - n + 1)[:, None]
-            mn, ml, nl = mm + n, mm + ll, n - ll
+        for b in range(5, n_max + 1, _FACE_BLOCK):
+            n = np.arange(b, min(b + _FACE_BLOCK, n_max + 1))[:, None]
+            ll = np.arange(0, n[-1, 0] // 2 + 1)
+            valid = ll <= n // 2
+            nl = np.where(valid, n - ll, n)
             log_binom = lg[n] - lg[ll] - lg[nl]
             log_rhs = ll * (s - 1.0) * math.log(0.5)
-            log_a_mn = s_lam[:, mn] + (1 + n) * log_phi
-            log_a_ml = s_lam[:, ml] + (1 + ll) * log_phi
-            log_a_0nl = s_lam[:, None, nl] + (1 + nl) * log_phi
+            log_a_mn = s_lam[:, n] + (1 + n) * log_phi
+            log_a_ml = s_lam[:, None, ll] + (1 + ll) * log_phi
+            log_a_0nl = s_lam[:, nl] + (1 + nl) * log_phi
             log_lhs = log_jap + log_a_mn + log_binom - log_a_ml - log_a_0nl
-            worst_margin = max(worst_margin, float(np.max(log_lhs - log_rhs)))
-            count += len(t_samples) * ml.size
+            worst_margin = max(worst_margin, float(np.max(np.where(valid, log_lhs - log_rhs, -np.inf))))
+        count = len(t_samples) * sum((n_max - n + 1) * (n // 2 + 1) for n in range(5, n_max + 1))
         return IdentityReport("comb_boun", max(worst_margin, 0.0), count, 1e-12,
                               details={"worst_log_margin": worst_margin})
     raise ValueError(f"unknown combinatorial check {which!r}")

@@ -395,6 +395,43 @@ def test_cli_non_number_real_key_is_config_error(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_cli_non_finite_real_key_is_config_error(tmp_path, capsys):
+    # an infinite horizon would step forever, an infinite nu would run on
+    # NaNs, an infinite dt or cadence would fail mid-run, and an integer
+    # beyond the float range would fail converting
+    base = {"ny": "48", "kmax": "1", "nu": "[1.0e-2]", "truncation_m": "2", "t_final_policy": "absolute",
+            "t_final_value": "0.4", "output_dir": str(tmp_path / "out")}
+    for key, text in (("nu", "[.inf]"), ("nu", "[1.0e-2, .nan]"), ("t_final_value", ".inf"),
+                      ("t_final_value", ".nan"), ("eps_u", ".inf"), ("cadence", ".inf"),
+                      ("noise_floor", ".nan"), ("dt", ".inf"), ("dt", "-.inf"), ("nu", f"[1{'0' * 400}]")):
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text("".join(f"{k}: {v}\n" for k, v in {**base, key: text}.items()))
+        assert main(["--config", str(cfgfile), "run"]) == 2
+        assert f"config.{key}: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    for nu in ("inf", "nan"):
+        assert main(["--output-dir", str(tmp_path / "out"), "run", "--nu", nu]) == 2
+        assert "config.nu: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_cli_non_finite_decompose_time_is_config_error(tmp_path, capsys):
+    # nan would decompose at t = 0; inf would step forever, so that case runs
+    # in a subprocess whose timeout turns a hang into a failure
+    out_dir = tmp_path / "deco"
+    assert main(["--output-dir", str(out_dir), "decompose", "--nu", "1e-3", "--t", "nan"]) == 2
+    assert "decompose --t: must be finite" in capsys.readouterr().err
+    src = str(Path(harness.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "couette_gevrey.harness", "--output-dir", str(out_dir),
+                           "decompose", "--nu", "1e-3", "--t", "inf"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "decompose --t: must be finite" in proc.stderr
+    assert proc.stdout == ""
+    assert not out_dir.exists()
+
+
 def test_cli_negative_seed_is_config_error(capsys):
     assert main(["--seed", "-1", "verify-identities", "--quick"]) == 2
     assert "--seed: must be nonnegative" in capsys.readouterr().err

@@ -226,12 +226,30 @@ COMBINATORICS_CASES = (
        for n in (255, 256, 257, 258) for zeta in (0.1, 1.0, 3.0)]
     + [(which, dict(n_max=2000, zeta=zeta)) for which in ("prod", "prod2") for zeta in (0.1, 3.0)]
     + [("sum_comb", dict(n_max=n, frak_c=2.0)) for n in (256, 257, 258)]
+    # comb_boun's m = 0 face: the smallest triangles, the n-block edge, the
+    # extreme weight parameters and a late time
+    + [("comb_boun", dict(n_max=n)) for n in (5, 6, 7, 36, 37)]
+    + [("comb_boun", dict(n_max=80, params=idn.WeightParams(s=s, sigma=sigma)))
+       for s, sigma in ((1.2, 0.01), (3.0, 0.15))]
+    + [("comb_boun", dict(n_max=60, t_samples=(0.0, 1.0, 100.0, 1e4)))]
+    # rows crossing the current two-strip length
+    + [(which, dict(n_max=n, zeta=zeta)) for which in ("prod", "prod2")
+       for n in range(2 * idn._STRIP - 1, 2 * idn._STRIP + 3) for zeta in (0.1, 1.0, 3.0)]
+    + [("sum_comb", dict(n_max=n, frak_c=2.0)) for n in range(2 * idn._STRIP - 1, 2 * idn._STRIP + 3)]
 )
+
+
+def _case_value(v):
+    if isinstance(v, idn.WeightParams):
+        return f"s{v.s}-sigma{v.sigma}"
+    if isinstance(v, tuple):
+        return f"t{v[-1]}"
+    return f"{v}"
 
 
 @pytest.mark.parametrize(
     "which, kwargs", COMBINATORICS_CASES,
-    ids=[f"{w}-" + "-".join(f"{v}" for v in kw.values()) for w, kw in COMBINATORICS_CASES],
+    ids=[f"{w}-" + "-".join(_case_value(v) for v in kw.values()) for w, kw in COMBINATORICS_CASES],
 )
 def test_combinatorics_match_loop_oracle(which, kwargs):
     rep = idn.check_combinatorics(which, **kwargs)
@@ -240,6 +258,41 @@ def test_combinatorics_match_loop_oracle(which, kwargs):
     assert rep.max_abs_residual == ref.max_abs_residual
     assert rep.samples == ref.samples
     assert rep.details == ref.details
+
+
+@pytest.mark.parametrize("params", [idn.WeightParams(), idn.WeightParams(s=1.2, sigma=0.01),
+                                    idn.WeightParams(s=3.0, sigma=0.15)], ids=_case_value)
+def test_comb_boun_margin_peaks_on_the_m0_face(params):
+    # the full (t, m, l) margin grid of every n, formed as a sweep over m
+    # would form it: the maximum over m sits at m = 0, every value formed
+    # stays below 2^13, and each float step from m to m + 1 drops by far
+    # more than the docstring's rounding bound 4e-11
+    n_max, s = 80, params.s
+    tab = idn.GevreyCoeffTable(params)
+    ts = (0.0, 0.3, 0.7, 1.5, 3.0, 7.0, 15.0, 40.0, 120.0, 400.0)
+    lg = idn.log_factorial(np.arange(n_max + 2))
+    log_jap, log_phi, log_lam = np.array(
+        [(-0.5 * np.log1p(t * t), np.log(tab.phi(t)), np.log(tab.lam(t))) for t in ts]
+    ).T[:, :, None, None]
+    s_lam = s * (np.arange(n_max + 1) * log_lam[:, :, 0] - lg[: n_max + 1])
+    smallest_gap, largest = np.inf, np.abs(s_lam).max()
+    for n in range(5, n_max + 1):
+        ll = np.arange(0, n // 2 + 1)
+        mm = np.arange(0, n_max - n + 1)[:, None]
+        log_a_mn = s_lam[:, mm + n] + (1 + n) * log_phi
+        log_a_ml = s_lam[:, mm + ll] + (1 + ll) * log_phi
+        log_a_0nl = s_lam[:, None, n - ll] + (1 + n - ll) * log_phi
+        partial = [log_jap + log_a_mn]
+        partial.append(partial[-1] + (lg[n] - lg[ll] - lg[n - ll]))
+        partial.append(partial[-1] - log_a_ml)
+        partial.append(partial[-1] - log_a_0nl)
+        margin = partial[-1] - ll * (s - 1.0) * np.log(0.5)
+        largest = max(largest, *(np.abs(x).max() for x in (log_a_mn, log_a_ml, log_a_0nl, *partial, margin)))
+        assert (margin.argmax(axis=1) == 0).all()
+        if len(mm) > 1:
+            smallest_gap = min(smallest_gap, float(np.min(margin[:, :-1] - margin[:, 1:])))
+    assert largest < 2.0**13
+    assert smallest_gap > 1e6 * 4e-11
 
 
 def test_exact_max_resums_rows_within_the_band():
@@ -252,9 +305,9 @@ def test_exact_max_resums_rows_within_the_band():
     assert idn._exact_max(np.array([1.0, 2.0]), np.arange(1, 3), {2: 7.0}.__getitem__) == 7.0
 
 
-@pytest.mark.parametrize("zeta, full_rows", [(0.1, set(range(256, 2001))), (1.0, set())])
+@pytest.mark.parametrize("zeta, full_rows", [(0.1, set(range(2 * idn._STRIP, 2001))), (1.0, set())])
 def test_screened_maxima_sum_long_rows_in_full_only_where_strips_fall_short(zeta, full_rows):
-    # prod's rows: 0.1 log binom(2000, 128) < 60, so at zeta = 0.1 no strip
+    # prod's rows: 0.1 log binom(2000, 64) < 60, so at zeta = 0.1 no strip
     # reaches e^-60 and every long row is summed in full; at zeta = 1 only
     # the candidates of the two maxima are
     lg = idn.log_factorial(np.arange(2002))
