@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coordinates import CoordinateState, gamma_ladder, shell_pairs
-from .functionals import EvalContext, _icc_finish, _icc_ladder, in_index_set
+from .functionals import EvalContext, _icc_ladder, _icc_rows, in_index_set
 from .spectral import (
     ChannelGrid,
     _gauss_legendre,
@@ -316,12 +316,14 @@ def eval_elliptic_functionals(
     F_ell is reported for the phi_E parts, with the coefficient
     (2 lambda0)^(m+n) / (m+n)!.  Every value is read off ladders built once:
     per mode those of phi_I, its levels and phi_E, per (m, n) the J ladder.
+    Each (m, n)'s J rows and its F_ell row are floored in one call.
     """
     tab, grid = ctx.table, ctx.grid
     keys = ("J_ell_1", "J_ell_2", "J_ell_3", "E_ell_I_out", "E_ell_I_full", "F_ell_E")
     out = dict.fromkeys(keys, 0.0)
-    q = ctx.q
-    ones = np.ones_like(q)
+    # the J rows' (a, b, c) with 1 <= a + b + c <= 3 in the index set, per level n
+    j_terms = [[(a, b, ell - a - b) for ell in (1, 2, 3) for a in range(ell + 1)
+                for b in range(ell - a + 1) if in_index_set(a, b, ell - a - b, n)] for n in range(M + 1)]
     for k, dec in decomps.items():
         wk = hermitian_mode_weight(k)
         t = dec.t
@@ -343,19 +345,18 @@ def eval_elliptic_functionals(
             val_full = half * float(np.real(grid.integrate(np.abs(km * gam_i[n]) ** 2)))
             out["E_ell_I_full"] += wk * float(tab.B_hat(m, n, t)) ** 2 * val_full
 
-            # ||J^(ell)||^2: the J fields with a + b + c = ell in the index set
-            a2 = float(tab.a(m, n, t)) ** 2
+            # ||J^(ell)||^2 sums the J rows with a + b + c = ell, then F_ell's row;
+            # one dot per row, since a single rows @ weights product rounds differently
             ladder = _icc_ladder(gam_e[n], k, m, n, "J", coord, ctx, 3)
-            for ell in (1, 2, 3):
-                norm = 0.0
-                for a in range(ell + 1):
-                    for b in range(ell - a + 1):
-                        c = ell - a - b
-                        if in_index_set(a, b, c, n):
-                            norm += ctx.wsq(_icc_finish(ctx, ladder[b], a, c, m, n, k), ones)
+            fld = ctx.chi(m + n) * km * ctx.q**n * gam_e[n]
+            rows = np.vstack([_icc_rows(ctx, ladder, j_terms[n], m, n, k), fld])
+            sq = [float(row @ grid.quad_weights) for row in ctx.floor_rows(np.abs(rows)) ** 2]
+            norms = dict.fromkeys((1, 2, 3), 0.0)
+            for (a, b, c), val in zip(j_terms[n], sq):
+                norms[a + b + c] += val
+            a2 = float(tab.a(m, n, t)) ** 2
+            for ell, norm in norms.items():
                 out[f"J_ell_{ell}"] += wk * a2 * norm
-
             log_coef = (m + n) * math.log(2.0 * ctx.params.lambda0) - math.lgamma(m + n + 1.0)
-            fld = ctx.chi(m + n) * km * q**n * gam_e[n]
-            out["F_ell_E"] += wk * math.exp(log_coef) * ctx.wsq(fld, ones)
+            out["F_ell_E"] += wk * math.exp(log_coef) * sq[-1]
     return out

@@ -7,7 +7,9 @@ once to a table of weighted norms (rows: level and y-derivative order,
 columns: shell weight) and every family is a contraction of that table
 with coefficient arrays.  The coordinate fields Hbar, G and H are reduced
 the same way: one floored table of d_y orders 0-2 per dv-bar level, which
-the gamma and alpha families both read.
+the gamma and alpha families both read.  The elliptic J operators give one
+row ((m+n)/q)^a |k|^c dv-bar^b per (a, b, c) (``_icc_rows``), which
+``elliptic`` floors in one call with that (m, n)'s F_ell row.
 Sign conventions: the decaying factors phi and lambda enter the CK families
 through |phi'|/phi and |lambda'|/lambda so that every CK value is >= 0, and
 the W family uses sqrt(-d_t W) which is real since W decays in time.
@@ -117,11 +119,6 @@ class EvalContext:
         rows[mask] = 0.0
         self.floored_points += int(np.count_nonzero(mask))
         return rows
-
-    def wsq(self, values: np.ndarray, weight: np.ndarray) -> float:
-        """Quadrature of |values|^2 weight^2."""
-        integ = self.grid.integrate(self.floor_rows(np.abs(values)) ** 2 * weight**2)
-        return float(np.real(integ))
 
 
 def _dy_columns(grid: ChannelGrid, cols: np.ndarray) -> np.ndarray:
@@ -294,26 +291,6 @@ def in_index_set(a: int, b: int, c: int, n: int) -> bool:
     return a == 0 or a + b + c <= n
 
 
-def _divide_by_q_power(ctx: EvalContext, values: np.ndarray, a: int) -> np.ndarray:
-    """values / q^a with the wall limits taken from the linear branch of q.
-
-    Near y = +-1 the weight is exactly 99(1 -+ y), so the endpoint limit is
-    the a-th Taylor coefficient of the numerator: N/q^a -> (-+1)^a
-    N^{(a)}(+-1) / (a! 99^a).
-    """
-    if a == 0:
-        return values
-    out = np.empty_like(values, dtype=complex)
-    out[1:-1] = values[1:-1] / ctx.q[1:-1] ** a
-    deriv = values
-    for _ in range(a):
-        deriv = ctx.grid.d1 @ deriv
-    fact = math.factorial(a) * 99.0**a
-    out[0] = deriv[0] / fact
-    out[-1] = (-1.0) ** a * deriv[-1] / fact
-    return out
-
-
 def _icc_ladder(gam_n: np.ndarray, k: int, m: int, n: int, variant: str,
                 coord: CoordinateState, ctx: EvalContext, b: int) -> list[np.ndarray]:
     """Orders 0..b of d_y (S) or of dv-bar after chi_{m+n} (J) on |k|^m q^n Gamma^n f."""
@@ -321,15 +298,33 @@ def _icc_ladder(gam_n: np.ndarray, k: int, m: int, n: int, variant: str,
     base = abs(k) ** m * ctx.q ** n * gam_n
     if variant == "S":
         return gamma_ladder(grid.d1, base, 1.0, b)
-    if variant == "J":
-        return gamma_ladder(grid.d1, ctx.chi(m + n) * base, coord.v_y, b)
-    raise ValueError(f"unknown ICC variant {variant!r}")
+    return gamma_ladder(grid.d1, ctx.chi(m + n) * base, coord.v_y, b)
 
 
-def _icc_finish(ctx: EvalContext, values: np.ndarray, a: int, c: int, m: int, n: int,
-                k: int) -> np.ndarray:
-    """The boundary weight ((m+n)/q)^a and |k|^c applied to a ladder entry."""
-    return _divide_by_q_power(ctx, values, a) * float(m + n) ** a * abs(k) ** c
+def _icc_rows(ctx: EvalContext, ladder: list[np.ndarray], terms: list[tuple[int, int, int]],
+              m: int, n: int, k: int) -> np.ndarray:
+    """One row ((m+n)/q)^a |k|^c ladder[b] per (a, b, c) of ``terms``.
+
+    Near y = +-1 the weight is exactly 99(1 -+ y), so the wall limit of
+    N/q^a is the a-th Taylor coefficient of the numerator:
+    (-+1)^a N^{(a)}(+-1) / (a! 99^a).  Each ladder entry's d1 chain is taken
+    once, as deep as the largest a that any term asks of it.
+    """
+    chains = {}
+    for a, b, _ in terms:
+        chain = chains.setdefault(b, [ladder[b]])
+        while len(chain) <= a:
+            chain.append(ctx.grid.d1 @ chain[-1])
+    rows = np.array([ladder[b] for _, b, _ in terms], dtype=complex)
+    for row, (a, b, _) in zip(rows, terms):
+        if a > 0:
+            fact = math.factorial(a) * 99.0**a
+            row[1:-1] /= ctx.q[1:-1] ** a
+            row[0] = chains[b][a][0] / fact
+            row[-1] = (-1.0) ** a * chains[b][a][-1] / fact
+    rows *= np.array([[float(m + n) ** a] for a, _, _ in terms])
+    rows *= np.array([[abs(k) ** c] for _, _, c in terms])
+    return rows
 
 
 def eval_icc(
@@ -352,14 +347,16 @@ def eval_icc(
     """
     if min(a, b, c, m, n) < 0:
         raise ValueError("indices must be nonnegative")
+    if variant not in ("S", "J"):
+        raise ValueError(f"unknown ICC variant {variant!r}")
     if t is None:
         t = coord.t
     grid = ctx.grid
     if not in_index_set(a, b, c, n):
         return np.zeros(grid.ny + 1, dtype=complex), False
     gam = gamma_ladder(grid.d1, np.array(f_k, dtype=complex), coord.v_y, n, k, t)[-1]
-    out = _icc_ladder(gam, k, m, n, variant, coord, ctx, b)[-1]
-    return _icc_finish(ctx, out, a, c, m, n, k), True
+    ladder = _icc_ladder(gam, k, m, n, variant, coord, ctx, b)
+    return _icc_rows(ctx, ladder, [(a, b, c)], m, n, k)[0], True
 
 
 # ---------------------------------------------------------------------------

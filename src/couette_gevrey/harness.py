@@ -440,6 +440,7 @@ def decompose_suite(config: ExperimentConfig, nu: float | None = None, t_stop: f
     greens = green_matrix(grid, [k for k, _ in modes], geometry.domain)
     decomps = {k: decompose_phi(omega_k, k, coord, grid, geometry=geometry, green=green)
                for (k, omega_k), green in zip(modes, greens)}
+    del greens  # K (ny+1)^2 floats that the functionals below do not read
     funcs = eval_elliptic_functionals(decomps, coord, ctx, M=min(config.truncation_m, 4))
     return {
         "nu": nu,

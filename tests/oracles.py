@@ -31,6 +31,13 @@ def quad(grid, values):
     return float(np.real(sum(w * v for w, v in zip(grid.quad_weights, values))))
 
 
+def wsq(ctx, values, weight):
+    """Quadrature of |values|^2 weight^2, the values floored by ``ctx``:
+    one norm per call, the way the per-term loops take them."""
+    integ = ctx.grid.integrate(ctx.floor_rows(np.abs(values)) ** 2 * weight**2)
+    return float(np.real(integ))
+
+
 def floor_entry(values, tail, floor):
     """Zero |values| below max(floor_rel, multiplier * tail) times its peak.
 
@@ -703,20 +710,20 @@ def loop_elliptic_functionals(decomps, coord, ctx, M=4):
                             vals, ok = naive_icc(dec.phi_e, k, a, b, ell - a - b, m, n, "J",
                                                  coord, grid, cascade, t)
                             if ok:
-                                norm += ctx.wsq(vals, ones)
+                                norm += wsq(ctx, vals, ones)
                     out[f"J_ell_{ell}"] += wk * a2 * norm
         for total_mn in range(M + 1):
             for m in range(total_mn + 1):
                 n = total_mn - m
                 coef = math.exp((m + n) * math.log(2.0 * ctx.params.lambda0) - math.lgamma(m + n + 1.0))
                 fld = ctx.chi(m + n) * float(abs(k)) ** m * q**n * gam_e[n]
-                out["F_ell_E"] += wk * coef * ctx.wsq(fld, ones)
+                out["F_ell_E"] += wk * coef * wsq(ctx, fld, ones)
     return out
 
 
 def loop_coord_functionals(state, ctx, i_io, M):
     """The coordinate fields' E/D/CK for one family (i_io = 0 gamma, 1 alpha),
-    every Hbar, G and H term its own ``ctx.wsq`` quadrature in three loops."""
+    every Hbar, G and H term its own ``wsq`` quadrature in three loops."""
     t = state.t
     tab, p = ctx.table, ctx.params
     grid = ctx.grid
@@ -742,20 +749,20 @@ def loop_coord_functionals(state, ctx, i_io, M):
         fac = ctx.nu ** (i_io / 2.0) * th2 * (n + 1) ** (2.0 * p.s - 2.0) * pow_t
         base = d_y(hb_stack[n], i_io)
         w = ew_half * ctx.chi(n)
-        e += fac * an1**2 * ctx.wsq(base, w)
-        d += ctx.nu * fac * an1**2 * ctx.wsq(d_y(hb_stack[n], 1 + i_io), w)
-        ck += fac * an1**2 * ctx.wsq(base, swt * w)
-        ck += fac * (-an1 * an1_dot) * ctx.wsq(base, w)
+        e += fac * an1**2 * wsq(ctx, base, w)
+        d += ctx.nu * fac * an1**2 * wsq(ctx, d_y(hb_stack[n], 1 + i_io), w)
+        ck += fac * an1**2 * wsq(ctx, base, swt * w)
+        ck += fac * (-an1 * an1_dot) * wsq(ctx, base, w)
     out["E_Hbar"], out["D_Hbar"], out["CK_Hbar"] = float(e), float(d), float(ck)
 
     # G family; the n = 0 shell carries the <t>^(4 - 2 K_eps) weight
     th0 = tab.theta(0) ** 2
     pow0 = br ** (4.0 - 2.0 * p.K_eps)
     ones = np.ones_like(grid.nodes)
-    e = th0 * pow0 * ctx.wsq(d_y(g_stack[0], i_io), ones)
-    d = ctx.nu * th0 * pow0 * ctx.wsq(d_y(g_stack[0], 1 + i_io), ones)
-    ck = th0 * abs(4.0 - 2.0 * p.K_eps) * abs(t) * br ** (2.0 - 2.0 * p.K_eps) * ctx.wsq(
-        d_y(g_stack[0], i_io), ones
+    e = th0 * pow0 * wsq(ctx, d_y(g_stack[0], i_io), ones)
+    d = ctx.nu * th0 * pow0 * wsq(ctx, d_y(g_stack[0], 1 + i_io), ones)
+    ck = th0 * abs(4.0 - 2.0 * p.K_eps) * abs(t) * br ** (2.0 - 2.0 * p.K_eps) * wsq(
+        ctx, d_y(g_stack[0], i_io), ones
     )
     for n in range(1, M + 1):
         th2 = tab.theta(n) ** 2
@@ -763,10 +770,10 @@ def loop_coord_functionals(state, ctx, i_io, M):
         an_dot = float(tab.a_dot(0, n, t))
         base = d_y(g_stack[n], i_io)
         w = ew_half * ctx.chi(n - 1 + i_io)
-        e += th2 * an**2 * pow_t * ctx.wsq(base, w)
-        d += ctx.nu * th2 * an**2 * pow_t * ctx.wsq(d_y(g_stack[n], 1 + i_io), w)
-        ck += th2 * an**2 * pow_t * ctx.wsq(base, swt * w)
-        ck += th2 * (-an * an_dot) * pow_t * ctx.wsq(base, ctx.chi(n - 1 + i_io))
+        e += th2 * an**2 * pow_t * wsq(ctx, base, w)
+        d += ctx.nu * th2 * an**2 * pow_t * wsq(ctx, d_y(g_stack[n], 1 + i_io), w)
+        ck += th2 * an**2 * pow_t * wsq(ctx, base, swt * w)
+        ck += th2 * (-an * an_dot) * pow_t * wsq(ctx, base, ctx.chi(n - 1 + i_io))
     out["E_G"], out["D_G"], out["CK_G"] = float(e), float(d), float(ck)
 
     # H family
@@ -778,9 +785,9 @@ def loop_coord_functionals(state, ctx, i_io, M):
         fac = th2 * ctx.nu ** (i_io / 2.0)
         base = d_y(h_stack[n], i_io)
         w = ew_half * ctx.chi(n)
-        e += fac * an**2 * ctx.wsq(base, w)
-        d += ctx.nu * fac * an**2 * ctx.wsq(d_y(h_stack[n], 1 + i_io), w)
-        ck += fac * (-an * an_dot) * ctx.wsq(base, w)
-        ck += fac * an**2 * ctx.wsq(base, swt * w)
+        e += fac * an**2 * wsq(ctx, base, w)
+        d += ctx.nu * fac * an**2 * wsq(ctx, d_y(h_stack[n], 1 + i_io), w)
+        ck += fac * (-an * an_dot) * wsq(ctx, base, w)
+        ck += fac * an**2 * wsq(ctx, base, swt * w)
     out["E_H"], out["D_H"], out["CK_H"] = float(e), float(d), float(ck)
     return out

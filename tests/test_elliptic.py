@@ -262,7 +262,7 @@ def test_elliptic_functionals_match_loop_oracle(grid96, rng, params, cascade, sh
     # the folded Gamma ladders and J operators give the loops' bits exactly;
     # with diffusion the sheared v-interval is wider than the channel, so the
     # interior ladder's d_v is not d_y
-    ctx = make_ctx(grid96, params, cascade, 1e-3, floor=1e-8)
+    ctx, ctx_ref = (make_ctx(grid96, params, cascade, 1e-3, floor=1e-8) for _ in range(2))
     coord = couette_state(grid96, 2.0)
     if shear == "sin_quartic":
         prof = sin_quartic_profile(1 / 256)
@@ -278,17 +278,20 @@ def test_elliptic_functionals_match_loop_oracle(grid96, rng, params, cascade, sh
         decomps[k] = decompose_phi(om, k, coord, grid96)
     for M in (3, 4):  # 4 is the depth decompose_suite uses
         out = eval_elliptic_functionals(decomps, coord, ctx, M=M)
-        ref = loop_elliptic_functionals(decomps, coord, ctx, M=M)
+        ref = loop_elliptic_functionals(decomps, coord, ctx_ref, M=M)
         assert list(out) == list(ref)
         for key, val in out.items():
             assert val == ref[key], (M, key)
         assert out["J_ell_1"] > 0.0 and out["F_ell_E"] > 0.0
+        # the stacked rows zero the same points as the per-term floors
+        assert ctx.floored_points == ctx_ref.floored_points > 0, M
 
 
 def test_elliptic_functionals_build_each_ladder_once(grid96, rng, params, cascade, monkeypatch):
     # per mode: the Gamma ladders of phi_I and phi_E, one d_v ladder per
-    # interior level and one chi_{m+n} dv-bar ladder per (m, n)
-    calls = []
+    # interior level and one chi_{m+n} dv-bar ladder per (m, n); one floor
+    # per (m, n) takes its J rows and its F_ell row
+    calls, floors = [], []
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -297,12 +300,21 @@ def test_elliptic_functionals_build_each_ladder_once(grid96, rng, params, cascad
     monkeypatch.setattr(elliptic, "gamma_ladder", counting)
     monkeypatch.setattr(functionals, "gamma_ladder", counting)
     ctx = make_ctx(grid96, params, cascade, 1e-3)
+    floor_rows = ctx.floor_rows
+
+    def counting_floor(*args, **kwargs):
+        floors.append(1)
+        return floor_rows(*args, **kwargs)
+
+    monkeypatch.setattr(ctx, "floor_rows", counting_floor)
     coord = sheared_coordinate(quartic_profile(1 / 256), grid96, 30)
     decomps = {k: decompose_phi(interior_field(grid96, rng), k, coord, grid96) for k in (1, 2)}
     for M in (2, 4):
         calls.clear()
+        floors.clear()
         eval_elliptic_functionals(decomps, coord, ctx, M=M)
         assert len(calls) <= len(decomps) * (2 + (M + 1) + (M + 1) * (M + 2) // 2)
+        assert len(floors) <= len(decomps) * (M + 1) * (M + 2) // 2
 
 
 def test_decomposition_csv(grid96, rng):

@@ -192,6 +192,10 @@ def test_icc_trivial_and_cancellation(grid64, params, cascade):
     # outside the index set: zero field, flagged
     fld3, ok3 = eval_icc(f, 1, 2, 1, 0, 0, 2, "S", flat, ctx)
     assert not ok3 and np.max(np.abs(fld3)) == 0.0
+    # an unknown variant is rejected inside the index set and outside it
+    for a in (0, 2):
+        with pytest.raises(ValueError):
+            eval_icc(f, 1, a, 1, 0, 0, 2, "bogus", flat, ctx)
     assert in_index_set(0, 3, 0, 0)  # a = 0 always allowed
     assert not in_index_set(1, 1, 1, 2)
 
@@ -205,7 +209,9 @@ def test_icc_oracle(grid64, params, cascade, rng, variant):
     theta = np.arccos(np.clip(grid64.nodes, -1, 1))
     coef = rng.normal(size=6) + 1j * rng.normal(size=6)
     f = sum(c * np.cos(j * theta) for j, c in enumerate(coef))
-    for (a, b, c, m, n) in ((0, 0, 0, 1, 2), (1, 1, 0, 0, 3), (1, 0, 1, 2, 1), (2, 0, 0, 0, 2), (0, 2, 0, 0, 1)):
+    # up to a = 3: the deepest wall chains the J_ell terms take
+    for (a, b, c, m, n) in ((0, 0, 0, 1, 2), (1, 1, 0, 0, 3), (1, 0, 1, 2, 1), (2, 0, 0, 0, 2),
+                            (0, 2, 0, 0, 1), (3, 0, 0, 0, 3), (2, 1, 0, 1, 3), (1, 2, 0, 0, 3)):
         mine, ok1 = eval_icc(f, k, a, b, c, m, n, variant, coord, ctx, t=0.6)
         ref, ok2 = naive_icc(f, k, a, b, c, m, n, variant, coord, grid64, cascade, 0.6)
         assert ok1 == ok2
