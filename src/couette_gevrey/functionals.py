@@ -310,11 +310,13 @@ def _icc_rows(ctx: EvalContext, ladder: list[np.ndarray], terms: list[tuple[int,
     (-+1)^a N^{(a)}(+-1) / (a! 99^a).  Each ladder entry's d1 chain is taken
     once, as deep as the largest a that any term asks of it.
     """
+    # one complex copy of d1 for every chain, not one cast per product
+    d1 = ctx.grid.d1.astype(complex) if any(a for a, _, _ in terms) else None
     chains = {}
     for a, b, _ in terms:
         chain = chains.setdefault(b, [ladder[b]])
         while len(chain) <= a:
-            chain.append(ctx.grid.d1 @ chain[-1])
+            chain.append(d1 @ chain[-1])
     rows = np.array([ladder[b] for _, b, _ in terms], dtype=complex)
     for row, (a, b, _) in zip(rows, terms):
         if a > 0:

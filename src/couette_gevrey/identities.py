@@ -8,10 +8,13 @@ the source derivation carries ambiguous signs or indices, the implemented
 orientation is the one that closes the residual (a flipped sign would show
 as an O(1) failure); those resolutions are noted in the docstrings.
 
-Relations quoting negative powers of q (the n = 1 and n = 2 edge cases)
-are compared on interior nodes only: at the walls the individual printed
-terms diverge while their sum stays finite, and the finite collected form
-is used wherever a globally defined field is required.
+Each q-power relation keeps its one printed right side for every n >= 1.
+Where that side carries a negative power of q (q^{n-2} at n = 1 against
+d_yy or dv-bar^2, q^{n-3} in the Upsilon expansion at n = 2), its terms are
+infinite on the walls, where q = 0, while their sum stays finite: such a
+relation is compared on interior nodes only, and every other on all nodes.
+The finite collected form is used wherever a globally defined field is
+required.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coordinates import CoordinateState, gamma_ladder, shell_pairs
+from .coordinates import CoordinateState, _derived_state, gamma_ladder, shell_pairs
 from .spectral import ChannelGrid
 from .weights import (
     GevreyCoeffTable,
@@ -163,6 +166,8 @@ def check_commutator_relations(
         raise ValueError(f"unknown relation {which!r}")
     if not 0 <= n <= 4:
         raise ValueError("n must be within 0..4")
+    if which == "cm_pvv_q" and n != 1:
+        raise ValueError("cm_pvv_q is stated for n = 1 only")
     if np.any(coord.v_y <= 0):
         raise ValueError("degenerate coordinate")
     if t is None:
@@ -172,20 +177,13 @@ def check_commutator_relations(
     vy = coord.v_y
     vyy = d1 @ vy
     q, qp, qpp = q_jet(grid.nodes, 2)
-    fp = d1 @ f
-
-    def dvb(g):
-        return (d1 @ g) / vy
-
-    def gam_pow(g, count):
-        return gamma_ladder(d1, np.asarray(g, dtype=complex), vy, count, k, t)[-1]
-
-    def dvb_pow(g, count):
-        return gamma_ladder(d1, np.asarray(g, dtype=complex), vy, count)[-1]
-
     mask = np.ones(grid.ny + 1, dtype=bool)
     h = vy - 1.0
     zero = np.zeros_like(f)
+    gam = gamma_ladder(d1, f, vy, n, k, t)
+
+    def dvb(g):
+        return (d1 @ g) / vy
 
     def comm_dy(g):  # [d_y, Gamma] g, closed form
         return -dvb(h) * dvb(g)
@@ -195,103 +193,72 @@ def check_commutator_relations(
 
     def recursive_comm(base_comm, count):
         # unrolled recursion: [d, Gamma^count] = sum_j Gamma^j [d, Gamma] Gamma^{count-1-j}
-        out = base_comm(gam_pow(f, count - 1))
+        out = base_comm(gam[count - 1])
         for j in range(1, count):
-            out = out + gam_pow(base_comm(gam_pow(f, count - 1 - j)), j)
+            out = out + gamma_ladder(d1, base_comm(gam[count - 1 - j]), vy, j, k, t)[-1]
         return out
 
     if which == "cm_py_Gn":
         if n <= 1:
-            lhs = d1 @ gam_pow(f, n) - gam_pow(fp, n)
+            lhs = d1 @ gam[n] - gamma_ladder(d1, d1 @ f, vy, n, k, t)[-1]
         else:
             lhs = recursive_comm(comm_dy, n)
+        dvh = gamma_ladder(d1, h.astype(complex), vy, n)
         rhs = zero.copy()
         for ell in range(n):
-            rhs += 1j * k * t * math.comb(n, ell) * dvb_pow(h, n - ell) * gam_pow(f, ell)
+            rhs += 1j * k * t * math.comb(n, ell) * dvh[n - ell] * gam[ell]
         for ell in range(1, n + 1):
-            rhs -= math.comb(n, ell - 1) * dvb_pow(h, n - ell + 1) * gam_pow(f, ell)
+            rhs -= math.comb(n, ell - 1) * dvh[n - ell + 1] * gam[ell]
     elif which == "cm_pyy_Gn":
         if n <= 1:
-            lhs = d2 @ gam_pow(f, n) - gam_pow(d2 @ f, n)
+            lhs = d2 @ gam[n] - gamma_ladder(d1, d2 @ f, vy, n, k, t)[-1]
         else:
             lhs = recursive_comm(comm_dyy, n)
+        dvvyy = gamma_ladder(d1, vyy.astype(complex), vy, n)
         rhs = zero.copy()
         for ell in range(n):
-            gl = gam_pow(f, ell)
             rhs -= math.comb(n, ell) * (
-                2.0 * dvb_pow(vyy, n - ell - 1) * dvb(dvb(gl))
-                + dvb_pow(vyy, n - ell) * dvb(gl)
+                2.0 * dvvyy[n - ell - 1] * dvb(dvb(gam[ell]))
+                + dvvyy[n - ell] * dvb(gam[ell])
             )
-    elif which in ("cm_py_qn", "cm_pyy_qn", "cm_pv_qn", "cm_pvv_qn", "cm_pvv_q"):
+    else:
         # Products with q^n carry the unresolvable q-layer next to the
         # walls, so both sides are evaluated by exact jet differentiation
         # with closed-form test data instead of spectral collocation.
-        order = 2 if which in ("cm_pyy_qn", "cm_pvv_qn", "cm_pvv_q") else 1
-        fj = analytic_test_jet(grid.nodes, order)
-        qj = [q, qp, qpp][: order + 1]
-        vyj = gamma_ladder(d1, vy, 1.0, order)
-        f = fj[0]
-        fp = fj[1]
-        n_eff = 1 if which == "cm_pvv_q" else n
-        qnj = jet_pow(qj, n_eff)
-        prod = jet_mul(qnj, fj)
-        if which == "cm_py_qn":
-            lhs = prod[1] - qnj[0] * fj[1]
-            rhs = n * qp * q ** max(n - 1, 0) * f if n >= 1 else zero
-        elif which == "cm_pyy_qn":
-            lhs = prod[2] - qnj[0] * fj[2]
+        fj = analytic_test_jet(grid.nodes, 2)
+        f, fp = fj[0], fj[1]
+        vyj = gamma_ladder(d1, vy, 1.0, 2)
+        qnj = jet_pow([q, qp, qpp], n)
+        dv = lambda g: dvbar_jet(g, vyj)
+        op = {"py": lambda g: g[1], "pyy": lambda g: g[2],
+              "pv": lambda g: dv(g)[0], "pvv": lambda g: dv(dv(g))[0]}[which.split("_")[1]]
+        lhs = op(jet_mul(qnj, fj)) - qnj[0] * op(fj)
+        # the printed right sides, one for every n >= 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q1, q2 = q ** (n - 1.0), q ** (n - 2.0)
             if n == 0:
                 rhs = zero
-            elif n >= 2:
+            elif which == "cm_py_qn":
+                rhs = n * qp * q1 * f
+            elif which == "cm_pyy_qn":
                 rhs = (
-                    -(qp**2) * (n * n + n) * q ** (n - 2) * f
-                    + 2.0 * qp * (n * n * q ** (n - 2) * qp * f + n * q ** (n - 1) * fp)
-                    + qpp * n * q ** (n - 1) * f
+                    -(qp**2) * (n * n + n) * q2 * f
+                    + 2.0 * qp * (n * n * q2 * qp * f + n * q1 * fp)
+                    + qpp * n * q1 * f
                 )
-            else:  # n == 1: the printed 1/q pieces cancel; compare on interior
-                mask[[0, -1]] = False
-                dy_qf = prod[1]
-                rhs = zero.copy()
-                rhs[mask] = (
-                    -(qp[mask] ** 2) * 2.0 / q[mask] * f[mask]
-                    + 2.0 * qp[mask] / q[mask] * dy_qf[mask]
-                    + qpp[mask] * f[mask]
-                )
-        elif which == "cm_pv_qn":
-            lhs = dvbar_jet(prod, vyj)[0] - qnj[0] * dvbar_jet(fj, vyj)[0]
-            rhs = (qp / vy) * n * q ** max(n - 1, 0) * f if n >= 1 else zero
-        elif which == "cm_pvv_qn":
-            lhs = (
-                dvbar_jet(dvbar_jet(prod, vyj), vyj)[0]
-                - qnj[0] * dvbar_jet(dvbar_jet(fj, vyj), vyj)[0]
-            )
-            if n == 0:
-                rhs = zero
-            elif n >= 2:
+            elif which == "cm_pv_qn":
+                rhs = (qp / vy) * n * q1 * f
+            elif which == "cm_pvv_qn":
                 rhs = (
-                    2.0 * (qp / vy**2) * (n * n * q ** (n - 2) * qp * f + n * q ** (n - 1) * fp)
-                    + (qpp / vy**2) * n * q ** (n - 1) * f
-                    - (qp / vy**2) * (vyy / vy) * n * q ** (n - 1) * f
-                    - (qp**2 / vy**2) * (n * n + n) * q ** (n - 2) * f
+                    2.0 * (qp / vy**2) * (n * n * q2 * qp * f + n * q1 * fp)
+                    + (qpp / vy**2) * n * q1 * f
+                    - (qp / vy**2) * (vyy / vy) * n * q1 * f
+                    - (qp**2 / vy**2) * (n * n + n) * q2 * f
                 )
-            else:
-                mask[[0, -1]] = False
-                dy_qf = prod[1]
-                rhs = zero.copy()
-                rhs[mask] = (
-                    2.0 * (qp[mask] / vy[mask] ** 2) / q[mask] * dy_qf[mask]
-                    + (qpp[mask] / vy[mask] ** 2) * f[mask]
-                    - (qp[mask] / vy[mask] ** 2) * (vyy[mask] / vy[mask]) * f[mask]
-                    - (qp[mask] ** 2 / vy[mask] ** 2) * 2.0 / q[mask] * f[mask]
-                )
-        else:  # cm_pvv_q
-            lhs = (
-                dvbar_jet(dvbar_jet(prod, vyj), vyj)[0]
-                - q * dvbar_jet(dvbar_jet(fj, vyj), vyj)[0]
-            )
-            rhs = 2.0 * (qp / vy**2) * fp + (qpp / vy**2) * f - (qp / vy**3) * vyy * f
-    else:
-        raise AssertionError(which)
+            else:  # cm_pvv_q
+                rhs = 2.0 * (qp / vy**2) * fp + (qpp / vy**2) * f - (qp / vy**3) * vyy * f
+        if n == 1 and which in ("cm_pyy_qn", "cm_pvv_qn"):  # q^{n-2} is 1/q: interior only
+            mask[[0, -1]] = False
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(f))), 1e-300)
     res = float(np.max(np.abs((lhs - rhs)[mask])) / scale)
     return IdentityReport(f"commutator_{which}_n{n}", res, int(mask.sum()), tolerance)
@@ -339,39 +306,31 @@ class ManufacturedSetup:
         )
 
     def coord(self, t: float) -> CoordinateState:
-        grid = self.grid
-        w = self.w(t)
-        vy = 1.0 + grid.d1 @ w
         xi, xi_pp = self._shape()
         g = self.eps * (self.rho_dot(t) * xi - self.nu * self.rho(t) * xi_pp)
-        return CoordinateState(
-            t=t, w=w, v=grid.nodes + w, v_y=vy, G=g, H=vy - 1.0, Hbar=grid.d1 @ g
-        )
+        return _derived_state(self.grid, t, self.w(t), g)
+
+    def _omega_profile(self, t: float):
+        """eta(t), exp(-i k y t) and mu(y), whose product is omega."""
+        y = self.grid.nodes
+        mu = np.sin(2.0 * y + 0.3) * (1.0 - y * y) ** 12
+        return 1.0 / (1.0 + 0.3 * t * t), np.exp(-1j * self.k * y * t), mu
 
     def omega(self, t: float) -> np.ndarray:
-        y = self.grid.nodes
-        mu = np.sin(2.0 * y + 0.3) * (1.0 - y * y) ** 12
-        eta = 1.0 / (1.0 + 0.3 * t * t)
-        return eta * np.exp(-1j * self.k * y * t) * mu
+        eta, wave, mu = self._omega_profile(t)
+        return eta * wave * mu
 
     def omega_t(self, t: float) -> np.ndarray:
-        y = self.grid.nodes
-        mu = np.sin(2.0 * y + 0.3) * (1.0 - y * y) ** 12
-        eta = 1.0 / (1.0 + 0.3 * t * t)
-        eta_dot = -0.6 * t * eta * eta
-        return (eta_dot - 1j * self.k * y * eta) * np.exp(-1j * self.k * y * t) * mu
+        eta, wave, mu = self._omega_profile(t)
+        return (-0.6 * t * eta * eta - 1j * self.k * self.grid.nodes * eta) * wave * mu
 
     def forcing(self, t: float) -> np.ndarray:
         om = self.omega(t)
         lap = self.grid.d2 @ om - self.k**2 * om
         return self.omega_t(t) + 1j * self.k * (self.grid.nodes + self.u0(t)) * om - self.nu * lap
 
-    def gamma_pow(self, values: np.ndarray, t: float, count: int) -> np.ndarray:
-        vy = self.coord(t).v_y
-        return gamma_ladder(self.grid.d1, np.asarray(values, dtype=complex), vy, count, self.k, t)[-1]
-
     def omega_ring(self, m: int, n: int, t: float) -> np.ndarray:
-        gam = self.gamma_pow(self.omega(t), t, n)
+        gam = gamma_ladder(self.grid.d1, self.omega(t), self.coord(t).v_y, n, self.k, t)[-1]
         return abs(self.k) ** m * eval_q(self.grid.nodes) ** n * gam
 
 
@@ -399,28 +358,21 @@ def mode_equation_rhs(setup: ManufacturedSetup, m: int, n: int, t: float) -> dic
     coord = setup.coord(t)
     q = eval_q(grid.nodes)
     vy = coord.v_y
-
-    def dvb_pow(g, count):
-        return gamma_ladder(grid.d1, np.asarray(g, dtype=complex), vy, count)[-1]
-
-    omega = setup.omega(t)
+    gam = gamma_ladder(grid.d1, setup.omega(t), vy, n, k, t)
+    dv_g = gamma_ladder(grid.d1, coord.G.astype(complex), vy, n)
+    dv_vy2 = gamma_ladder(grid.d1, (vy**2).astype(complex), vy, n)
     km = float(abs(k)) ** m
-    f_term = km * q**n * setup.gamma_pow(setup.forcing(t), t, n)
+    f_term = km * q**n * gamma_ladder(grid.d1, setup.forcing(t), vy, n, k, t)[-1]
     c_trans = np.zeros_like(f_term)
     c_visc = np.zeros_like(f_term)
-    vy2 = vy**2
     for ell in range(1, n + 1):
-        c_trans -= (
-            km * q**n * math.comb(n, ell)
-            * dvb_pow(coord.G, ell)
-            * setup.gamma_pow(omega, t, n - ell + 1)
-        )
+        c_trans -= km * q**n * math.comb(n, ell) * dv_g[ell] * gam[n - ell + 1]
         c_visc += (
             nu * km * q**n * math.comb(n, ell)
-            * dvb_pow(vy2, ell)
-            * dvb_pow(setup.gamma_pow(omega, t, n - ell), 2)
+            * dv_vy2[ell]
+            * gamma_ladder(grid.d1, gam[n - ell], vy, 2)[-1]
         )
-    gam_n = km * setup.gamma_pow(omega, t, n)
+    gam_n = km * gam[n]
     c_q = c_q_collected(grid, nu, n, gam_n)
     return {"F": f_term, "C_trans": c_trans, "C_visc": c_visc, "C_q": c_q}
 
@@ -483,8 +435,7 @@ def check_upsilon_identity(
 
     g = q^n h with wall-flat analytic h stands in for a stack entry; the
     left side is the spectral derivative of the collected C_q values, the
-    right side the printed three-term expansion.  For n = 2 the individual
-    right-hand terms carry q^{-1} and the comparison is interior-only.
+    right side the printed three-term expansion.
     """
     if n < 2:
         raise ValueError("the expansion is stated for n >= 2")
@@ -501,27 +452,21 @@ def check_upsilon_identity(
     term3 = jet_mul(qppj, jet_mul(jet_pow(qj, n - 1), hj1))
     lhs = -nu * (n * (n - 1) * term1[1] + 2.0 * n * term2[1] + n * term3[1])
     ups1, ups2, ups3 = upsilon_coefficients(grid, n)
-    mask = np.ones(grid.ny + 1, dtype=bool)
     # expand each bracket against g = q^n h so only q^{n-3} appears:
     #   (n/q) d_yy g, (n^2/q^2) d_y g, (n^3/q^3) g
-    b1 = (
-        n * n * (n - 1) * q ** max(n - 3, 0) * qp**2 * h
-        + n * n * q ** (n - 2) * qpp * h
-        + 2.0 * n * n * q ** (n - 2) * qp * hp
-        + n * q ** (n - 1) * hpp
-    )
-    b2 = n**3 * q ** max(n - 3, 0) * qp * h + n * n * q ** (n - 2) * hp
-    b3 = n**3 * q ** max(n - 3, 0) * h
-    if n == 2:
-        # q^{n-3} is q^{-1}: compare on interior nodes with explicit division
-        mask[[0, -1]] = False
-        b1 = b1.copy()
-        b2 = b2.copy()
-        b3 = b3.copy()
-        b1[mask] += n * n * (n - 1) * (1.0 / q[mask] - 1.0) * qp[mask] ** 2 * h[mask]
-        b2[mask] += n**3 * (1.0 / q[mask] - 1.0) * qp[mask] * h[mask]
-        b3[mask] += n**3 * (1.0 / q[mask] - 1.0) * h[mask]
-    rhs = nu * (ups1 * b1 + ups2 * b2 + ups3 * b3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q3 = q ** (n - 3.0)
+        b1 = (
+            n * n * (n - 1) * q3 * qp**2 * h
+            + n * n * q ** (n - 2) * qpp * h
+            + 2.0 * n * n * q ** (n - 2) * qp * hp
+            + n * q ** (n - 1) * hpp
+        )
+        b2 = n**3 * q3 * qp * h + n * n * q ** (n - 2) * hp
+        b3 = n**3 * q3 * h
+        rhs = nu * (ups1 * b1 + ups2 * b2 + ups3 * b3)
+    mask = np.ones(grid.ny + 1, dtype=bool)
+    mask[[0, -1]] = n != 2  # q^{n-3} is 1/q at n = 2: interior only
     scale = max(float(np.max(np.abs(lhs))), 1e-300)
     res = float(np.max(np.abs((lhs - rhs)[mask])) / scale)
     report = IdentityReport(f"upsilon_n{n}", res, int(mask.sum()), tolerance)
@@ -665,31 +610,21 @@ def check_faa_commutator(
 def check_boundary_lemma(stack, grid: ChannelGrid, tolerance: float = 1e-8) -> IdentityReport:
     """Wall values of Re[d_y ring * conj(d_yy ring)] vanish except n = 1.
 
-    The wall derivatives are assembled in the factored form d_y(q^n G_n) =
-    n q^{n-1} q' G_n + q^n d_y G_n with analytic q factors, so the exact
-    vanishing forced by q(+-1) = 0 is realized exactly for n >= 2.  For
-    n = 0 the vanishing relies on the trace d_yy omega_k(+-1) = 0 that the
-    equation enforces with wall-compatible forcing, so the residual there
-    reflects the solver's boundary compatibility.  The n = 1 value is
-    finite and reported against the |d_y ring_{m,0}|^2 wall bound shape.
+    The wall derivatives are the Leibniz products of the analytic jet of
+    q^n with G_n and its spectral derivatives, so the exact vanishing forced
+    by q(+-1) = 0 is realized exactly for n >= 2.  For n = 0 the vanishing
+    relies on the trace d_yy omega_k(+-1) = 0 that the equation enforces
+    with wall-compatible forcing, so the residual there reflects the
+    solver's boundary compatibility.  The n = 1 value is finite and
+    reported against the |d_y ring_{m,0}|^2 wall bound shape.
     """
-    q, qp, qpp = q_jet(grid.nodes, 2)
+    qj = q_jet(grid.nodes, 2)
     worst = 0.0
     details = {}
     scale = 1e-300
     for m, n in shell_pairs(stack.M):
         g_n = abs(stack.k) ** m * stack.gamma_pows[n]
-        dg = grid.d1 @ g_n
-        ddg = grid.d1 @ dg
-        qa = q ** max(n - 1, 0) if n >= 1 else np.zeros_like(q)
-        qb = q ** max(n - 2, 0) if n >= 2 else np.zeros_like(q)
-        dy = (n * qa * qp * g_n if n >= 1 else 0.0) + q**n * dg
-        dyy = (
-            (n * (n - 1) * qb * qp**2 * g_n if n >= 2 else 0.0)
-            + (n * qa * qpp * g_n if n >= 1 else 0.0)
-            + (2.0 * n * qa * qp * dg if n >= 1 else 0.0)
-            + q**n * ddg
-        )
+        _, dy, dyy = jet_mul(jet_pow(qj, n), gamma_ladder(grid.d1, g_n, 1.0, 2))
         prod = np.real(dy * np.conj(dyy))
         scale = max(scale, float(np.max(np.abs(prod[1:-1]))))
         wall = max(abs(prod[0]), abs(prod[-1]))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from oracles import loop_check_combinatorics, loop_find_theta_params, loop_theta_worst_ratio
@@ -50,9 +52,42 @@ def test_ad_expansion_hand_case():
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_commutator_relations(which, n, grid, coord):
     if which == "cm_pvv_q" and n != 1:
-        pytest.skip("single fixed power")
+        # the relation is stated for q itself; a report named _n{n} must check n
+        with pytest.raises(ValueError):
+            idn.check_commutator_relations(which, n, 2, coord, grid, t=1.0)
+        return
     rep = idn.check_commutator_relations(which, n, 2, coord, grid, t=1.0)
     assert rep.pass_, f"{rep.name}: {rep.max_abs_residual:.3e}"
+
+
+# every relation at n = 0..3, cm_pvv_q at its one power
+COMMUTATOR_CASES = [(which, n) for which in idn.COMMUTATOR_RELATIONS for n in range(4)
+                    if which != "cm_pvv_q" or n == 1]
+
+
+def test_identity_checks_raise_no_floating_point_warnings(grid, coord):
+    # the printed right sides divide by q = 0 on the walls; those nodes are
+    # masked and the division must stay silent
+    stack = build_gamma_stack(idn.wall_flat_test_field(grid), 1, couette_state(grid, 1.0), 3, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for which, n in COMMUTATOR_CASES:
+            idn.check_commutator_relations(which, n, 2, coord, grid, t=1.0)
+        for n in (2, 3, 4):
+            idn.check_upsilon_identity(n, grid)
+        idn.check_boundary_lemma(stack, grid)
+
+
+def test_walls_dropped_only_where_a_q_power_is_negative(grid, coord):
+    # q^{n-2} at n = 1 (d_yy and dv-bar^2 against q^n) and q^{n-3} at n = 2
+    # (Upsilon) are the only negative powers; every other check reads all nodes
+    interior = {("cm_pyy_qn", 1), ("cm_pvv_qn", 1)}
+    for which, n in COMMUTATOR_CASES:
+        rep = idn.check_commutator_relations(which, n, 2, coord, grid, t=1.0)
+        assert rep.samples == (grid.ny - 1 if (which, n) in interior else grid.ny + 1), rep.name
+    for n in (2, 3, 4):
+        rep = idn.check_upsilon_identity(n, grid)
+        assert rep.samples == (grid.ny - 1 if n == 2 else grid.ny + 1), rep.name
 
 
 def test_commutator_flat_q_structure(grid):
