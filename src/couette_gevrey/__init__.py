@@ -16,12 +16,11 @@ from .coordinates import (
 )
 from .functionals import (
     EvalContext,
-    eval_ck,
     eval_coord_functionals,
-    eval_dissipation,
-    eval_energy,
     eval_icc,
     eval_sources,
+    full_report,
+    stack_values,
 )
 from .scalar import (
     InitialData,

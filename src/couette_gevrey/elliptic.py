@@ -8,6 +8,9 @@ part absorbs the rest by one collocation solve.  The interior equation
 contains its own solution on the right through the coordinate defect
 v_y^2 - 1, which is assumption-small, so a Picard iteration converges
 geometrically (in flat coordinates it terminates after one pass).
+``decompose_phi`` splits every nonzero mode of one time in one call: the
+modes share the interval, hence the geometry and the Green table, and each
+runs its own iteration.
 """
 
 from __future__ import annotations
@@ -147,31 +150,34 @@ def interior_geometry(grid: ChannelGrid, coord: CoordinateState) -> InteriorGeom
 
 
 def decompose_phi(
-    omega_k: np.ndarray,
-    k: int,
+    ks,
+    omega: np.ndarray,
     coord: CoordinateState,
     grid: ChannelGrid,
     tol: float = 1e-10,
-    geometry: InteriorGeometry | None = None,
-    green: np.ndarray | None = None,
-) -> PhiDecomposition:
-    """Split the stream function of mode k into interior and exterior parts.
+) -> dict[int, PhiDecomposition]:
+    """Split the stream function of every nonzero mode at ``coord.t`` into
+    interior and exterior parts; row j of ``omega`` is mode ``ks[j]``.
 
     Interior: (d_v^2 - k^2) phi_I = chi~_1^c w(y(v)) + chi~_1^c (-Z d_v^2
     - (d_v Z)/2 d_v) phi_I with Z = v_y^2 - 1, solved by Picard iteration
     with the Green kernel.  Exterior: one Dirichlet Helmholtz solve for the
     remaining forcing.  The sum reproduces the direct stream solve.
 
-    ``geometry`` is ``interior_geometry(grid, coord)`` and ``green`` this
-    mode's slice of ``green_matrix(grid, ks, geometry.domain)``; both are
-    built here when not given, so a caller decomposing every mode at one
-    time builds them once and passes them in.
+    The modes share the time, hence the interior geometry and the
+    interpolation rows of the Green table: both are built once here, and
+    each mode runs its own Picard loop on its slice of the table.  The
+    k = 0 mode is outside the elliptic layer and gets no decomposition.
     """
-    if k == 0:
-        raise ValueError("k = 0 is outside the elliptic layer")
-    geo = interior_geometry(grid, coord) if geometry is None else geometry
-    if green is None:
-        green = green_matrix(grid, [k], geo.domain)[0]
+    geo = interior_geometry(grid, coord)
+    modes = [(k, omega_k) for k, omega_k in zip(ks, omega) if k != 0]
+    greens = green_matrix(grid, [k for k, _ in modes], geo.domain)
+    return {k: _decompose_mode(omega_k, k, geo, green, coord.t, grid, tol)
+            for (k, omega_k), green in zip(modes, greens)}
+
+
+def _decompose_mode(omega_k, k, geo: InteriorGeometry, green, t, grid: ChannelGrid, tol) -> PhiDecomposition:
+    """One mode's Picard loop and exterior solve, on its Green table ``green``."""
     dv, z_at_v, dz, chic = geo.dv, geo.z_at_v, geo.dz, geo.chic
     base = chic * (geo.at_v @ omega_k)
     flat = geo.coupling < 1e-14
@@ -181,7 +187,7 @@ def decompose_phi(
     rhs = base.astype(complex)
     while True:
         iterations += 1
-        phi_new = green_solve(grid, rhs, k, matrix=green)
+        phi_new = green_solve(green, rhs)
         delta = np.max(np.abs(phi_new - phi))
         scale = max(np.max(np.abs(phi_new)), 1e-300)
         phi = phi_new
@@ -201,23 +207,19 @@ def decompose_phi(
     rhs_e = geo.chi1_y * omega_k + geo.chi1_y * (geo.to_y @ corr_v)
     phi_e = poisson_mode_solve(grid, rhs_e, k)
 
-    dec = PhiDecomposition(
+    comp = geo.to_y @ phi + phi_e  # phi_I(v(y)) + phi_E, on the shared rows
+    lap = grid.d2 @ comp - k * k * comp
+    return PhiDecomposition(
         k=k,
-        t=coord.t,
+        t=t,
         domain=geo.domain,
         v_nodes=geo.v_nodes,
         phi_i=phi,
         phi_e=phi_e,
         iterations=iterations,
         interior_residual=int_res_norm,
-        sum_residual=0.0,
+        sum_residual=float(l2_norm(grid, lap - omega_k) / max(l2_norm(grid, omega_k), 1e-300)),
     )
-    comp = geo.to_y @ phi + phi_e  # phi_I(v(y)) + phi_E, on the shared rows
-    lap = grid.d2 @ comp - k * k * comp
-    dec.sum_residual = float(
-        l2_norm(grid, lap - omega_k) / max(l2_norm(grid, omega_k), 1e-300)
-    )
-    return dec
 
 
 # ---------------------------------------------------------------------------

@@ -192,31 +192,6 @@ def stack_values(stack: GammaStack, ctx: EvalContext) -> dict:
     return out
 
 
-def _shell_sum(stack: GammaStack, key: str, family: str, ctx: EvalContext) -> float:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    return float(stack_values(stack, ctx)[f"shells_{key}_{family}"].sum())
-
-
-def eval_energy(stack: GammaStack, family: str, ctx: EvalContext) -> float:
-    """E^{(family)} truncated at the stack's M, single mode."""
-    return _shell_sum(stack, "E", family, ctx)
-
-
-def eval_dissipation(stack: GammaStack, family: str, ctx: EvalContext) -> float:
-    """D^{(family)}: same sums with sqrt(nu) grad_k applied once more."""
-    return _shell_sum(stack, "D", family, ctx)
-
-
-def eval_ck(stack: GammaStack, family: str, kind: str, ctx: EvalContext) -> float:
-    """CK^{(family; kind)} with the nonnegative-orientation convention."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if kind not in CK_KINDS:
-        raise ValueError(f"unknown CK kind {kind!r}")
-    return stack_values(stack, ctx)[f"CK_{family}_{kind}"]
-
-
 def truncation_tail(shells: np.ndarray) -> float:
     total = float(shells.sum())
     if total <= 0.0:

@@ -34,7 +34,6 @@ from .elliptic import (
     damping_diagnostic,
     decompose_phi,
     eval_elliptic_functionals,
-    interior_geometry,
     interior_greens_response,
 )
 from .functionals import EvalContext, full_report, truncation_tail
@@ -47,8 +46,8 @@ from .scalar import (
     spline_bump,
     step_scalar,
 )
-from .spectral import ChannelGrid, green_matrix
-from .weights import WeightParams, build_cascade
+from .spectral import ChannelGrid
+from .weights import WeightParams, build_cascade, is_finite
 
 
 # criterion c08: the largest Theta(T)/Theta(0) over the smallest, across nu
@@ -63,6 +62,11 @@ DECOMPOSE_RESIDUAL_LIMIT = 1e-6
 
 class ConfigError(ValueError):
     pass
+
+
+def _run_tag(nu: float) -> str:
+    """The tag of one viscosity's run files: nu1e-03 for nu = 1e-3 (and 1.2e-3)."""
+    return f"nu{nu:.0e}"
 
 
 @dataclass
@@ -94,11 +98,7 @@ class ExperimentConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"config.{key}: must be a number, not {value!r}")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an integer beyond the float range
-                finite = False
-            if not finite:
+            if not is_finite(value):
                 raise ConfigError(f"config.{key}: must be finite, not {value!r}")
         self.nu = tuple(float(v) for v in self.nu)
         if self.schema_version != 1:
@@ -112,6 +112,10 @@ class ExperimentConfig:
         for v in self.nu:
             if not v > 0.0:
                 raise ConfigError("config.nu: entries must be > 0")
+        tags = [_run_tag(v) for v in self.nu]
+        if len(set(tags)) < len(tags):
+            raise ConfigError(f"config.nu: entries share a run file tag ({', '.join(tags)}); "
+                              "each viscosity needs its own")
         if self.t_final_policy not in ("nu_cube_root", "absolute"):
             raise ConfigError("config.t_final_policy: unknown policy")
         if self.t_final_policy == "absolute" and self.t_final_value is None:
@@ -330,7 +334,7 @@ _UNSUMMARIZED = ("series", "timings")
 
 def _write_run_files(grid, coord, result, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
-    tag = f"nu{result['nu']:.0e}"
+    tag = _run_tag(result["nu"])
     keys = sorted(
         k for k, v in result["series"][0].items() if not isinstance(v, list)
     )
@@ -378,12 +382,8 @@ def identity_suite(ny: int = 96, seed: int = 0, quick: bool = False) -> list[dic
     setup = idn.ManufacturedSetup(grid, k=2, nu=1e-2, eps=1.0 / 64.0)
     coord = setup.coord(1.0)
     reports.append(idn.check_ad_expansion(trials=20 if quick else 100, seed=seed))
-    n_range = (1, 2) if quick else (1, 2, 3)
-    for which in idn.COMMUTATOR_RELATIONS:
-        for n in n_range:
-            if which == "cm_pvv_q" and n != 1:
-                continue
-            reports.append(idn.check_commutator_relations(which, n, 2, coord, grid, t=1.0))
+    for which, n in idn.commutator_cases((1, 2) if quick else (1, 2, 3)):
+        reports.append(idn.check_commutator_relations(which, n, 2, coord, grid, t=1.0))
     for n in (2, 3, 4):
         reports.append(idn.check_upsilon_identity(n, grid))
     for m, n in ((0, 0), (1, 1), (0, 2)):
@@ -429,18 +429,11 @@ def decompose_suite(config: ExperimentConfig, nu: float | None = None, t_stop: f
     while state.t < t_stop - 1e-12:
         state, coord = _advance(config, state, coord, min(dt, t_stop - state.t), profile)
     # the steps' per-run tables and coordinate inverses (0.8 MB at ny = 192,
-    # kmax = 8) are not read again; freeing them makes room for the Green table below
+    # kmax = 8) are not read again; freeing them makes room for the decomposition's Green table
     state._tables.clear()
     coord._inverses.clear()
     coord = _coord_at(config, state, coord)
-    # every mode shares the time, hence the interior geometry and the
-    # interpolation rows of its Green matrix
-    geometry = interior_geometry(grid, coord)
-    modes = [(k, omega_k) for k, omega_k in zip(state.ks, state.omega) if k != 0]
-    greens = green_matrix(grid, [k for k, _ in modes], geometry.domain)
-    decomps = {k: decompose_phi(omega_k, k, coord, grid, geometry=geometry, green=green)
-               for (k, omega_k), green in zip(modes, greens)}
-    del greens  # K (ny+1)^2 floats that the functionals below do not read
+    decomps = decompose_phi(state.ks, state.omega, coord, grid)
     funcs = eval_elliptic_functionals(decomps, coord, ctx, M=min(config.truncation_m, 4))
     return {
         "nu": nu,

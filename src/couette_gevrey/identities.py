@@ -138,6 +138,14 @@ COMMUTATOR_RELATIONS = (
 )
 
 
+def commutator_cases(ns) -> list[tuple[str, int]]:
+    """The (relation, n) pairs with n in ``ns`` that the commutator checks are
+    stated for, relation by relation: n = 0..4, and n = 1 only for cm_pvv_q,
+    the relation of q itself."""
+    return [(which, n) for which in COMMUTATOR_RELATIONS for n in ns
+            if 0 <= n <= 4 and (which != "cm_pvv_q" or n == 1)]
+
+
 def check_commutator_relations(
     which: str,
     n: int,
@@ -145,7 +153,6 @@ def check_commutator_relations(
     coord: CoordinateState,
     grid: ChannelGrid,
     t: float | None = None,
-    tolerance: float = 1e-8,
 ) -> IdentityReport:
     """One commutator relation on ``wall_flat_test_field``, both sides
     evaluated spectrally.
@@ -164,10 +171,8 @@ def check_commutator_relations(
     """
     if which not in COMMUTATOR_RELATIONS:
         raise ValueError(f"unknown relation {which!r}")
-    if not 0 <= n <= 4:
-        raise ValueError("n must be within 0..4")
-    if which == "cm_pvv_q" and n != 1:
-        raise ValueError("cm_pvv_q is stated for n = 1 only")
+    if (which, n) not in commutator_cases([n]):
+        raise ValueError(f"{which} is not stated for n = {n} (n = 0..4; cm_pvv_q at n = 1 only)")
     if np.any(coord.v_y <= 0):
         raise ValueError("degenerate coordinate")
     if t is None:
@@ -261,7 +266,7 @@ def check_commutator_relations(
             mask[[0, -1]] = False
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(f))), 1e-300)
     res = float(np.max(np.abs((lhs - rhs)[mask])) / scale)
-    return IdentityReport(f"commutator_{which}_n{n}", res, int(mask.sum()), tolerance)
+    return IdentityReport(f"commutator_{which}_n{n}", res, int(mask.sum()), 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +388,6 @@ def check_mode_equation(
     n: int,
     t: float,
     dt: float,
-    tolerance: float = 1e-4,
 ) -> IdentityReport:
     """Residual of the commuted equation with a centered time difference.
 
@@ -403,7 +407,7 @@ def check_mode_equation(
         f"mode_equation_m{m}_n{n}",
         res,
         grid.ny + 1,
-        tolerance,
+        1e-4,
         details={"dt": dt, "t": t, "k": k, "nu": nu},
     )
 
@@ -429,7 +433,6 @@ def check_upsilon_identity(
     n: int,
     grid: ChannelGrid,
     nu: float = 1e-2,
-    tolerance: float = 1e-8,
 ) -> IdentityReport:
     """d_y C_q = nu [Ups1 (n/q) d_y^2 + Ups2 (n^2/q^2) d_y + Ups3 (n^3/q^3)] g.
 
@@ -469,7 +472,7 @@ def check_upsilon_identity(
     mask[[0, -1]] = n != 2  # q^{n-3} is 1/q at n = 2: interior only
     scale = max(float(np.max(np.abs(lhs))), 1e-300)
     res = float(np.max(np.abs((lhs - rhs)[mask])) / scale)
-    report = IdentityReport(f"upsilon_n{n}", res, int(mask.sum()), tolerance)
+    report = IdentityReport(f"upsilon_n{n}", res, int(mask.sum()), 1e-8)
     report.details["ups1_check"] = float(np.max(np.abs(ups1 + 2.0 * qp)))
     return report
 
@@ -537,7 +540,6 @@ def check_faa_di_bruno(
     j: int,
     coord: CoordinateState,
     grid: ChannelGrid,
-    tolerance: float = 1e-8,
     n_sup_sweep: tuple[int, ...] = (8, 16, 32, 64),
 ) -> IdentityReport:
     """dv-bar^j (q^n) = q~_{n,j} n^j q^{(n-j)_+}, pointwise via jets.
@@ -561,7 +563,7 @@ def check_faa_di_bruno(
         f"faa_di_bruno_n{n}_j{j}",
         res,
         len(y),
-        tolerance,
+        1e-8,
         details={"sup_q_tilde_sweep": sup_sweep},
     )
 
@@ -571,7 +573,6 @@ def check_faa_commutator(
     j: int,
     coord: CoordinateState,
     grid: ChannelGrid,
-    tolerance: float = 1e-8,
 ) -> IdentityReport:
     """[dv-bar^j, q^n] f = sum_l binom(j,l) q~_{n,l} n^l q^{(n-l)_+} dv-bar^{j-l} f.
 
@@ -600,14 +601,14 @@ def check_faa_commutator(
         )
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(fj[0]))), 1e-300)
     res = float(np.max(np.abs(lhs - rhs)) / scale)
-    return IdentityReport(f"faa_commutator_n{n}_j{j}", res, grid.ny + 1, tolerance)
+    return IdentityReport(f"faa_commutator_n{n}_j{j}", res, grid.ny + 1, 1e-8)
 
 
 # ---------------------------------------------------------------------------
 # boundary lemma
 
 
-def check_boundary_lemma(stack, grid: ChannelGrid, tolerance: float = 1e-8) -> IdentityReport:
+def check_boundary_lemma(stack, grid: ChannelGrid) -> IdentityReport:
     """Wall values of Re[d_y ring * conj(d_yy ring)] vanish except n = 1.
 
     The wall derivatives are the Leibniz products of the analytic jet of
@@ -636,7 +637,7 @@ def check_boundary_lemma(stack, grid: ChannelGrid, tolerance: float = 1e-8) -> I
         else:
             worst = max(worst, wall)
     return IdentityReport(
-        "boundary_lemma", worst / scale, stack.M + 1, tolerance, details=details
+        "boundary_lemma", worst / scale, stack.M + 1, 1e-8, details=details
     )
 
 

@@ -3,7 +3,8 @@
 Each Fourier mode solves  d_t w_k + ik(y + U0) w_k = nu Dlt_k w_k + f_k
 with Dirichlet walls; steps carry all modes as the real even/odd halves of
 ``spectral._fold``, folded once, and ``ScalarState.omega`` unfolds them where
-they are read.  Diffusion is implicit: every stage corrects a guess g once,
+they are read.  Diffusion is implicit, so nu > 0 (``initial_state`` rejects
+any other value): every stage corrects a guess g once,
 x = g + A^{-1}(b - A g) with A = alpha + nu k^2 - nu D2, its residual formed
 directly and A^{-1} applied through the grid's Dirichlet eigenbasis
 (``spectral.dirichlet_eig``), so a new alpha or dt costs one diagonal, not
@@ -132,6 +133,9 @@ class ScalarState:
 
 
 def initial_state(grid: ChannelGrid, nu: float, data: InitialData) -> ScalarState:
+    """The state at t = 0; diffusion is implicit in every step, so nu > 0."""
+    if not nu > 0.0:
+        raise ValueError(f"nu must be > 0, not {nu!r}")
     halves, k = _fold(data.omega), np.asarray(data.ks, dtype=float)[:, None, None]
     nu_k2 = np.broadcast_to(nu * (k * k), halves.shape[1:]).copy()  # full width: faster than a (K, 1, 1) factor
     tables = {"nu_d2": nu * _folded_d2_t(grid), "nu_k2": nu_k2, "signed_k": k * [[1.0], [-1.0]]}
@@ -189,35 +193,28 @@ def step_scalar(state: ScalarState, dt: float, profile: ShearProfile | None = No
 
     ex0 = explicit(u, t0, adv0)
     if restart:
-        if nu > 0.0:
-            # the stages solve (alpha - nu Dlt) u_s = b_s, alpha = 1/(g dt), whose residuals at the guesses
-            # u and u1 are nu Dlt u and alpha (u - u1) + ((1 - g) im1 + ex1)/g
-            alpha = 1.0 / (_SSP_GAMMA * dt)
-            u1 = correct(u, diffusion(u), alpha)
-            im1 = diffusion(u1)
-            ex1 = explicit(u1, t0, adv0)
-            r = np.subtract(u, u1)
-            r *= alpha
-            r += ((1.0 - _SSP_GAMMA) / _SSP_GAMMA) * im1
-            r += ex1 / _SSP_GAMMA
-            u2 = correct(u1, r, alpha)
-            im2 = diffusion(u2)
-            ex2 = explicit(u2, t1, _advection(state, profile.u0(t1, grid.nodes)))
-            un = u + 0.5 * dt * (im1 + im2) + 0.5 * dt * (ex1 + ex2)
-        else:
-            # Heun step of the pure multiplier problem
-            mid = u + dt * ex0
-            mid[..., 0] = 0.0  # index 0 of each half row is the wall
-            un = u + 0.5 * dt * (ex0 + explicit(mid, t1, _advection(state, profile.u0(t1, grid.nodes))))
+        # the stages solve (alpha - nu Dlt) u_s = b_s, alpha = 1/(g dt), whose residuals at the guesses
+        # u and u1 are nu Dlt u and alpha (u - u1) + ((1 - g) im1 + ex1)/g
+        alpha = 1.0 / (_SSP_GAMMA * dt)
+        u1 = correct(u, diffusion(u), alpha)
+        im1 = diffusion(u1)
+        ex1 = explicit(u1, t0, adv0)
+        r = np.subtract(u, u1)
+        r *= alpha
+        r += ((1.0 - _SSP_GAMMA) / _SSP_GAMMA) * im1
+        r += ex1 / _SSP_GAMMA
+        u2 = correct(u1, r, alpha)
+        im2 = diffusion(u2)
+        ex2 = explicit(u2, t1, _advection(state, profile.u0(t1, grid.nodes)))
+        un = u + 0.5 * dt * (im1 + im2) + 0.5 * dt * (ex1 + ex2)
     else:
         # r = b - A u of b = (2u - prev/2)/dt + 2 ex0 - prev_ex, A = 1.5/dt + nu (k^2 - D2); un = u + A^{-1} r
         r = np.subtract(u, state._prev)
         r *= 0.5 / dt
         r += ex0
         r += ex0 - state._prev_ex
-        if nu > 0.0:
-            r += diffusion(u)
-        un = correct(u, r, 1.5 / dt) if nu > 0.0 else u + r * (dt / 1.5)
+        r += diffusion(u)
+        un = correct(u, r, 1.5 / dt)
     un[..., 0] = 0.0
     return ScalarState(grid, t1, nu, state.ks, un, restarts=state.restarts + restart, _prev=u, _prev_ex=ex0,
                        _prev_dt=dt, _tables=state._tables)

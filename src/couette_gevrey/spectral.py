@@ -326,21 +326,8 @@ def green_matrix(grid: ChannelGrid, ks, domain: tuple[float, float] = (-1.0, 1.0
     return q
 
 
-def green_solve(
-    grid: ChannelGrid,
-    rhs: np.ndarray,
-    k: int,
-    domain: tuple[float, float] = (-1.0, 1.0),
-    matrix: np.ndarray | None = None,
-) -> np.ndarray:
-    """Solve (d_v^2 - k^2) phi = rhs by quadrature against the Green kernel.
-
-    ``matrix`` is ``green_matrix(grid, [k], domain)[0]``, built here when
-    not given; callers solving repeatedly on one (k, domain) pass it in.
-    """
-    if k == 0:
-        raise SingularSolveError("k=0 not covered by the sinh kernel")
-    if matrix is None:
-        matrix = green_matrix(grid, [k], domain)[0]
+def green_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (d_v^2 - k^2) phi = rhs by quadrature against the Green kernel:
+    ``matrix`` is the table of k and the domain, one slice of ``green_matrix``."""
     out = (matrix @ np.ascontiguousarray(rhs, dtype=complex).view(float).reshape(-1, 2)).view(complex)
     return out.ravel()

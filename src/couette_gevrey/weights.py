@@ -9,7 +9,8 @@ inequality that couples cutoff losses to Gevrey weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -171,6 +172,14 @@ def zeta(s: float) -> float:
 # parameters
 
 
+def is_finite(value) -> bool:
+    """``math.isfinite``, with an integer beyond the float range not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class WeightParams:
     """All scalar parameters of the weight machinery.
@@ -191,6 +200,12 @@ class WeightParams:
     K_eps: float = 0.1  # exponent knob in the n=0 coordinate functional
 
     def __post_init__(self):
+        if isinstance(self.n_star, bool) or not isinstance(self.n_star, numbers.Integral):
+            raise ValueError(f"n_star must be an integer, not {self.n_star!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not is_finite(value):
+                raise ValueError(f"{f.name} must be finite, not {value!r}")
         if not self.s > 1.0:
             raise ValueError("Gevrey index s must exceed 1")
         if not (0.0 < self.sigma < self.s - 1.0):

@@ -81,7 +81,7 @@ def test_flat_decomposition_single_pass(rng):
     grid = ChannelGrid(128)
     flat = couette_state(grid, 0.0)
     om = interior_field(grid, rng)
-    dec = decompose_phi(om, 1, flat, grid)
+    (dec,) = decompose_phi([1], [om], flat, grid).values()
     assert dec.iterations == 1
     # interior-supported forcing: the exterior equation sees nothing
     assert np.max(np.abs(dec.phi_e)) == 0.0
@@ -98,7 +98,7 @@ def test_flat_decomposition_random_sweep(grid96, rng):
     for trial in range(6):
         k = 1 + trial % 3
         om = interior_field(grid96, rng)
-        dec = decompose_phi(om, k, flat, grid96)
+        (dec,) = decompose_phi([k], [om], flat, grid96).values()
         psi = poisson_mode_solve(grid96, om, k)
         comp = composite_values(dec, grid96, flat)
         worst = max(worst, np.max(np.abs(psi - comp)) / np.max(np.abs(psi)))
@@ -109,7 +109,7 @@ def test_distorted_decomposition(grid96, rng):
     prof = quartic_profile(1 / 256)
     coord = sheared_coordinate(prof, grid96, 60)
     om = interior_field(grid96, rng)
-    dec = decompose_phi(om, 1, coord, grid96, tol=1e-12)
+    (dec,) = decompose_phi([1], [om], coord, grid96, tol=1e-12).values()
     assert dec.iterations > 1
     psi = poisson_mode_solve(grid96, om, 1)
     comp = composite_values(dec, grid96, coord)
@@ -131,13 +131,15 @@ def test_non_contraction_rejected(grid96, rng):
     )
     om = interior_field(grid96, rng)
     with pytest.raises(NonContractionError):
-        decompose_phi(om, 1, coord, grid96)
+        decompose_phi([1], [om], coord, grid96)
 
 
 def test_k0_rejected(grid96, rng):
+    # k = 0 is outside the elliptic layer: the mode gets no decomposition
     flat = couette_state(grid96, 0.0)
-    with pytest.raises(ValueError):
-        decompose_phi(np.ones(grid96.ny + 1), 0, flat, grid96)
+    om = interior_field(grid96, rng)
+    decomps = decompose_phi([0, 2], [np.ones(grid96.ny + 1), om], flat, grid96)
+    assert list(decomps) == [2]
 
 
 def test_damping_slope_smooth(grid96):
@@ -216,12 +218,10 @@ def test_damping_k_scaling(grid96):
 def test_elliptic_functionals_zero_and_flat(grid96, rng, params, cascade):
     ctx = make_ctx(grid96, params, cascade, 1e-3)
     flat = couette_state(grid96, 0.0)
-    dec0 = decompose_phi(np.zeros(grid96.ny + 1), 1, flat, grid96)
-    out0 = eval_elliptic_functionals({1: dec0}, flat, ctx, M=2)
+    out0 = eval_elliptic_functionals(decompose_phi([1], [np.zeros(grid96.ny + 1)], flat, grid96), flat, ctx, M=2)
     assert all(v == 0.0 for v in out0.values())
     om = interior_field(grid96, rng)
-    dec = decompose_phi(om, 1, flat, grid96)
-    out = eval_elliptic_functionals({1: dec}, flat, ctx, M=2)
+    out = eval_elliptic_functionals(decompose_phi([1], [om], flat, grid96), flat, ctx, M=2)
     # interior data in flat coordinates: exterior forcing vanishes
     assert out["F_ell_E"] == 0.0
     assert out["J_ell_1"] == 0.0
@@ -237,8 +237,9 @@ def test_elliptic_j_oracle(grid96, rng, params, cascade):
     prof = quartic_profile(1 / 256)
     coord = sheared_coordinate(prof, grid96, 30)
     om = interior_field(grid96, rng)
-    dec = decompose_phi(om, 2, coord, grid96)
-    out = eval_elliptic_functionals({2: dec}, coord, ctx, M=2)
+    decomps = decompose_phi([2], [om], coord, grid96)
+    dec = decomps[2]
+    out = eval_elliptic_functionals(decomps, coord, ctx, M=2)
     expected = 0.0
     for m in range(3):
         for n in range(3 - m):
@@ -270,12 +271,9 @@ def test_elliptic_functionals_match_loop_oracle(grid96, rng, params, cascade, sh
         for _ in range(100):
             coord = step_coordinates(coord, 0.02, 1e-2, prof, grid96)
         assert coord.v[-1] - coord.v[0] > 2.0
-    decomps = {}
-    for k in (1, 3):
-        om = interior_field(grid96, rng)
-        # wall-reaching data gives phi_E a nonzero share in both cases
-        om = om + 0.05 * np.sin(np.pi * grid96.nodes) ** 2
-        decomps[k] = decompose_phi(om, k, coord, grid96)
+    # wall-reaching data gives phi_E a nonzero share in both cases
+    omega = [interior_field(grid96, rng) + 0.05 * np.sin(np.pi * grid96.nodes) ** 2 for _ in range(2)]
+    decomps = decompose_phi([1, 3], omega, coord, grid96)
     for M in (3, 4):  # 4 is the depth decompose_suite uses
         out = eval_elliptic_functionals(decomps, coord, ctx, M=M)
         ref = loop_elliptic_functionals(decomps, coord, ctx_ref, M=M)
@@ -308,7 +306,7 @@ def test_elliptic_functionals_build_each_ladder_once(grid96, rng, params, cascad
 
     monkeypatch.setattr(ctx, "floor_rows", counting_floor)
     coord = sheared_coordinate(quartic_profile(1 / 256), grid96, 30)
-    decomps = {k: decompose_phi(interior_field(grid96, rng), k, coord, grid96) for k in (1, 2)}
+    decomps = decompose_phi([1, 2], [interior_field(grid96, rng) for _ in range(2)], coord, grid96)
     for M in (2, 4):
         calls.clear()
         floors.clear()
@@ -320,7 +318,7 @@ def test_elliptic_functionals_build_each_ladder_once(grid96, rng, params, cascad
 def test_decomposition_csv(grid96, rng):
     flat = couette_state(grid96, 0.0)
     om = interior_field(grid96, rng)
-    dec = decompose_phi(om, 1, flat, grid96)
+    (dec,) = decompose_phi([1], [om], flat, grid96).values()
     text = dec.export_csv(grid96, flat, om)
     header = text.splitlines()[0]
     assert header.startswith("y,psi_re")

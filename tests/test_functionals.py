@@ -27,15 +27,13 @@ from couette_gevrey.functionals import (
     CK_KINDS,
     FAMILIES,
     EvalContext,
-    eval_ck,
     eval_coord_functionals,
-    eval_dissipation,
-    eval_energy,
     eval_icc,
     eval_sources,
     full_report,
     in_index_set,
     norm_table,
+    stack_values,
     truncation_tail,
 )
 from couette_gevrey.scalar import default_dt, default_initial_data, initial_state, spline_bump, step_scalar
@@ -48,11 +46,8 @@ NU = 1e-3
 def test_zero_field_all_zero(grid64, params, cascade):
     ctx = make_ctx(grid64, params, cascade, NU)
     stack = build_gamma_stack(np.zeros(grid64.ny + 1), 1, couette_state(grid64, 0.0), 3, grid64)
-    for fam in ("gamma", "alpha", "mu"):
-        assert eval_energy(stack, fam, ctx) == 0.0
-        assert eval_dissipation(stack, fam, ctx) == 0.0
-        for kind in ("phi", "lam", "W"):
-            assert eval_ck(stack, fam, kind, ctx) == 0.0
+    for key, val in stack_values(stack, ctx).items():
+        assert np.all(val == 0.0), key
 
 
 def test_single_shell_energy(grid64, params, cascade):
@@ -60,7 +55,7 @@ def test_single_shell_energy(grid64, params, cascade):
     flat = couette_state(grid64, 0.0)
     vals = spline_bump(grid64.nodes).astype(complex)
     stack = build_gamma_stack(vals, 1, flat, 0, grid64)
-    got = eval_energy(stack, "gamma", ctx)
+    got = stack_values(stack, ctx)["shells_E_gamma"].sum()
     tab = ctx.table
     w = np.exp(2 * eval_W(0.0, grid64.nodes, NU, params))
     manual = (
@@ -78,7 +73,7 @@ def test_energy_monotone_in_m(grid64, params, cascade, rng):
     prev = None
     for M in (0, 1, 2, 3):
         stack = build_gamma_stack(vals, 2, flat, M, grid64, t=0.4)
-        e = eval_energy(stack, "gamma", ctx)
+        e = stack_values(stack, ctx)["shells_E_gamma"].sum()
         if prev is not None:
             assert e >= prev - 1e-15
         prev = e
@@ -89,7 +84,7 @@ def test_nu_zero_dissipation(grid64, params, cascade, rng):
     stack = random_stack(grid64, rng)
     # W needs nu > 0; at nu = 0 the dissipation prefactor vanishes anyway
     with pytest.raises(ValueError):
-        eval_dissipation(stack, "gamma", ctx)
+        stack_values(stack, ctx)
 
 
 def test_ck_w_zero_region(grid64, params, cascade):
@@ -110,7 +105,7 @@ def test_energy_oracle(grid64, params, cascade, rng, family):
     ctx = make_ctx(grid64, params, cascade, NU)
     for _ in range(6):
         stack = random_stack(grid64, rng, k=int(rng.integers(1, 5)), t=float(rng.uniform(0, 4)))
-        mine = eval_energy(stack, family, ctx)
+        mine = stack_values(stack, ctx)[f"shells_E_{family}"].sum()
         ref = naive_energy(stack, family, params, cascade, NU)
         assert mine == pytest.approx(ref, rel=1e-12)
 
@@ -119,7 +114,7 @@ def test_energy_oracle(grid64, params, cascade, rng, family):
 def test_dissipation_oracle(grid64, params, cascade, rng, family):
     ctx = make_ctx(grid64, params, cascade, NU)
     stack = random_stack(grid64, rng)
-    assert eval_dissipation(stack, family, ctx) == pytest.approx(
+    assert stack_values(stack, ctx)[f"shells_D_{family}"].sum() == pytest.approx(
         naive_dissipation(stack, family, params, cascade, NU), rel=1e-12
     )
 
@@ -129,7 +124,7 @@ def test_dissipation_oracle(grid64, params, cascade, rng, family):
 def test_ck_oracle(grid64, params, cascade, rng, family, kind):
     ctx = make_ctx(grid64, params, cascade, NU)
     stack = random_stack(grid64, rng, t=1.3)
-    assert eval_ck(stack, family, kind, ctx) == pytest.approx(
+    assert stack_values(stack, ctx)[f"CK_{family}_{kind}"] == pytest.approx(
         naive_ck(stack, family, kind, params, cascade, NU), rel=1e-12, abs=1e-300
     )
 
@@ -138,11 +133,8 @@ def test_all_values_nonnegative(grid64, params, cascade, rng):
     ctx = make_ctx(grid64, params, cascade, NU)
     for _ in range(4):
         stack = random_stack(grid64, rng, t=float(rng.uniform(0, 10)))
-        for fam in ("gamma", "alpha", "mu"):
-            assert eval_energy(stack, fam, ctx) >= 0.0
-            assert eval_dissipation(stack, fam, ctx) >= 0.0
-            for kind in ("phi", "lam", "W"):
-                assert eval_ck(stack, fam, kind, ctx) >= 0.0
+        for key, val in stack_values(stack, ctx).items():
+            assert np.all(val >= 0.0), key
 
 
 def test_sources_collapse_and_oracle(grid64, params, cascade, rng):

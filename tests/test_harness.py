@@ -276,7 +276,6 @@ def test_decompose_suite_builds_green_matrices_once(monkeypatch):
         built.append(list(ks))
         return green_matrix(grid, ks, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "green_matrix", counted_green_matrix)
     monkeypatch.setattr(elliptic, "green_matrix", counted_green_matrix)
     cfg = small_config(ny=48, kmax=3, truncation_m=4, shear="quartic", eps_u=1.0 / 256.0)
     out = decompose_suite(cfg, nu=1e-4, t_stop=2.0)
@@ -284,11 +283,16 @@ def test_decompose_suite_builds_green_matrices_once(monkeypatch):
     monkeypatch.undo()
 
     # the shared tables change nothing against one decomposition per mode
-    # that builds its own
+    # on a table of its k alone
     state, coord = out["_state"], out["_coord"]
-    decomps = {k: decompose_phi(omega_k, k, coord, state.grid)
-               for k, omega_k in zip(state.ks, state.omega) if k != 0}
+    decomps = {}
+    for k, omega_k in zip(state.ks, state.omega):
+        decomps.update(decompose_phi([k], [omega_k], coord, state.grid))
+    assert list(decomps) == [1, 2, 3]
     assert max(d.iterations for d in decomps.values()) > 1
+    for k, dec in out["_decomps"].items():
+        for name in ("phi_i", "phi_e", "v_nodes"):
+            assert np.array_equal(getattr(dec, name), getattr(decomps[k], name)), (k, name)
     assert out["sum_residuals"] == {k: d.sum_residual for k, d in decomps.items()}
     assert out["iterations"] == {k: d.iterations for k, d in decomps.items()}
     ctx = harness._setup(cfg, 1e-4)[1]
@@ -413,6 +417,34 @@ def test_cli_non_finite_real_key_is_config_error(tmp_path, capsys):
         assert main(["--output-dir", str(tmp_path / "out"), "run", "--nu", nu]) == 2
         assert "config.nu: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_cli_bad_weight_is_config_error(tmp_path, capsys):
+    # NaN K, L_eps or c_sigma wrote NaN run files and exited 1; NaN sigma_star
+    # or K_eps, infinite K and a fractional or boolean n_star ran to exit 0
+    base = {"ny": "48", "kmax": "1", "nu": "[1.0e-2]", "truncation_m": "2", "t_final_policy": "absolute",
+            "t_final_value": "0.4", "output_dir": str(tmp_path / "out")}
+    for text, message in (("{K: .nan}", "K must be finite"), ("{L_eps: .nan}", "L_eps must be finite"),
+                          ("{c_sigma: .nan}", "c_sigma must be finite"),
+                          ("{sigma_star: .nan}", "sigma_star must be finite"),
+                          ("{K_eps: .nan}", "K_eps must be finite"), ("{K: .inf}", "K must be finite"),
+                          ("{n_star: 2.5}", "n_star must be an integer"),
+                          ("{n_star: true}", "n_star must be an integer")):
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text("".join(f"{k}: {v}\n" for k, v in {**base, "weights": text}.items()))
+        assert main(["--config", str(cfgfile), "run"]) == 2, text
+        assert f"config.weights: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_cli_nu_sharing_a_run_file_tag_is_config_error(tmp_path, capsys):
+    # 1e-2 and 1.2e-2 both tag their files nu1e-02: the second run's files
+    # replaced the first's
+    out = tmp_path / "out"
+    for nus in (("1e-2", "1.2e-2"), ("1e-3", "1e-3")):
+        assert main(["--output-dir", str(out), "run"] + [a for nu in nus for a in ("--nu", nu)]) == 2
+        assert "config.nu: entries share a run file tag" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_non_finite_decompose_time_is_config_error(tmp_path, capsys):

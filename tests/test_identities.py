@@ -48,21 +48,20 @@ def test_ad_expansion_hand_case():
     assert np.allclose(lhs, rhs)
 
 
+# every relation at n = 0..3, cm_pvv_q at its one power
+COMMUTATOR_CASES = idn.commutator_cases(range(4))
+
+
 @pytest.mark.parametrize("which", idn.COMMUTATOR_RELATIONS)
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_commutator_relations(which, n, grid, coord):
-    if which == "cm_pvv_q" and n != 1:
-        # the relation is stated for q itself; a report named _n{n} must check n
+    if (which, n) not in COMMUTATOR_CASES:
+        # cm_pvv_q is stated for q itself; a report named _n{n} must check n
         with pytest.raises(ValueError):
             idn.check_commutator_relations(which, n, 2, coord, grid, t=1.0)
         return
     rep = idn.check_commutator_relations(which, n, 2, coord, grid, t=1.0)
     assert rep.pass_, f"{rep.name}: {rep.max_abs_residual:.3e}"
-
-
-# every relation at n = 0..3, cm_pvv_q at its one power
-COMMUTATOR_CASES = [(which, n) for which in idn.COMMUTATOR_RELATIONS for n in range(4)
-                    if which != "cm_pvv_q" or n == 1]
 
 
 def test_identity_checks_raise_no_floating_point_warnings(grid, coord):
@@ -93,8 +92,8 @@ def test_walls_dropped_only_where_a_q_power_is_negative(grid, coord):
 def test_commutator_flat_q_structure(grid):
     # flat coordinates: [d_y, q^n] f = q'(n/q) q^n f exactly
     flat = couette_state(grid, 0.0)
-    rep = idn.check_commutator_relations("cm_py_qn", 2, 0, flat, grid, tolerance=1e-10)
-    assert rep.pass_
+    rep = idn.check_commutator_relations("cm_py_qn", 2, 0, flat, grid)
+    assert rep.max_abs_residual <= 1e-10
 
 
 def test_commutator_n0_trivial(grid, coord):

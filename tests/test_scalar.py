@@ -105,18 +105,12 @@ def test_stability_guard(grid64):
         step_scalar(st, 10 * admissible_dt(8))
 
 
-def test_free_transport_exact(grid64):
-    # nu = 0 keeps the discrete solution on the exact transport orbit
+def test_initial_state_rejects_nonpositive_nu(grid64):
+    # every step treats diffusion implicitly, so free transport (nu = 0) has no step
     data = default_initial_data(grid64, 3)
-    st = initial_state(grid64, 0.0, data)
-    dt = default_dt(3)
-    n0 = st.l2_norms()
-    for _ in range(400):
-        st = step_scalar(st, dt)
-    for k, f, f0 in zip(st.ks, st.omega, data.omega):
-        assert abs(l2_norm(grid64, f) - n0[k]) < 1e-9
-        oracle = exact_transport(f0, k, st.t, grid64)
-        assert np.max(np.abs(f - oracle)) < 1e-6
+    for nu in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="nu must be > 0"):
+            initial_state(grid64, nu, data)
 
 
 def test_exact_transport_props(grid64):
